@@ -260,13 +260,13 @@ def run_simulate(config_path, out_dir, seed=None) -> int:
     # per-n rescaled sample dumps, regenerated deterministically
     for entry in report["results"]:
         n = entry["n"]
-        s2 = derive_stream(cfg["seed"], 1000 + n % 997)
+        s2 = derive_stream(cfg["seed"], 1000 + n)  # one stream per grid point (n >= 1), never stream 0
         samples = _rescaled_samples(cfg, n, s2)
         csv_path = out / f"{cfg['name']}_n{n}_samples.csv"
         with open(csv_path, "w", newline="") as f:
             f.write("rescaled_colour\n")
             for v in samples:
-                f.write(f"{v!r}\n")
+                f.write(f"{float(v)!r}\n")
         if cfg["emit_svg"]:
             svg_histogram(samples, out / f"{cfg['name']}_n{n}.svg", title=f"{cfg['name']} n={n}")
     report["experiment"] = cfg["name"]
@@ -287,8 +287,7 @@ def _rescaled_samples(cfg, n, s) -> np.ndarray:
         rep = mvpp_kdiscrete(m0, kernel, n, s)
         vals = np.array([rep.labels[u] for u in rep.tree.leaf_list], dtype=float)
     elif isinstance(kernel, RandomWalkKernel):
-        labels = batch_rrt_walk_labels(n, 1, kernel.increment, s, m0=m0)[0]
-        vals = labels
+        vals = batch_rrt_walk_labels(n, 1, kernel.increment, s, m0=m0)[0]
     elif isinstance(kernel, StableWalkKernel):
         vals = batch_rrt_walk_labels(n, 1, _StableInc(kernel), s, m0=m0)[0]
     elif isinstance(kernel, (MMInfQueueKernel, DColourKernel)):

@@ -25,6 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .kernels import (
+    ConstantIncrement,
     DColourKernel,
     KDiscreteKernel,
     MMInfQueueKernel,
@@ -395,23 +396,51 @@ def _m0_sampler_np(m0: AtomicMeasure):
     return draw
 
 
+WINDOW_RATIO = 1.1  # node windows of _attach_path_sums grow by this factor
+
+
+def _attach_path_sums(out, s, increment, root_children=None) -> None:
+    """Grow uniform-attachment trees into columns 1..n of `out` (column 0 holds
+    the roots): node k takes parent floor(U*k) and its increment plus the parent's
+    label, or a fresh `root_children` draw when the parent is the root.  Windows
+    [lo, ~WINDOW_RATIO*lo) draw all parents, then all increments; in-window parents
+    are re-gathered until final, so labels equal the node-by-node recursion's."""
+    reps, n1 = out.shape
+    flat = out.reshape(-1)  # a view: out is C-contiguous
+    offsets = np.arange(0, reps * n1, n1)[:, None]
+    lo = 1
+    while lo < n1:
+        hi = min(max(int(WINDOW_RATIO * lo), lo + 1), n1)
+        w = hi - lo
+        par = s.uniforms(reps * w).reshape(reps, w)
+        par = np.multiply(par, np.arange(lo, hi), out=par).astype(np.intp)
+        block = out[:, lo:hi]
+        block[...] = increment.draw_many(s, reps * w).reshape(reps, w)
+        r, c = np.nonzero(par >= lo)
+        own = block[r, c]  # kept for the in-window nodes only
+        par += offsets  # flat indices into out
+        block += np.take(flat, par)
+        if root_children is not None and (at_root := par == offsets).any():
+            block[at_root] = root_children(s, int(at_root.sum()))
+        node, p = r * n1 + lo + c, par[r, c]  # in-window nodes (ascending) and parents
+        while node.size:  # one round per in-window generation
+            flat[node] = own + flat[p]
+            # a node whose parent was redone this round goes again
+            keep = node[np.minimum(np.searchsorted(node, p), node.size - 1)] == p
+            node, p, own = node[keep], p[keep], own[keep]
+        del par  # before the next window draws its own
+        lo = hi
+
+
 def batch_rrt_walk_labels(n, reps, increment, s, m0=None, dtype=float) -> np.ndarray:
     """Labels of `reps` independent walk-labelled recursive trees, as a
     (reps, n+1) array in node-creation order.  Law-equivalent to repeated
     mvpp_via_rrt with a walk kernel; one stream drives the whole batch in a
     fixed draw order."""
     m0_draw = _m0_sampler_np(m0) if m0 is not None else (lambda s, size: np.zeros(size))
-    labels = np.empty((reps, n + 1), dtype=dtype)
+    labels = np.zeros((reps, n + 1), dtype=dtype)
     labels[:, 0] = m0_draw(s, reps)
-    rows = np.arange(reps)
-    for k in range(1, n + 1):
-        parents = s.integers(0, k, reps)
-        inc = increment.draw_many(s, reps)
-        new = labels[rows, parents] + inc
-        at_root = parents == 0
-        if at_root.any():
-            new[at_root] = m0_draw(s, int(at_root.sum()))
-        labels[:, k] = new
+    _attach_path_sums(labels, s, increment, root_children=m0_draw)
     return labels
 
 
@@ -420,23 +449,31 @@ def batch_bmc_walk_labels(n, reps, increment, s, x0: float = 0.0) -> np.ndarray:
     carries x0 and every child is its parent's label plus an increment.
     This is the tree-indexed walk behind the Fourier-martingale machinery;
     it differs from the urn coupling only at the root's children."""
-    labels = np.empty((reps, n + 1), dtype=float)
+    labels = np.zeros((reps, n + 1), dtype=float)
     labels[:, 0] = x0
-    rows = np.arange(reps)
-    for k in range(1, n + 1):
-        parents = s.integers(0, k, reps)
-        labels[:, k] = labels[rows, parents] + increment.draw_many(s, reps)
+    _attach_path_sums(labels, s, increment)
     return labels
 
 
 def batch_rrt_depths(n, reps, s) -> np.ndarray:
     """(reps, n+1) node depths of independent recursive trees."""
     depths = np.zeros((reps, n + 1), dtype=np.int32)
-    rows = np.arange(reps)
-    for k in range(1, n + 1):
-        parents = s.integers(0, k, reps)
-        depths[:, k] = depths[rows, parents] + 1
+    _attach_path_sums(depths, s, ConstantIncrement(1))
     return depths
+
+
+def batch_walk_pairs(n, urns, pairs, increment, s, m0=None, dtype=float) -> np.ndarray:
+    """Pairs (a, b) of kernel draws at two independent uniform packets,
+    max(pairs // urns, 1) from each of `urns` independent walk urns, pooled
+    as all a's then all b's."""
+    labels = batch_rrt_walk_labels(n, urns, increment, s, m0=m0, dtype=dtype)
+    per = max(pairs // urns, 1)
+    rows = np.repeat(np.arange(urns), per)
+    iu = s.integers(0, n + 1, urns * per)
+    iv = s.integers(0, n + 1, urns * per)
+    a = labels[rows, iu] + increment.draw_many(s, urns * per)
+    b = labels[rows, iv] + increment.draw_many(s, urns * per)
+    return np.concatenate([a, b])
 
 
 def batch_direct_walk_colours(n, reps, increment, s, m0=None, m0_mass: float = 1.0) -> np.ndarray:
@@ -566,16 +603,9 @@ def verify_main_theorem(
         if isinstance(kernel, KDiscreteKernel):
             t_arg *= 1.0 + 1.0 / (kernel.kappa - 1)
         entry = {"n": int(n), "ks": None, "tv": None, "decorrelation": None}
-        a_pairs = b_pairs = None
         if isinstance(kernel, (RandomWalkKernel, StableWalkKernel)) and getattr(kernel, "dim", 1) == 1:
             inc = kernel.increment if isinstance(kernel, RandomWalkKernel) else _StableInc(kernel)
-            per = max(replicas // urns, 1)
-            labels = batch_rrt_walk_labels(n, urns, inc, s, m0=m0)
-            rows = np.repeat(np.arange(urns), per)
-            iu = s.integers(0, n + 1, urns * per)
-            iv = s.integers(0, n + 1, urns * per)
-            a_pairs = labels[rows, iu] + inc.draw_many(s, urns * per)
-            b_pairs = labels[rows, iv] + inc.draw_many(s, urns * per)
+            a_pairs, b_pairs = np.split(batch_walk_pairs(n, urns, replicas, inc, s, m0=m0), 2)
         elif isinstance(kernel, KDiscreteKernel):
             rep = mvpp_kdiscrete(m0, kernel, n, s)
             pairs = [sample_pair(rep, s) for _ in range(replicas)]
@@ -636,9 +666,6 @@ class _StableInc:
 
     def __init__(self, kernel: StableWalkKernel):
         self.kernel = kernel
-
-    def draw(self, s: RngStream) -> float:
-        return s.next_stable(self.kernel.alpha, self.kernel.skew, self.kernel.scale)
 
     def draw_many(self, s: RngStream, size: int) -> np.ndarray:
         return s.stables(self.kernel.alpha, size, self.kernel.skew, self.kernel.scale)

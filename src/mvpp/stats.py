@@ -380,7 +380,12 @@ def ks_statistic(sample, law) -> float:
     cum = np.cumsum(wts) / total
     upper = cum[np.append(idx[1:] - 1, len(vals) - 1)]
     lower = np.concatenate(([0.0], upper[:-1]))
-    ref = np.array([law.cdf(float(x)) for x in uniq])
+    if isinstance(law, Normal) and law.var > 0:
+        # normal_cdf's arithmetic, one erf pass over all points
+        z = (uniq - law.mean) / math.sqrt(law.var) / math.sqrt(2.0)
+        ref = 0.5 * (1.0 + np.frompyfunc(math.erf, 1, 1)(z).astype(float))
+    else:
+        ref = np.array([law.cdf(float(x)) for x in uniq])
     return float(np.max(np.maximum(np.abs(ref - lower), np.abs(upper - ref))))
 
 

@@ -37,7 +37,9 @@ from .process import (
     batch_kary_shift_leaf_labels,
     batch_rrt_depths,
     batch_rrt_walk_labels,
+    batch_walk_pairs,
     mvpp_direct,
+    mvpp_kdiscrete,
 )
 from .randomness import derive_stream
 from .trees import (
@@ -311,18 +313,6 @@ def check_pbar_recursion(root_seed: int, n: int = 100, replicas: int = 100_000) 
 # ---------------------------------------------------------------------------
 
 
-def _walk_pair_pool(n, urns, pairs, inc, s) -> np.ndarray:
-    """Pooled rescaled-free pair samples from `urns` independent urns."""
-    labels = batch_rrt_walk_labels(n, urns, inc, s, m0=M0_POINT)
-    per = max(pairs // urns, 1)
-    rows = np.repeat(np.arange(urns), per)
-    iu = s.integers(0, n + 1, urns * per)
-    iv = s.integers(0, n + 1, urns * per)
-    a = labels[rows, iu] + inc.draw_many(s, urns * per)
-    b = labels[rows, iv] + inc.draw_many(s, urns * per)
-    return np.concatenate([a, b])
-
-
 def check_dcolour_limit(root_seed: int, n: int = 100_000) -> dict:
     """Single-run composition against the Perron eigenpair."""
     rows = [[0.6, 0.4], [0.3, 0.7]]
@@ -338,7 +328,7 @@ def check_dcolour_limit(root_seed: int, n: int = 100_000) -> dict:
 
 def check_brw_normal(root_seed: int, n: int = 100_000, pairs: int = 10_000) -> dict:
     s = derive_stream(root_seed, 602)
-    pool = _walk_pair_pool(n, 16, pairs, NormalIncrement(0.0, 1.0), s) / math.sqrt(math.log(n))
+    pool = batch_walk_pairs(n, 16, pairs, NormalIncrement(0.0, 1.0), s, m0=M0_POINT) / math.sqrt(math.log(n))
     ks = stats.ks_statistic(pool, stats.STD_NORMAL)
     return _result("brw_normal_increment_ks", round(ks, 4), 0.05, ks <= 0.05, n=n, pairs=pairs)
 
@@ -348,7 +338,7 @@ def check_brw_rademacher(root_seed: int, n: int = 100_000, pairs: int = 10_000) 
     the sup distance to the Gaussian is floored near phi(0)/(2 sqrt(log n))
     (~0.059 at n = 1e5) regardless of the pair budget."""
     s = derive_stream(root_seed, 603)
-    pool = _walk_pair_pool(n, 16, pairs, RademacherIncrement(), s) / math.sqrt(math.log(n))
+    pool = batch_walk_pairs(n, 16, pairs, RademacherIncrement(), s, m0=M0_POINT) / math.sqrt(math.log(n))
     ks = stats.ks_statistic(pool, stats.STD_NORMAL)
     floor = stats.normal_pdf(0.0) / (2 * math.sqrt(math.log(n)))
     return _result(
@@ -382,35 +372,18 @@ def check_brw_pathwise_monotone(root_seed: int, seeds: int = 20) -> dict:
 class _ComplexNormalIncrement:
     """Standard 2-d normal increment packed into a complex number."""
 
-    def draw(self, s):
-        z = s.standard_normals(2)
-        return complex(z[0], z[1])
-
     def draw_many(self, s, size):
-        z = s.standard_normals(2 * size)
-        return z[:size] + 1j * z[size:]
+        out = np.empty(size, dtype=complex)
+        out.real = s.standard_normals(size)  # the same draws as one call of 2 * size
+        out.imag = s.standard_normals(size)
+        return out
 
 
 def check_brw_d2_projections(root_seed: int, n: int = 100_000, pairs: int = 10_000) -> dict:
     """Two fixed 1-d projections of the planar walk urn, same bounds."""
     s = derive_stream(root_seed, 605)
     inc = _ComplexNormalIncrement()
-    labels = np.zeros((16, n + 1), dtype=complex)
-    rows_idx = np.arange(16)
-    for k in range(1, n + 1):
-        parents = s.integers(0, k, 16)
-        new = labels[rows_idx, parents] + inc.draw_many(s, 16)
-        at_root = parents == 0
-        if at_root.any():
-            new[at_root] = 0.0
-        labels[:, k] = new
-    per = max(pairs // 16, 1)
-    rows = np.repeat(np.arange(16), per)
-    iu = s.integers(0, n + 1, 16 * per)
-    iv = s.integers(0, n + 1, 16 * per)
-    a = labels[rows, iu] + inc.draw_many(s, 16 * per)
-    b = labels[rows, iv] + inc.draw_many(s, 16 * per)
-    pool = np.concatenate([a, b]) / math.sqrt(math.log(n))
+    pool = batch_walk_pairs(n, 16, pairs, inc, s, dtype=complex) / math.sqrt(math.log(n))
     out = {}
     ok = True
     for name, u in (("e1", (1.0, 0.0)), ("diag", (1 / math.sqrt(2), 1 / math.sqrt(2)))):
@@ -480,7 +453,7 @@ def check_stable_hill(root_seed: int, n: int = 100_000, pairs: int = 10_000, alp
     for visual inspection (not asserted)."""
     kern = StableWalkKernel(alpha, 0.0, 1.0)
     s = derive_stream(root_seed, 609)
-    pool = _walk_pair_pool(n, 16, pairs, _StableInc(kern), s) / (math.log(n)) ** (1.0 / alpha)
+    pool = batch_walk_pairs(n, 16, pairs, _StableInc(kern), s, m0=M0_POINT) / (math.log(n)) ** (1.0 / alpha)
     hill = stats.hill_tail_exponent(pool, max(len(pool) // 40, 10))
     ok = alpha - 0.4 <= hill <= alpha + 0.4
     ref = np.sort(s.stables(alpha, len(pool)))
@@ -502,8 +475,6 @@ def check_stable_hill(root_seed: int, n: int = 100_000, pairs: int = 10_000, alp
 
 
 def check_kdiscrete_leaf_counts(root_seed: int) -> dict:
-    from .process import mvpp_kdiscrete
-
     ok = True
     seen = []
     s = derive_stream(root_seed, 701)

@@ -1,3 +1,4 @@
+import csv
 import json
 import subprocess
 import sys
@@ -63,6 +64,43 @@ def test_simulate_writes_artifacts_and_is_deterministic(tmp_path):
     assert "runtime_seconds" in report
     # sample CSV has one value per tree node
     assert len(a.decode().strip().splitlines()) == 201 + 0 + 1  # header + n+1 labels
+
+
+def test_simulate_sample_rows_parse_as_floats(tmp_path):
+    cfg = write_config(tmp_path)
+    out = tmp_path / "run"
+    assert cli.run_simulate(cfg, out) == 0
+    dumps = sorted(out.glob("*_samples.csv"))
+    assert [p.name for p in dumps] == ["demo_n200_samples.csv", "demo_n400_samples.csv"]
+    for path in dumps:
+        with open(path, newline="") as f:
+            rows = list(csv.reader(f))
+        assert rows[0] == ["rescaled_colour"]
+        values = [float(row[0]) for row in rows[1:]]
+        assert all(len(row) == 1 for row in rows[1:])
+        assert len(values) == int(path.name.split("_n")[1].split("_")[0]) + 1
+
+
+def test_sample_dump_streams_distinct_per_grid_point(tmp_path, monkeypatch):
+    # 1000 and 1997 are congruent modulo 997.  The queue's dump is its drawn
+    # colours, unrescaled, so a shared stream would repeat the first rows.
+    text = (
+        CONFIG.format(svg="false")
+        .replace("n_grid = 200,400", "n_grid = 1,997,1000,1997,2994")
+        .replace("variant = random_walk\nincrement = rademacher", "variant = mminf")
+        .replace("preset = brw", "preset = ergodic")
+    )
+    path = tmp_path / "collide.ini"
+    path.write_text(text)
+    used = []
+    real = cli.derive_stream
+    monkeypatch.setattr(cli, "derive_stream", lambda seed, sid: used.append(sid) or real(seed, sid))
+    out = tmp_path / "run"
+    assert cli.run_simulate(path, out) == 0
+    assert len(used) == 6 and len(set(used)) == 6  # the report's stream and one per grid point
+    head_1000 = (out / "demo_n1000_samples.csv").read_text().splitlines()[1:1001]
+    head_1997 = (out / "demo_n1997_samples.csv").read_text().splitlines()[1:1001]
+    assert head_1000 != head_1997
 
 
 def test_simulate_missing_kernel_section_exits_2(tmp_path, capsys):

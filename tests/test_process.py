@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -6,22 +7,28 @@ import pytest
 
 from mvpp import oracle, stats
 from mvpp.kernels import (
+    ConstantIncrement,
     DColourKernel,
     KDiscreteKernel,
     MMInfQueueKernel,
+    NormalIncrement,
     RademacherIncrement,
     plan_brw,
     plan_ergodic,
     walk_kernel_constant,
+    walk_kernel_normal,
     walk_kernel_rademacher,
 )
 from mvpp.measures import AtomicMeasure
 from mvpp.process import (
+    WINDOW_RATIO,
+    _attach_path_sums,
     batch_bmc_walk_labels,
     batch_bst_walk_leaf_colours,
     batch_direct_walk_colours,
     batch_exact_colour_samples,
     batch_kary_shift_leaf_labels,
+    batch_rrt_depths,
     batch_rrt_walk_labels,
     composite_reference,
     mvpp_direct,
@@ -34,6 +41,7 @@ from mvpp.process import (
     verify_main_theorem,
 )
 from mvpp.randomness import derive_stream
+from mvpp.verify import _ComplexNormalIncrement, _tv_threshold
 
 M0_HALF = AtomicMeasure([(0, 0.5), (1, 0.5)])
 KERN2 = DColourKernel([[0.5, 0.5], [0.25, 0.75]])
@@ -377,6 +385,142 @@ def test_batch_bmc_differs_from_coupling_at_root_children():
     # initial draw (always 0 here) in the urn coupling
     assert set(np.unique(np.abs(bmc[:, 1]))) == {1.0}
     assert set(np.unique(coup[:, 1])) == {0.0}
+
+
+# ---------------------------------------------------------------------------
+# windowed uniform-attachment engine
+# ---------------------------------------------------------------------------
+
+
+class _RecordingStream:
+    """A real stream that logs a copy of every uniform block it hands out."""
+
+    def __init__(self, s):
+        self.s = s
+        self.log = []
+
+    def uniforms(self, size):
+        u = self.s.uniforms(size)
+        self.log.append(("uniforms", u.copy()))  # the engine scales it in place
+        return u
+
+
+class _RecordingIncrement:
+    """An increment whose draws come from the recorded stream's real stream
+    and are logged in the same order."""
+
+    def __init__(self, inc):
+        self.inc = inc
+
+    def draw_many(self, s, size):
+        v = self.inc.draw_many(s.s, size)
+        s.log.append(("own", v))
+        return v
+
+
+def _windows(n):
+    lo, out = 1, []
+    while lo <= n:
+        hi = min(max(int(WINDOW_RATIO * lo), lo + 1), n + 1)
+        out.append((lo, hi))
+        lo = hi
+    return out
+
+
+def _naive_path_sums(out, log, m0_atom_of=None):
+    """Node-by-node recursion fed the logged draws: out[:, k] = own[:, k] +
+    out[:, parent], or a fresh initial draw at the root's children."""
+    reps, n1 = out.shape
+    rows = np.arange(reps)
+    events = iter(log)
+    for lo, hi in _windows(n1 - 1):
+        w = hi - lo
+        kind, u = next(events)
+        assert kind == "uniforms" and u.size == reps * w
+        par = (u.reshape(reps, w) * np.arange(lo, hi)).astype(np.int64)
+        kind, v = next(events)
+        assert kind == "own"
+        own = v.reshape(reps, w)
+        fresh = np.zeros((reps, w))
+        if m0_atom_of is not None and (par == 0).any():
+            kind, v = next(events)
+            assert kind == "uniforms" and v.size == (par == 0).sum()
+            fresh[par == 0] = m0_atom_of(v)
+        for j in range(w):
+            new = own[:, j] + out[rows, par[:, j]]
+            if m0_atom_of is not None:
+                at_root = par[:, j] == 0
+                new[at_root] = fresh[at_root, j]
+            out[:, lo + j] = new
+    assert next(events, None) is None
+    return out
+
+
+@pytest.mark.parametrize("kind", ["float", "complex", "int32"])
+@pytest.mark.parametrize("n, reps", [(100_000, 16), (1000, 3000), (0, 5), (1, 5), (2, 5)])
+def test_path_sums_equal_the_node_by_node_recursion(kind, n, reps):
+    s = _RecordingStream(derive_stream(31, n + reps))
+    dtype, inc = {
+        "float": (float, NormalIncrement(0.5, 2.0)),
+        "complex": (complex, _ComplexNormalIncrement()),
+        "int32": (np.int32, ConstantIncrement(1)),  # depths: path sums of +1
+    }[kind]
+    out = np.zeros((reps, n + 1), dtype=dtype)
+    out[:, 0] = np.arange(reps)  # distinct roots
+    start = out.copy()
+    _attach_path_sums(out, s, _RecordingIncrement(inc))
+    ref = _naive_path_sums(start, s.log)
+    assert out.dtype == ref.dtype
+    assert np.array_equal(out, ref)
+
+
+def test_urn_labels_equal_the_recursion_with_fresh_root_children():
+    # two-atom initial measure: the root and every root child take a fresh
+    # uniform draw, atom 0 below 1/2 and atom 1 above
+    n, reps = 3000, 40
+    s = _RecordingStream(derive_stream(31, 1))
+    lab = batch_rrt_walk_labels(n, reps, _RecordingIncrement(RademacherIncrement()), s, m0=M0_HALF)
+    kind, u_root = s.log[0]
+    assert kind == "uniforms" and u_root.size == reps
+    atom_of = lambda u: (u >= 0.5).astype(float)
+    start = np.zeros((reps, n + 1))
+    start[:, 0] = atom_of(u_root)
+    ref = _naive_path_sums(start, s.log[1:], m0_atom_of=atom_of)
+    assert np.array_equal(lab, ref)
+    assert (lab[:, 1] == lab[:, 1].astype(int)).all()  # node 1 is always a root child
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+def test_batch_depths_match_exact_law(n):
+    reps = 100_000
+    ref = oracle.exact_rrt_joint_depths(n).marginal(lambda o: o[0]).probs
+    s = derive_stream(31, 100 + n)
+    dep = batch_rrt_depths(n, reps, s)
+    picked = dep[np.arange(reps), s.integers(0, n + 1, reps)]
+    tv = stats.total_variation(stats.counts_to_pmf(Counter(picked.tolist())), ref)
+    assert tv <= _tv_threshold(ref, reps)
+
+
+def test_batch_walk_labels_match_scalar_rrt():
+    n, reps = 200, 2000
+    s = derive_stream(31, 200)
+    scalar = [mvpp_via_rrt(DELTA0, walk_kernel_normal(), n, s).labels for _ in range(reps)]
+    batch = batch_rrt_walk_labels(n, reps, NormalIncrement(0.0, 1.0), s, m0=DELTA0)
+    crit = stats.ks_two_sample_critical(0.01, reps, reps)
+    assert stats.ks_two_sample(np.array([lab[-1] for lab in scalar]), batch[:, -1]) < crit
+    # the tree maximum depends on the joint law of all labels
+    assert stats.ks_two_sample(np.array([max(lab) for lab in scalar]), batch.max(axis=1)) < crit
+
+
+def test_batch_walk_labels_peak_memory_near_output():
+    s = derive_stream(31, 300)
+    tracemalloc.start()
+    try:
+        lab = batch_rrt_walk_labels(100_000, 16, NormalIncrement(0.0, 1.0), s)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * lab.nbytes
 
 
 # ---------------------------------------------------------------------------

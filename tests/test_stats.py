@@ -58,6 +58,25 @@ def test_ks_statistic_weighted_ties():
     assert 0 < stats.ks_statistic(ws, stats.STD_NORMAL) <= 1
 
 
+class _PointwiseLaw:
+    """Wraps a law so that ks_statistic takes its per-point CDF path."""
+
+    def __init__(self, law):
+        self.cdf = law.cdf
+
+
+@pytest.mark.parametrize("law", [stats.STD_NORMAL, stats.Normal(1.3, 2.7), stats.Normal(-4, 1)])
+def test_ks_normal_fast_path_equals_pointwise_path(law):
+    s = derive_stream(77, 0)
+    x = 1.3 + 1.7 * s.standard_normals(20_000)
+    tied = np.round(x, 1)  # about 200 distinct values
+    weighted = stats.WeightedSample.from_values(tied[:500], s.uniforms(500) + 0.1)
+    far = np.array([-40.0, -9.0, 0.0, 9.0, 40.0])  # CDF saturates at 0 and 1
+    for sample in (x, tied, weighted, far, [2.5]):
+        fast = stats.ks_statistic(sample, law)
+        assert fast == stats.ks_statistic(sample, _PointwiseLaw(law))
+
+
 def test_ks_errors():
     with pytest.raises(ValueError):
         stats.ks_statistic([], stats.STD_NORMAL)
