@@ -8,13 +8,13 @@ from .kernels import (
     MMInfQueueKernel,
     RandomWalkKernel,
     RenormalisationPlan,
-    StableWalkKernel,
     companion_chain,
     leading_eigenpair,
     plan_brw,
     plan_ergodic,
     plan_kdiscrete_shift,
     plan_stable,
+    walk_kernel_stable,
 )
 from .measures import AtomicMeasure, Rescaling, normalize, sample_atom, theta_rescale, z_n
 from .process import (
@@ -39,7 +39,6 @@ __all__ = [
     "RenormalisationPlan",
     "Rescaling",
     "RngStream",
-    "StableWalkKernel",
     "companion_chain",
     "derive_stream",
     "grow_bst_leaf",
@@ -64,5 +63,6 @@ __all__ = [
     "sample_pair",
     "theta_rescale",
     "verify_main_theorem",
+    "walk_kernel_stable",
     "z_n",
 ]

@@ -14,7 +14,6 @@ from __future__ import annotations
 import argparse
 import configparser
 import json
-import math
 import sys
 import time
 from pathlib import Path
@@ -26,18 +25,19 @@ from .kernels import (
     DColourKernel,
     KDiscreteKernel,
     MMInfQueueKernel,
-    StableWalkKernel,
-    ConstantIncrement,
-    NormalIncrement,
-    RademacherIncrement,
     RandomWalkKernel,
+    StableIncrement,
     plan_brw,
     plan_ergodic,
     plan_kdiscrete_shift,
     plan_stable,
+    walk_kernel_constant,
+    walk_kernel_normal,
+    walk_kernel_rademacher,
+    walk_kernel_stable,
 )
 from .measures import AtomicMeasure, measure_to_csv_lines
-from .process import mvpp_direct, verify_main_theorem
+from .process import verify_main_theorem
 from .randomness import derive_stream
 from .trees import grow_rrt, profile as tree_profile
 
@@ -78,7 +78,7 @@ def load_config(path) -> dict:
         raise ConfigError("n_grid must be strictly increasing")
     cfg["kernel"] = _parse_kernel(cp["kernel"])
     cfg["m0"] = _parse_m0(cp["m0"])
-    cfg["plan"] = _parse_plan(cp["plan"], cp["kernel"])
+    cfg["plan"] = _parse_plan(cp["plan"], cfg["kernel"])
     return cfg
 
 
@@ -87,17 +87,14 @@ def _parse_kernel(sec):
     if variant == "random_walk":
         inc_name = sec.get("increment", "constant")
         if inc_name == "constant":
-            v = sec.getfloat("value", fallback=1.0)
-            return RandomWalkKernel(ConstantIncrement(v), mean=v, cov=0.0)
+            return walk_kernel_constant(sec.getfloat("value", fallback=1.0))
         if inc_name == "rademacher":
-            return RandomWalkKernel(RademacherIncrement(), mean=0.0, cov=1.0)
+            return walk_kernel_rademacher()
         if inc_name == "normal":
-            m = sec.getfloat("mean", fallback=0.0)
-            v = sec.getfloat("var", fallback=1.0)
-            return RandomWalkKernel(NormalIncrement(m, v), mean=m, cov=v)
+            return walk_kernel_normal(sec.getfloat("mean", fallback=0.0), sec.getfloat("var", fallback=1.0))
         raise ConfigError(f"unknown increment {inc_name!r} in [kernel]")
     if variant == "stable":
-        return StableWalkKernel(sec.getfloat("alpha", fallback=1.5), sec.getfloat("skew", fallback=0.0))
+        return walk_kernel_stable(sec.getfloat("alpha", fallback=1.5), sec.getfloat("skew", fallback=0.0))
     if variant == "mminf":
         return MMInfQueueKernel(sec.getfloat("lam", fallback=1.0), sec.getfloat("mu", fallback=1.0))
     if variant == "dcolour":
@@ -130,26 +127,23 @@ def _parse_m0(sec) -> AtomicMeasure:
     return AtomicMeasure(atoms)
 
 
-def _parse_plan(sec, kernel_sec):
+def _parse_plan(sec, kernel):
+    """The plan preset, with its parameters read off the parsed kernel."""
     preset = sec.get("preset", "")
-    if preset == "brw":
-        inc = kernel_sec.get("increment", "constant")
-        if inc == "constant":
-            v = float(kernel_sec.get("value", "1.0"))
-            return plan_brw(mean=v, var=0.0)
-        if inc == "rademacher":
-            return plan_brw(mean=0.0, var=1.0)
-        return plan_brw(
-            mean=float(kernel_sec.get("mean", "0.0")), var=float(kernel_sec.get("var", "1.0"))
-        )
-    if preset == "ergodic":
-        return plan_ergodic(stats.Poisson(
-            float(kernel_sec.get("lam", "1.0")) / float(kernel_sec.get("mu", "1.0"))
-        ), claimed=True)
-    if preset == "stable":
-        return plan_stable(float(kernel_sec.get("alpha", "1.5")))
-    if preset == "kdiscrete-shift":
+    walk = isinstance(kernel, RandomWalkKernel)
+    stable = walk and isinstance(kernel.increment, StableIncrement)
+    if preset == "brw" and walk and not stable:
+        return plan_brw(mean=kernel.mean, var=kernel.cov)
+    if preset == "ergodic" and isinstance(kernel, MMInfQueueKernel):
+        return plan_ergodic(stats.Poisson(kernel.lam / kernel.mu), claimed=True)
+    if preset == "ergodic" and isinstance(kernel, DColourKernel):
+        return plan_ergodic(None, claimed=True)  # the palette route scores the Perron limit
+    if preset == "stable" and stable:
+        return plan_stable(kernel.increment.alpha)
+    if preset == "kdiscrete-shift" and isinstance(kernel, KDiscreteKernel):
         return plan_kdiscrete_shift()
+    if preset in ("brw", "ergodic", "stable", "kdiscrete-shift"):
+        raise ConfigError(f"plan preset {preset!r} does not fit the {type(kernel).__name__} in [kernel]")
     raise ConfigError(f"unknown plan preset {preset!r} in [plan]")
 
 
@@ -257,11 +251,9 @@ def run_simulate(config_path, out_dir, seed=None) -> int:
     report = verify_main_theorem(
         cfg["kernel"], cfg["plan"], cfg["m0"], cfg["n_grid"], cfg["replicas"], s
     )
-    # per-n rescaled sample dumps, regenerated deterministically
-    for entry in report["results"]:
+    # per-n dumps of the rescaled samples each grid point scored
+    for entry, samples in zip(report["results"], report.pop("samples")):
         n = entry["n"]
-        s2 = derive_stream(cfg["seed"], 1000 + n)  # one stream per grid point (n >= 1), never stream 0
-        samples = _rescaled_samples(cfg, n, s2)
         csv_path = out / f"{cfg['name']}_n{n}_samples.csv"
         with open(csv_path, "w", newline="") as f:
             f.write("rescaled_colour\n")
@@ -275,28 +267,6 @@ def run_simulate(config_path, out_dir, seed=None) -> int:
     (out / f"{cfg['name']}_report.json").write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
     print(f"wrote {cfg['name']}_report.json (pass={report['pass']})")
     return 0
-
-
-def _rescaled_samples(cfg, n, s) -> np.ndarray:
-    from .process import batch_rrt_walk_labels, mvpp_kdiscrete, _StableInc
-
-    kernel, plan, m0 = cfg["kernel"], cfg["plan"], cfg["m0"]
-    t = math.log(n)
-    if isinstance(kernel, KDiscreteKernel):
-        t *= 1 + 1 / (kernel.kappa - 1)
-        rep = mvpp_kdiscrete(m0, kernel, n, s)
-        vals = np.array([rep.labels[u] for u in rep.tree.leaf_list], dtype=float)
-    elif isinstance(kernel, RandomWalkKernel):
-        vals = batch_rrt_walk_labels(n, 1, kernel.increment, s, m0=m0)[0]
-    elif isinstance(kernel, StableWalkKernel):
-        vals = batch_rrt_walk_labels(n, 1, _StableInc(kernel), s, m0=m0)[0]
-    elif isinstance(kernel, (MMInfQueueKernel, DColourKernel)):
-        # drawn colours; finite palettes admit only the identity rescaling
-        trace = mvpp_direct(m0, kernel, n, s)
-        vals = np.array(trace.drawn, dtype=float)
-    else:
-        raise ConfigError("no sample dump for this kernel variant")
-    return (vals - plan.b(t)) / plan.a(t)
 
 
 def run_verify(suite, out_dir=None, seed: int = 1) -> int:

@@ -14,24 +14,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .measures import FINITE, LATTICE, REAL, AtomicMeasure, ColourSpace
+from .measures import AtomicMeasure
 from .randomness import RngStream
 from . import stats
 
 
 class ReplacementKernel:
-    space: ColourSpace
-
     def sample(self, x, s: RngStream):
         raise NotImplementedError
 
     def atoms(self, x) -> AtomicMeasure | None:
         """Atomic form of R_x, or None for non-atomic kernels."""
         return None
-
-
-def kernel_sample(k: ReplacementKernel, x, s: RngStream):
-    return k.sample(x, s)
 
 
 class DColourKernel(ReplacementKernel):
@@ -48,7 +42,6 @@ class DColourKernel(ReplacementKernel):
             if abs(sum(row) - 1.0) > 1e-12:
                 raise ValueError(f"row {i} does not sum to 1")
         self.d = d
-        self.space = ColourSpace(FINITE, 1)
 
     def _check(self, x):
         if not (isinstance(x, int) and 0 <= x < self.d):
@@ -72,28 +65,22 @@ class DColourKernel(ReplacementKernel):
 class RandomWalkKernel(ReplacementKernel):
     """R_x = law of x + increment; the increment does not depend on x.
 
-    The declared mean and covariance are trusted by the renormalisation
-    plans; validate_declared_moments cross-checks them against draws.
+    The declared mean and variance are trusted by the renormalisation plans
+    (stable increments declare cov = inf, and mean None where it does not
+    exist); validate_declared_moments cross-checks them against draws.
     """
 
-    def __init__(self, increment, mean, cov, dim: int = 1):
+    def __init__(self, increment, mean, cov):
         self.increment = increment  # object with draw(s) and draw_many(s, n)
         self.mean = mean
         self.cov = cov
-        self.dim = dim
-        self.space = ColourSpace(REAL, dim)
 
     def sample(self, x, s: RngStream):
-        d = self.increment.draw(s)
-        if self.dim == 1:
-            return x + d
-        return tuple(xi + di for xi, di in zip(x, d))
+        return x + self.increment.draw(s)
 
     def atoms(self, x) -> AtomicMeasure | None:
         pts = getattr(self.increment, "atom_points", None)
         if pts is None:
-            return None
-        if self.dim != 1:
             return None
         return AtomicMeasure((x + v, w) for v, w in pts)
 
@@ -141,22 +128,22 @@ class NormalIncrement:
 
 
 @dataclass
-class NormalVectorIncrement:
-    """Independent normal coordinates (diagonal covariance)."""
+class StableIncrement:
+    """Exactly alpha-stable increments: the heavy-tailed walk."""
 
-    mean: tuple
-    var: tuple
+    alpha: float
+    skew: float = 0.0
+    scale: float = 1.0
 
-    def draw(self, s: RngStream) -> tuple:
-        return tuple(
-            m + math.sqrt(v) * s.next_standard_normal()
-            for m, v in zip(self.mean, self.var)
-        )
+    def __post_init__(self):
+        if not (0 < self.alpha <= 2):
+            raise ValueError("alpha must be in (0, 2]")
+
+    def draw(self, s: RngStream) -> float:
+        return s.next_stable(self.alpha, self.skew, self.scale)
 
     def draw_many(self, s: RngStream, n: int) -> np.ndarray:
-        d = len(self.mean)
-        z = s.standard_normals(n * d).reshape(n, d)
-        return np.asarray(self.mean) + z * np.sqrt(np.asarray(self.var))
+        return s.stables(self.alpha, n, self.skew, self.scale)
 
 
 def walk_kernel_constant(value: float = 1.0) -> RandomWalkKernel:
@@ -171,21 +158,10 @@ def walk_kernel_normal(mean: float = 0.0, var: float = 1.0) -> RandomWalkKernel:
     return RandomWalkKernel(NormalIncrement(mean, var), mean=mean, cov=var)
 
 
-class StableWalkKernel(ReplacementKernel):
-    """Heavy-tailed walk with exactly alpha-stable increments."""
-
-    def __init__(self, alpha: float, skew: float = 0.0, scale: float = 1.0):
-        if not (0 < alpha <= 2):
-            raise ValueError("alpha must be in (0, 2]")
-        self.alpha = alpha
-        self.skew = skew
-        self.scale = scale
-        # finite mean only for alpha > 1; symmetric increments have mean 0
-        self.mean = 0.0 if (alpha > 1 and skew == 0.0) else None
-        self.space = ColourSpace(REAL, 1)
-
-    def sample(self, x, s: RngStream) -> float:
-        return x + s.next_stable(self.alpha, self.skew, self.scale)
+def walk_kernel_stable(alpha: float, skew: float = 0.0, scale: float = 1.0) -> RandomWalkKernel:
+    """Infinite variance; a finite mean (0) only when alpha > 1 and symmetric."""
+    mean = 0.0 if (alpha > 1 and skew == 0.0) else None
+    return RandomWalkKernel(StableIncrement(alpha, skew, scale), mean=mean, cov=math.inf)
 
 
 class MMInfQueueKernel(ReplacementKernel):
@@ -197,7 +173,6 @@ class MMInfQueueKernel(ReplacementKernel):
             raise ValueError("lambda and mu must be positive")
         self.lam = lam
         self.mu = mu
-        self.space = ColourSpace(LATTICE, 1)
 
     def _check(self, x):
         if not (isinstance(x, int) and x >= 0):
@@ -229,7 +204,6 @@ class KDiscreteKernel(ReplacementKernel):
             raise ValueError("kappa must be >= 2")
         self.kappa = kappa
         self.atom_fn = atom_fn
-        self.space = ColourSpace(LATTICE, 1)
 
     @classmethod
     def from_offsets(cls, offsets) -> "KDiscreteKernel":
@@ -281,34 +255,22 @@ def companion_chain(k: ReplacementKernel, x0, n: int, s: RngStream) -> list:
 
 
 def validate_declared_moments(k: RandomWalkKernel, s: RngStream, n: int = 1_000_000) -> dict:
-    """Cross-check a walk kernel's declared mean/covariance on n draws.
+    """Cross-check a walk kernel's declared mean and variance on n draws.
 
     Raises if a declared moment sits more than 3 standard errors from its
     empirical counterpart.
     """
     draws = np.asarray(k.increment.draw_many(s, n), dtype=float)
-    if draws.ndim == 1:
-        draws = draws[:, None]
-    mean = np.atleast_1d(np.asarray(k.mean, dtype=float))
-    var = np.atleast_1d(np.asarray(k.cov, dtype=float))
-    emp_mean = draws.mean(axis=0)
-    emp_var = draws.var(axis=0)
-    report = {"n": n, "emp_mean": emp_mean.tolist(), "emp_var": emp_var.tolist()}
-    for i in range(draws.shape[1]):
-        se_mean = math.sqrt(emp_var[i] / n) if emp_var[i] > 0 else 0.0
-        if abs(emp_mean[i] - mean[i]) > 3 * se_mean + 1e-12:
-            raise ValueError(
-                f"declared mean {mean[i]} off by more than 3 SE "
-                f"(empirical {emp_mean[i]:.5f}, coordinate {i})"
-            )
-        m4 = np.mean((draws[:, i] - emp_mean[i]) ** 4)
-        se_var = math.sqrt(max(m4 - emp_var[i] ** 2, 0.0) / n)
-        if abs(emp_var[i] - var[i]) > 3 * se_var + 1e-12:
-            raise ValueError(
-                f"declared variance {var[i]} off by more than 3 SE "
-                f"(empirical {emp_var[i]:.5f}, coordinate {i})"
-            )
-    return report
+    emp_mean = float(draws.mean())
+    emp_var = float(draws.var())
+    se_mean = math.sqrt(emp_var / n)
+    if abs(emp_mean - k.mean) > 3 * se_mean + 1e-12:
+        raise ValueError(f"declared mean {k.mean} off by more than 3 SE (empirical {emp_mean:.5f})")
+    m4 = float(np.mean((draws - emp_mean) ** 4))
+    se_var = math.sqrt(max(m4 - emp_var**2, 0.0) / n)
+    if abs(emp_var - k.cov) > 3 * se_var + 1e-12:
+        raise ValueError(f"declared variance {k.cov} off by more than 3 SE (empirical {emp_var:.5f})")
+    return {"n": n, "emp_mean": emp_mean, "emp_var": emp_var}
 
 
 def leading_eigenpair(R, tol: float = 1e-12, max_iter: int = 100_000) -> tuple:
@@ -364,11 +326,6 @@ class RenormalisationPlan:
     gamma_reference: object
     claimed: bool = False
 
-    def limit_reference(self):
-        """The law of G*g(L) + f(L) is sampled, not closed-form, except in
-        the pure-Gaussian plans where it is a Normal."""
-        return self.gamma_reference
-
 
 def plan_brw(mean: float = 0.0, var: float = 1.0) -> RenormalisationPlan:
     """Walk with finite variance: a = sqrt(n), b = mean * n; the rescaled
@@ -419,10 +376,3 @@ def plan_kdiscrete_shift() -> RenormalisationPlan:
     plan.gamma_reference = stats.PointMass(0.0)
     return plan
 
-
-PLAN_PRESETS = {
-    "brw": plan_brw,
-    "ergodic": plan_ergodic,
-    "stable": plan_stable,
-    "kdiscrete-shift": plan_kdiscrete_shift,
-}

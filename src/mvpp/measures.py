@@ -23,18 +23,6 @@ LATTICE = "lattice"
 REAL = "real"
 
 
-@dataclass(frozen=True)
-class ColourSpace:
-    kind: str = REAL
-    dim: int = 1
-
-    def __post_init__(self):
-        if self.kind not in (FINITE, LATTICE, REAL):
-            raise ValueError(f"unknown colour space kind {self.kind!r}")
-        if self.dim < 1:
-            raise ValueError("dimension must be >= 1")
-
-
 class AtomicMeasure:
     """Finite non-negative measure as weighted atoms.
 
@@ -269,9 +257,6 @@ class MartingaleSeries:
             f"{self.n},{self.theta!r},{self.f_n.real!r},{self.f_n.imag!r},"
             f"{self.t_n.real!r},{self.t_n.imag!r}"
         )
-
-
-MARTINGALE_CSV_HEADER = "n,theta,re_F,im_F,re_T,im_T"
 
 
 def measure_to_csv_lines(mu: AtomicMeasure) -> list:

@@ -32,7 +32,7 @@ from .kernels import (
     RandomWalkKernel,
     ReplacementKernel,
     RenormalisationPlan,
-    StableWalkKernel,
+    leading_eigenpair,
     sym_shuffle,
 )
 from .measures import AtomicMeasure, normalize, sample_atom
@@ -381,7 +381,10 @@ def sample_pair(rep, s: RngStream) -> tuple:
 # ---------------------------------------------------------------------------
 
 
-def _m0_sampler_np(m0: AtomicMeasure):
+def _m0_sampler_np(m0: AtomicMeasure | None):
+    """Vectorised draws from the normalized initial measure (zeros for None)."""
+    if m0 is None:
+        return lambda s, size: np.zeros(size)
     atoms = m0.atoms()
     if len(atoms) == 1:
         c = float(atoms[0][0])
@@ -437,7 +440,7 @@ def batch_rrt_walk_labels(n, reps, increment, s, m0=None, dtype=float) -> np.nda
     (reps, n+1) array in node-creation order.  Law-equivalent to repeated
     mvpp_via_rrt with a walk kernel; one stream drives the whole batch in a
     fixed draw order."""
-    m0_draw = _m0_sampler_np(m0) if m0 is not None else (lambda s, size: np.zeros(size))
+    m0_draw = _m0_sampler_np(m0)
     labels = np.zeros((reps, n + 1), dtype=dtype)
     labels[:, 0] = m0_draw(s, reps)
     _attach_path_sums(labels, s, increment, root_children=m0_draw)
@@ -478,7 +481,7 @@ def batch_walk_pairs(n, urns, pairs, increment, s, m0=None, dtype=float) -> np.n
 
 def batch_direct_walk_colours(n, reps, increment, s, m0=None, m0_mass: float = 1.0) -> np.ndarray:
     """(reps, n) drawn colours of the direct scheme for a walk kernel."""
-    m0_draw = _m0_sampler_np(m0) if m0 is not None else (lambda s, size: np.zeros(size))
+    m0_draw = _m0_sampler_np(m0)
     colours = np.empty((reps, n), dtype=float)
     rows = np.arange(reps)
     for k in range(n):
@@ -502,7 +505,7 @@ def batch_bst_walk_leaf_colours(n, reps, increment, s, m0=None) -> tuple:
     Returns (colours, m0_flags), each (reps, n+1); column order is leaf
     creation order.  Coin flips are omitted: they permute leaf positions
     without changing the packet multiset."""
-    m0_draw = _m0_sampler_np(m0) if m0 is not None else (lambda s, size: np.zeros(size))
+    m0_draw = _m0_sampler_np(m0)
     colours = np.zeros((reps, n + 1), dtype=float)
     flags = np.zeros((reps, n + 1), dtype=bool)
     flags[:, 0] = True
@@ -540,7 +543,7 @@ def batch_exact_colour_samples(colours, flags, increment, s, m0=None, draws_per_
     colours: (reps, p) packet colours; flags marks initial-measure packets.
     Picks a uniform packet per draw, then one kernel step (or a fresh initial
     draw for flagged packets)."""
-    m0_draw = _m0_sampler_np(m0) if m0 is not None else (lambda s, size: np.zeros(size))
+    m0_draw = _m0_sampler_np(m0)
     reps, p = colours.shape
     out = np.empty((reps, draws_per_rep))
     rows = np.arange(reps)
@@ -596,50 +599,44 @@ def verify_main_theorem(
     beta*log n for kappa-discrete kernels -- and reports the KS distance to
     the composite limit (or the total variation, for lattice ergodic limits)
     together with the pooled pair correlation of a bounded test function.
+    Finite palettes are scored by the l1 distance of one urn's composition
+    to the Perron limit.  `samples` holds, per grid point, the rescaled
+    values that were scored: the pooled a's then b's, or the drawn colours
+    of the scored urn.
     """
     results = []
+    samples = []
     for n in n_grid:
         t_arg = math.log(n)
         if isinstance(kernel, KDiscreteKernel):
             t_arg *= 1.0 + 1.0 / (kernel.kappa - 1)
         entry = {"n": int(n), "ks": None, "tv": None, "decorrelation": None}
-        if isinstance(kernel, (RandomWalkKernel, StableWalkKernel)) and getattr(kernel, "dim", 1) == 1:
-            inc = kernel.increment if isinstance(kernel, RandomWalkKernel) else _StableInc(kernel)
-            a_pairs, b_pairs = np.split(batch_walk_pairs(n, urns, replicas, inc, s, m0=m0), 2)
+        results.append(entry)
+        if isinstance(kernel, RandomWalkKernel):
+            pooled = _rescale(batch_walk_pairs(n, urns, replicas, kernel.increment, s, m0=m0), plan, t_arg)
         elif isinstance(kernel, KDiscreteKernel):
             rep = mvpp_kdiscrete(m0, kernel, n, s)
             pairs = [sample_pair(rep, s) for _ in range(replicas)]
-            a_pairs = np.array([p[0] for p in pairs], dtype=float)
-            b_pairs = np.array([p[1] for p in pairs], dtype=float)
-        elif isinstance(kernel, MMInfQueueKernel):
+            pooled = _rescale(np.array(pairs, dtype=float).T.ravel(), plan, t_arg)
+        elif isinstance(kernel, (MMInfQueueKernel, DColourKernel)):
             trace = mvpp_direct(m0, kernel, n, s)
-            pmf = {}
+            samples.append(_rescale(trace.drawn, plan, t_arg))
             mat = trace.materialize()
-            for c, w in mat.atoms():
-                pmf[int(c)] = w / mat.total_mass
-            ref = plan.gamma_reference
-            upto = max(pmf) + 10
-            entry["tv"] = stats.total_variation(pmf, ref.pmf_dict(upto))
-            entry["pass"] = entry["tv"] <= tv_threshold
-            results.append(entry)
-            continue
-        elif isinstance(kernel, DColourKernel):
-            trace = mvpp_direct(m0, kernel, n, s)
-            from .kernels import leading_eigenpair
-
-            mat = trace.materialize()
-            lam, v1 = leading_eigenpair(kernel.rows)
-            comp = np.array([mat.weight(j) for j in range(kernel.d)]) / n
-            entry["l1"] = float(np.abs(comp - lam * v1).sum())
-            entry["pass"] = entry["l1"] <= tv_threshold
-            results.append(entry)
+            if isinstance(kernel, MMInfQueueKernel):
+                pmf = {int(c): w / mat.total_mass for c, w in mat.atoms()}
+                entry["tv"] = stats.total_variation(pmf, plan.gamma_reference.pmf_dict(max(pmf) + 10))
+                entry["pass"] = entry["tv"] <= tv_threshold
+            else:
+                lam, v1 = leading_eigenpair(kernel.rows)
+                comp = np.array([mat.weight(j) for j in range(kernel.d)]) / n
+                entry["l1"] = float(np.abs(comp - lam * v1).sum())
+                entry["pass"] = entry["l1"] <= tv_threshold
             continue
         else:
             raise ValueError(f"no verification route for kernel {type(kernel).__name__}")
 
-        a_resc = _rescale(a_pairs, plan, t_arg)
-        b_resc = _rescale(b_pairs, plan, t_arg)
-        pooled = np.concatenate([a_resc, b_resc])
+        samples.append(pooled)
+        a_resc, b_resc = np.split(pooled, 2)
         ref = composite_reference(plan)
         if ref is not None and hasattr(ref, "cdf"):
             entry["ks"] = stats.ks_statistic(pooled, ref)
@@ -651,21 +648,11 @@ def verify_main_theorem(
         phi_b = np.cos(b_resc)
         if np.std(phi_a) > 0 and np.std(phi_b) > 0:
             entry["decorrelation"] = float(np.corrcoef(phi_a, phi_b)[0, 1])
-        results.append(entry)
     return {
         "plan": plan.name,
         "claimed": bool(plan.claimed),
         "replicas": int(replicas),
         "results": results,
         "pass": all(r.get("pass", False) for r in results),
+        "samples": samples,
     }
-
-
-class _StableInc:
-    """Adapter exposing a stable walk's increment through the batch API."""
-
-    def __init__(self, kernel: StableWalkKernel):
-        self.kernel = kernel
-
-    def draw_many(self, s: RngStream, size: int) -> np.ndarray:
-        return s.stables(self.kernel.alpha, size, self.kernel.skew, self.kernel.scale)

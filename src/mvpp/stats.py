@@ -67,19 +67,6 @@ def _gamma_q_contfrac(a: float, x: float) -> float:
     return h * math.exp(-x + a * math.log(x) - math.lgamma(a))
 
 
-def gamma_p(a: float, x: float) -> float:
-    """Regularized lower incomplete gamma P(a, x)."""
-    if a <= 0:
-        raise ValueError("a must be positive")
-    if x < 0:
-        raise ValueError("x must be non-negative")
-    if x == 0:
-        return 0.0
-    if x < a + 1.0:
-        return _gamma_p_series(a, x)
-    return 1.0 - _gamma_q_contfrac(a, x)
-
-
 def gamma_q(a: float, x: float) -> float:
     """Regularized upper incomplete gamma Q(a, x) = 1 - P(a, x)."""
     if a <= 0:
@@ -257,22 +244,6 @@ class Beta:
 
 
 @dataclass(frozen=True)
-class DirichletFlat:
-    """Dirichlet(1, ..., 1) on the (m-1)-simplex; marginals are Beta(1, m-1)."""
-
-    m: int
-
-    def __post_init__(self):
-        if self.m < 1:
-            raise ValueError("m must be >= 1")
-
-    def marginal(self) -> Beta | Uniform01:
-        if self.m == 2:
-            return Uniform01()
-        return Beta(1.0, float(self.m - 1))
-
-
-@dataclass(frozen=True)
 class NormalMulti:
     mean: tuple
     cov: tuple  # row tuples
@@ -306,14 +277,6 @@ class StableLaw:
 
     def sample(self, s: RngStream, size: int) -> np.ndarray:
         return s.stables(self.alpha, size, skew=self.skew, scale=self.scale)
-
-
-def reference_cdf(law, x: float) -> float:
-    return law.cdf(x)
-
-
-def reference_pmf(law, k: int) -> float:
-    return law.pmf(k)
 
 
 def simulate_reference(law, plan, s: RngStream, size: int = 1) -> np.ndarray:

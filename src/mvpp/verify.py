@@ -11,9 +11,7 @@ byte-identical.
 from __future__ import annotations
 
 import math
-import os
 from collections import Counter
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -24,12 +22,11 @@ from .kernels import (
     MMInfQueueKernel,
     NormalIncrement,
     RademacherIncrement,
-    StableWalkKernel,
     leading_eigenpair,
+    walk_kernel_stable,
 )
 from .measures import AtomicMeasure, expected_f_n, pbar_recursion, z_n
 from .process import (
-    _StableInc,
     batch_bmc_walk_labels,
     batch_bst_walk_leaf_colours,
     batch_direct_walk_colours,
@@ -451,9 +448,9 @@ def check_stable_hill(root_seed: int, n: int = 100_000, pairs: int = 10_000, alp
     """Heavy-tail sanity only: Hill exponent of the rescaled samples within
     alpha +- 0.4, plus quantile-quantile data against simulated stable draws
     for visual inspection (not asserted)."""
-    kern = StableWalkKernel(alpha, 0.0, 1.0)
+    kern = walk_kernel_stable(alpha, 0.0, 1.0)
     s = derive_stream(root_seed, 609)
-    pool = batch_walk_pairs(n, 16, pairs, _StableInc(kern), s, m0=M0_POINT) / (math.log(n)) ** (1.0 / alpha)
+    pool = batch_walk_pairs(n, 16, pairs, kern.increment, s, m0=M0_POINT) / (math.log(n)) ** (1.0 / alpha)
     hill = stats.hill_tail_exponent(pool, max(len(pool) // 40, 10))
     ok = alpha - 0.4 <= hill <= alpha + 0.4
     ref = np.sort(s.stables(alpha, len(pool)))
@@ -563,12 +560,7 @@ def run_suite(name: str, root_seed: int = 1) -> dict:
         checks = list(SUITES[name])
     else:
         raise ValueError(f"unknown suite {name!r}; choose from {suite_names()}")
-    workers = int(os.environ.get("MVPP_THREADS", "0") or 0)
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(lambda fn: fn(root_seed), checks))
-    else:
-        results = [fn(root_seed) for fn in checks]
+    results = [fn(root_seed) for fn in checks]
     results.sort(key=lambda r: r["test_name"])
     return {
         "suite": name,

@@ -5,7 +5,11 @@ import sys
 
 import pytest
 
-from mvpp import cli
+import numpy as np
+
+from mvpp import cli, stats
+from mvpp.kernels import leading_eigenpair
+from mvpp.process import UrnTrace, composite_reference
 
 CONFIG = """\
 [experiment]
@@ -62,8 +66,8 @@ def test_simulate_writes_artifacts_and_is_deterministic(tmp_path):
     assert report["experiment"] == "demo"
     assert len(report["results"]) == 2
     assert "runtime_seconds" in report
-    # sample CSV has one value per tree node
-    assert len(a.decode().strip().splitlines()) == 201 + 0 + 1  # header + n+1 labels
+    # sample CSV holds the scored pairs: 200 // 16 = 12 from each of 16 urns, a's and b's
+    assert len(a.decode().strip().splitlines()) == 1 + 2 * 16 * 12
 
 
 def test_simulate_sample_rows_parse_as_floats(tmp_path):
@@ -78,29 +82,89 @@ def test_simulate_sample_rows_parse_as_floats(tmp_path):
         assert rows[0] == ["rescaled_colour"]
         values = [float(row[0]) for row in rows[1:]]
         assert all(len(row) == 1 for row in rows[1:])
-        assert len(values) == int(path.name.split("_n")[1].split("_")[0]) + 1
+        assert len(values) == 2 * 16 * 12
 
 
-def test_sample_dump_streams_distinct_per_grid_point(tmp_path, monkeypatch):
-    # 1000 and 1997 are congruent modulo 997.  The queue's dump is its drawn
-    # colours, unrescaled, so a shared stream would repeat the first rows.
+def read_samples(path):
+    with open(path, newline="") as f:
+        return [float(row[0]) for row in list(csv.reader(f))[1:]]
+
+
+def variant_config(tmp_path, kernel, preset, grid="200,400"):
     text = (
         CONFIG.format(svg="false")
-        .replace("n_grid = 200,400", "n_grid = 1,997,1000,1997,2994")
-        .replace("variant = random_walk\nincrement = rademacher", "variant = mminf")
-        .replace("preset = brw", "preset = ergodic")
+        .replace("n_grid = 200,400", f"n_grid = {grid}")
+        .replace("variant = random_walk\nincrement = rademacher", kernel)
+        .replace("preset = brw", f"preset = {preset}")
     )
-    path = tmp_path / "collide.ini"
+    path = tmp_path / "variant.ini"
     path.write_text(text)
+    return path
+
+
+def test_sample_dump_is_what_was_scored(tmp_path, monkeypatch):
+    cfg = write_config(tmp_path)
+    out = tmp_path / "run"
+    assert cli.run_simulate(cfg, out) == 0
+    report = json.loads((out / "demo_report.json").read_text())
+    assert "samples" not in report
+    ref = composite_reference(cli.load_config(cfg)["plan"])
+    for entry in report["results"]:
+        values = read_samples(out / f"demo_n{entry['n']}_samples.csv")
+        assert stats.ks_statistic(values, ref) == entry["ks"]
+
+    # the queue dumps the scored urn's drawn colours; one stream for the whole grid
+    path = variant_config(tmp_path, "variant = mminf", "ergodic", grid="1,997,1000,1997,2994")
     used = []
     real = cli.derive_stream
     monkeypatch.setattr(cli, "derive_stream", lambda seed, sid: used.append(sid) or real(seed, sid))
-    out = tmp_path / "run"
+    out = tmp_path / "queue"
     assert cli.run_simulate(path, out) == 0
-    assert len(used) == 6 and len(set(used)) == 6  # the report's stream and one per grid point
+    assert used == [0]
+    report = json.loads((out / "demo_report.json").read_text())
+    parsed = cli.load_config(path)
+    for entry in report["results"]:
+        drawn = [int(v) for v in read_samples(out / f"demo_n{entry['n']}_samples.csv")]
+        assert len(drawn) == entry["n"]
+        mat = UrnTrace(parsed["m0"], parsed["kernel"], drawn).materialize()
+        pmf = {int(c): w / mat.total_mass for c, w in mat.atoms()}
+        law = parsed["plan"].gamma_reference.pmf_dict(max(pmf) + 10)
+        assert stats.total_variation(pmf, law) == entry["tv"]
     head_1000 = (out / "demo_n1000_samples.csv").read_text().splitlines()[1:1001]
     head_1997 = (out / "demo_n1997_samples.csv").read_text().splitlines()[1:1001]
     assert head_1000 != head_1997
+
+
+def test_simulate_dcolour_ergodic_scores_the_perron_limit(tmp_path):
+    path = variant_config(tmp_path, "variant = dcolour\nrows = 0.6 0.4; 0.3 0.7", "ergodic")
+    out = tmp_path / "run"
+    assert cli.run_simulate(path, out) == 0
+    report = json.loads((out / "demo_report.json").read_text())
+    assert report["plan"] == "ergodic" and report["claimed"] is True
+    parsed = cli.load_config(path)
+    lam, v1 = leading_eigenpair(parsed["kernel"].rows)
+    for entry in report["results"]:
+        drawn = [int(v) for v in read_samples(out / f"demo_n{entry['n']}_samples.csv")]
+        assert len(drawn) == entry["n"] and set(drawn) <= {0, 1}
+        mat = UrnTrace(parsed["m0"], parsed["kernel"], drawn).materialize()
+        comp = np.array([mat.weight(0), mat.weight(1)]) / entry["n"]
+        assert float(np.abs(comp - lam * v1).sum()) == entry["l1"]
+
+
+@pytest.mark.parametrize(
+    "kernel,preset",
+    [
+        ("variant = mminf", "brw"),
+        ("variant = random_walk\nincrement = normal", "stable"),
+        ("variant = stable\nalpha = 1.5", "brw"),
+        ("variant = kdiscrete\noffsets = 1,1", "ergodic"),
+        ("variant = random_walk\nincrement = constant", "kdiscrete-shift"),
+    ],
+)
+def test_simulate_rejects_a_preset_that_does_not_fit_the_kernel(tmp_path, capsys, kernel, preset):
+    path = variant_config(tmp_path, kernel, preset)
+    assert cli.run_simulate(path, tmp_path / "out") == 2
+    assert "does not fit" in capsys.readouterr().err
 
 
 def test_simulate_missing_kernel_section_exits_2(tmp_path, capsys):
@@ -182,15 +246,6 @@ def test_schema_validation_rejects_malformed():
         cli.validate_report(
             {"suite": "x", "root_seed": 1, "all_pass": True, "checks": [{"test_name": "t"}]}
         )
-
-
-def test_verify_threads_env_does_not_change_report(tmp_path, monkeypatch):
-    from mvpp import verify
-
-    seq = verify.run_suite("martingale", root_seed=3)
-    monkeypatch.setenv("MVPP_THREADS", "4")
-    par = verify.run_suite("martingale", root_seed=3)
-    assert json.dumps(seq, sort_keys=True) == json.dumps(par, sort_keys=True)
 
 
 def test_console_entry_point():

@@ -12,10 +12,9 @@ from mvpp.kernels import (
     NormalIncrement,
     RademacherIncrement,
     RandomWalkKernel,
-    StableWalkKernel,
+    StableIncrement,
     companion_chain,
     kernel_atoms,
-    kernel_sample,
     leading_eigenpair,
     plan_brw,
     plan_ergodic,
@@ -26,6 +25,7 @@ from mvpp.kernels import (
     walk_kernel_constant,
     walk_kernel_normal,
     walk_kernel_rademacher,
+    walk_kernel_stable,
 )
 from mvpp.randomness import derive_stream
 
@@ -47,13 +47,13 @@ def test_dcolour_validation():
 def test_dcolour_sampling_and_atoms():
     k = DColourKernel([[0.6, 0.4], [0.3, 0.7]])
     s = derive_stream(20, 0)
-    hits = sum(kernel_sample(k, 0, s) == 1 for _ in range(50_000))
+    hits = sum(k.sample(0, s) == 1 for _ in range(50_000))
     assert abs(hits / 50_000 - 0.4) < 0.01
     atoms = kernel_atoms(k, 1)
     assert atoms.weight(0) == pytest.approx(0.3)
     assert atoms.total_mass == pytest.approx(1.0, abs=1e-12)
     with pytest.raises(ValueError):
-        kernel_sample(k, 2, s)
+        k.sample(2, s)
 
 
 def test_mminf_transitions():
@@ -107,12 +107,28 @@ def test_kernel_atoms_requires_atomic():
         kernel_atoms(walk_kernel_normal(), 0.0)
 
 
-def test_stable_walk_validation():
-    with pytest.raises(ValueError):
-        StableWalkKernel(2.5)
-    k = StableWalkKernel(1.5)
+def test_stable_increment_validation():
+    for alpha in (2.5, 0.0):
+        with pytest.raises(ValueError):
+            StableIncrement(alpha)
+        with pytest.raises(ValueError):
+            walk_kernel_stable(alpha)
+    k = walk_kernel_stable(1.5)
+    assert isinstance(k, RandomWalkKernel) and k.cov == math.inf and k.mean == 0.0
+    assert walk_kernel_stable(1.5, skew=0.5).mean is None
+    assert walk_kernel_stable(0.8).mean is None
     s = derive_stream(20, 4)
     assert np.isfinite(k.sample(0.0, s))
+
+
+@pytest.mark.parametrize("alpha,skew,scale", [(1.5, 0.0, 1.0), (0.8, 0.5, 2.0), (2.0, 0.0, 0.5)])
+def test_stable_increment_draws_are_the_streams_stable_draws(alpha, skew, scale):
+    inc = StableIncrement(alpha, skew, scale)
+    a, b = derive_stream(20, 16), derive_stream(20, 16)
+    assert np.array_equal(inc.draw_many(a, 1000), b.stables(alpha, 1000, skew, scale))
+    assert [inc.draw(a) for _ in range(50)] == [b.next_stable(alpha, skew, scale) for _ in range(50)]
+    x = 3.25
+    assert walk_kernel_stable(alpha, skew, scale).sample(x, a) == x + b.next_stable(alpha, skew, scale)
 
 
 # ---------------------------------------------------------------------------
