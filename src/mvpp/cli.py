@@ -135,7 +135,7 @@ def _parse_plan(sec, kernel):
     if preset == "brw" and walk and not stable:
         return plan_brw(mean=kernel.mean, var=kernel.cov)
     if preset == "ergodic" and isinstance(kernel, MMInfQueueKernel):
-        return plan_ergodic(stats.Poisson(kernel.lam / kernel.mu), claimed=True)
+        return plan_ergodic(stats.MMInfJumpChain(kernel.lam, kernel.mu), claimed=True)
     if preset == "ergodic" and isinstance(kernel, DColourKernel):
         return plan_ergodic(None, claimed=True)  # the palette route scores the Perron limit
     if preset == "stable" and stable:
@@ -244,13 +244,18 @@ def run_simulate(config_path, out_dir, seed=None) -> int:
         return 2
     if seed is not None:
         cfg["seed"] = seed
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     t0 = time.monotonic()
     s = derive_stream(cfg["seed"], 0)
-    report = verify_main_theorem(
-        cfg["kernel"], cfg["plan"], cfg["m0"], cfg["n_grid"], cfg["replicas"], s
-    )
+    try:
+        report = verify_main_theorem(
+            cfg["kernel"], cfg["plan"], cfg["m0"], cfg["n_grid"], cfg["replicas"], s
+        )
+    except ValueError as e:
+        print(f"config error: {e}", file=sys.stderr)
+        return 2
+    report.pop("measures")
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
     # per-n dumps of the rescaled samples each grid point scored
     for entry, samples in zip(report["results"], report.pop("samples")):
         n = entry["n"]

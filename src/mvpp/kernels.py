@@ -312,7 +312,8 @@ def leading_eigenpair(R, tol: float = 1e-12, max_iter: int = 100_000) -> tuple:
 @dataclass
 class RenormalisationPlan:
     """Scaling recipe (a(n), b(n)) for the companion chain together with the
-    limit functions f, g and the reference law of the chain's rescaled limit.
+    limit function f and the reference law G of the chain's rescaled limit;
+    the urn's rescaled limit is G + f(L), L ~ N(0,1) independent of G.
 
     claimed=True marks user-supplied plans whose ergodicity hypothesis is
     asserted, not verified; reports echo the flag.
@@ -322,7 +323,6 @@ class RenormalisationPlan:
     a: object  # n -> positive float
     b: object  # n -> float
     f: object  # x -> float
-    g: object  # x -> float
     gamma_reference: object
     claimed: bool = False
 
@@ -335,7 +335,6 @@ def plan_brw(mean: float = 0.0, var: float = 1.0) -> RenormalisationPlan:
         a=lambda n: math.sqrt(n),
         b=lambda n: mean * n,
         f=lambda x: mean * x,
-        g=lambda x: 1.0,
         gamma_reference=stats.Normal(0.0, var),
     )
 
@@ -347,7 +346,6 @@ def plan_ergodic(gamma_law, claimed: bool = False) -> RenormalisationPlan:
         a=lambda n: 1.0,
         b=lambda n: 0.0,
         f=lambda x: 0.0,
-        g=lambda x: 1.0,
         gamma_reference=gamma_law,
         claimed=claimed,
     )
@@ -363,7 +361,6 @@ def plan_stable(alpha: float, mean: float = 0.0, scale: float = 1.0) -> Renormal
         a=lambda n: n ** (1.0 / alpha),
         b=(lambda n: mean * n) if centred else (lambda n: 0.0),
         f=lambda x: 0.0,
-        g=lambda x: 1.0,
         gamma_reference=stats.StableLaw(alpha, 0.0, scale),
     )
 

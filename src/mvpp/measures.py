@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import bisect
 import cmath
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,7 +18,6 @@ import numpy as np
 from .randomness import RngStream
 
 FINITE = "finite"
-LATTICE = "lattice"
 REAL = "real"
 
 
@@ -41,10 +39,6 @@ class AtomicMeasure:
             merged[colour] = merged.get(colour, 0.0) + w
         self._atoms = merged
         self.total_mass = float(sum(merged.values()))
-
-    @classmethod
-    def dirac(cls, colour) -> "AtomicMeasure":
-        return cls([(colour, 1.0)])
 
     def atoms(self) -> list:
         """Atoms as (colour, weight), sorted by colour for determinism."""
@@ -131,13 +125,6 @@ def theta_rescale(samples, r: Rescaling, kind: str = REAL) -> list:
     if r.a == 1 and (r.b == 0 or r.b == 0.0):
         return list(samples)
     return [(r.apply(c), w) for c, w in samples]
-
-
-def theta_grid(n: int, points: int = 21, span: float = 3.0) -> np.ndarray:
-    """Evaluation grid for the series below: [-span, span] / sqrt(log n)."""
-    if n < 2:
-        raise ValueError("need n >= 2 for a log-scaled grid")
-    return np.linspace(-span, span, points) / math.sqrt(math.log(n))
 
 
 # ---------------------------------------------------------------------------
@@ -229,34 +216,6 @@ def pbar_recursion(n: int, z1: complex, z2: complex, phi, m0_cf=None) -> complex
         pbar = pbar * alpha + beta
         zj *= (j + w) / (j + 1)
     return pbar
-
-
-@dataclass
-class MartingaleSeries:
-    """Values of the series at one (n, theta) grid point."""
-
-    n: int
-    theta: float
-    m: float
-    f_n: complex
-    expected_f_n: complex
-    t_n: complex
-
-    @classmethod
-    def evaluate(cls, labels, theta, m, phi) -> "MartingaleSeries":
-        arr = np.asarray(labels, dtype=float)
-        n = arr.shape[0] - 1
-        f = empirical_f_n(labels, theta, m)
-        e = expected_f_n(n, theta, m, phi)
-        if e == 0:
-            raise ZeroDivisionError(f"E[F_n] vanishes at n={n}, theta={theta}")
-        return cls(n=n, theta=float(theta), m=float(m), f_n=f, expected_f_n=e, t_n=f / e)
-
-    def csv_row(self) -> str:
-        return (
-            f"{self.n},{self.theta!r},{self.f_n.real!r},{self.f_n.imag!r},"
-            f"{self.t_n.real!r},{self.t_n.imag!r}"
-        )
 
 
 def measure_to_csv_lines(mu: AtomicMeasure) -> list:

@@ -51,13 +51,6 @@ class ExactLaw:
         keys = set(self.probs) | set(other.probs)
         return max(abs(self.probs.get(k, 0.0) - other.probs.get(k, 0.0)) for k in keys)
 
-    def tv(self, other: "ExactLaw") -> float:
-        keys = set(self.probs) | set(other.probs)
-        return 0.5 * sum(abs(self.probs.get(k, 0.0) - other.probs.get(k, 0.0)) for k in keys)
-
-    def expectation(self, fn=lambda o: o) -> float:
-        return sum(fn(o) * p for o, p in self.probs.items())
-
 
 # ---------------------------------------------------------------------------
 # urn composition laws

@@ -479,45 +479,37 @@ def batch_walk_pairs(n, urns, pairs, increment, s, m0=None, dtype=float) -> np.n
     return np.concatenate([a, b])
 
 
-def batch_direct_walk_colours(n, reps, increment, s, m0=None, m0_mass: float = 1.0) -> np.ndarray:
-    """(reps, n) drawn colours of the direct scheme for a walk kernel."""
-    m0_draw = _m0_sampler_np(m0)
-    colours = np.empty((reps, n), dtype=float)
+def batch_direct_walk_colours(n, reps, increment, s) -> np.ndarray:
+    """(reps, n) drawn colours of the direct scheme for a walk kernel started
+    from a unit point mass at 0."""
+    colours = np.zeros((reps, n), dtype=float)
     rows = np.arange(reps)
     for k in range(n):
-        u = s.uniforms(reps)
-        from_m0 = u < m0_mass / (m0_mass + k)
+        from_m0 = s.uniforms(reps) < 1.0 / (1.0 + k)
         if k == 0:
-            colours[:, 0] = m0_draw(s, reps)
             continue
         idx = s.integers(0, k, reps)
-        inc = increment.draw_many(s, reps)
-        new = colours[rows, idx] + inc
-        if from_m0.any():
-            new[from_m0] = m0_draw(s, int(from_m0.sum()))
+        new = colours[rows, idx] + increment.draw_many(s, reps)
+        new[from_m0] = 0.0
         colours[:, k] = new
     return colours
 
 
-def batch_bst_walk_leaf_colours(n, reps, increment, s, m0=None) -> tuple:
-    """Leaf packets of the binary-tree coupling for a walk kernel.
+def batch_bst_walk_leaf_colours(n, reps, increment, s) -> tuple:
+    """Leaf packets of the binary-tree coupling for a walk kernel started from
+    a unit point mass at 0.
 
     Returns (colours, m0_flags), each (reps, n+1); column order is leaf
     creation order.  Coin flips are omitted: they permute leaf positions
     without changing the packet multiset."""
-    m0_draw = _m0_sampler_np(m0)
     colours = np.zeros((reps, n + 1), dtype=float)
     flags = np.zeros((reps, n + 1), dtype=bool)
     flags[:, 0] = True
     rows = np.arange(reps)
     for k in range(n):
         idx = s.integers(0, k + 1, reps)
-        chosen = colours[rows, idx]
-        chflag = flags[rows, idx]
-        inc = increment.draw_many(s, reps)
-        new = chosen + inc
-        if chflag.any():
-            new[chflag] = m0_draw(s, int(chflag.sum()))
+        new = colours[rows, idx] + increment.draw_many(s, reps)
+        new[flags[rows, idx]] = 0.0
         colours[:, k + 1] = new
     return colours, flags
 
@@ -537,26 +529,18 @@ def batch_kary_shift_leaf_labels(n, reps, kappa, s) -> np.ndarray:
     return labels
 
 
-def batch_exact_colour_samples(colours, flags, increment, s, m0=None, draws_per_rep: int = 1) -> np.ndarray:
-    """Exact draws from the normalized urn measure of batched tree states.
+def batch_exact_colour_samples(colours, flags, increment, s) -> np.ndarray:
+    """One exact draw per row from the normalized urn measure of batched tree
+    states started from a unit point mass at 0.
 
     colours: (reps, p) packet colours; flags marks initial-measure packets.
-    Picks a uniform packet per draw, then one kernel step (or a fresh initial
-    draw for flagged packets)."""
-    m0_draw = _m0_sampler_np(m0)
+    Picks a uniform packet, then one kernel step (the initial colour 0 for
+    flagged packets)."""
     reps, p = colours.shape
-    out = np.empty((reps, draws_per_rep))
     rows = np.arange(reps)
-    for j in range(draws_per_rep):
-        idx = s.integers(0, p, reps)
-        chosen = colours[rows, idx]
-        inc = increment.draw_many(s, reps)
-        new = chosen + inc
-        if flags is not None:
-            f = flags[rows, idx]
-            if f.any():
-                new[f] = m0_draw(s, int(f.sum()))
-        out[:, j] = new
+    idx = s.integers(0, p, reps)
+    out = colours[rows, idx] + increment.draw_many(s, reps)
+    out[flags[rows, idx]] = 0.0
     return out
 
 
@@ -569,16 +553,16 @@ def _rescale(x, plan: RenormalisationPlan, t: float):
     return (np.asarray(x, dtype=float) - plan.b(t)) / plan.a(t)
 
 
-def composite_reference(plan: RenormalisationPlan):
-    """Closed-form law of G*g(L) + f(L) when one exists, else None."""
+def composite_reference(plan: RenormalisationPlan) -> stats.Normal:
+    """Law of G + f(L), G ~ gamma_reference and L ~ N(0,1) independent: the
+    limit of the walk plans (brw, kdiscrete-shift), whose f(x) = m x makes it
+    Normal(0, var(G) + m^2); a point-mass G has variance 0."""
     gamma = plan.gamma_reference
-    if plan.name in ("brw", "kdiscrete-shift") and isinstance(gamma, (stats.Normal, stats.PointMass)):
-        var = gamma.var if isinstance(gamma, stats.Normal) else 0.0
-        mean_sq = plan.f(1.0) ** 2  # f(x) = m x, so f(1) = m
-        return stats.Normal(0.0, var + mean_sq)
-    if plan.name == "ergodic":
-        return gamma
-    return None
+    var = gamma.var if isinstance(gamma, stats.Normal) else 0.0
+    return stats.Normal(0.0, var + plan.f(1.0) ** 2)
+
+
+HILL_BAND = 0.4  # criterion 11: a stable run passes when |hill - alpha| <= HILL_BAND
 
 
 def verify_main_theorem(
@@ -595,57 +579,60 @@ def verify_main_theorem(
     """Rescaled-limit check: pooled pair marginals against the plan's limit.
 
     For each n, grows several independent urns, draws `replicas` pair samples
-    in total, rescales them by (a(log n), b(log n)) -- with log n replaced by
-    beta*log n for kappa-discrete kernels -- and reports the KS distance to
-    the composite limit (or the total variation, for lattice ergodic limits)
-    together with the pooled pair correlation of a bounded test function.
-    Finite palettes are scored by the l1 distance of one urn's composition
-    to the Perron limit.  `samples` holds, per grid point, the rescaled
-    values that were scored: the pooled a's then b's, or the drawn colours
-    of the scored urn.
+    in total and rescales them by (a(log n), b(log n)) -- with log n replaced
+    by beta*log n for kappa-discrete kernels.  The stable plan is scored by the
+    Hill exponent of the pooled samples (k = max(len/40, 10)), which must lie
+    within HILL_BAND of alpha; the other walk plans by the KS distance to the
+    composite limit.  Both report the pooled pair correlation of a bounded
+    test function.  The queue is scored by the total variation of one urn's
+    pmf to the plan's reference law, finite palettes by the l1 distance of one
+    urn's composition to the Perron limit.  Per grid point, `samples` holds
+    the rescaled values that were scored (the pooled a's then b's, or the
+    scored urn's drawn colours) and `measures` the scored urn's measure (None
+    for pooled pairs).  A grid point with a(log n) = 0, which is n = 1 under
+    every growing scale, raises ValueError.
     """
-    results = []
-    samples = []
+    results, samples, measures = [], [], []
     for n in n_grid:
         t_arg = math.log(n)
         if isinstance(kernel, KDiscreteKernel):
             t_arg *= 1.0 + 1.0 / (kernel.kappa - 1)
+        if plan.a(t_arg) <= 0:
+            raise ValueError(f"n_grid point n={n} has scale a(log n) = 0 under the {plan.name} plan")
         entry = {"n": int(n), "ks": None, "tv": None, "decorrelation": None}
         results.append(entry)
+        urn = None
         if isinstance(kernel, RandomWalkKernel):
-            pooled = _rescale(batch_walk_pairs(n, urns, replicas, kernel.increment, s, m0=m0), plan, t_arg)
+            values = batch_walk_pairs(n, urns, replicas, kernel.increment, s, m0=m0)
         elif isinstance(kernel, KDiscreteKernel):
             rep = mvpp_kdiscrete(m0, kernel, n, s)
-            pairs = [sample_pair(rep, s) for _ in range(replicas)]
-            pooled = _rescale(np.array(pairs, dtype=float).T.ravel(), plan, t_arg)
+            values = np.array([sample_pair(rep, s) for _ in range(replicas)], dtype=float).T.ravel()
         elif isinstance(kernel, (MMInfQueueKernel, DColourKernel)):
             trace = mvpp_direct(m0, kernel, n, s)
-            samples.append(_rescale(trace.drawn, plan, t_arg))
-            mat = trace.materialize()
-            if isinstance(kernel, MMInfQueueKernel):
-                pmf = {int(c): w / mat.total_mass for c, w in mat.atoms()}
-                entry["tv"] = stats.total_variation(pmf, plan.gamma_reference.pmf_dict(max(pmf) + 10))
-                entry["pass"] = entry["tv"] <= tv_threshold
-            else:
-                lam, v1 = leading_eigenpair(kernel.rows)
-                comp = np.array([mat.weight(j) for j in range(kernel.d)]) / n
-                entry["l1"] = float(np.abs(comp - lam * v1).sum())
-                entry["pass"] = entry["l1"] <= tv_threshold
-            continue
+            values, urn = trace.drawn, trace.materialize()
         else:
             raise ValueError(f"no verification route for kernel {type(kernel).__name__}")
-
-        samples.append(pooled)
-        a_resc, b_resc = np.split(pooled, 2)
-        ref = composite_reference(plan)
-        if ref is not None and hasattr(ref, "cdf"):
-            entry["ks"] = stats.ks_statistic(pooled, ref)
-            entry["pass"] = entry["ks"] <= ks_threshold
+        values = _rescale(values, plan, t_arg)
+        samples.append(values)
+        measures.append(urn)
+        if isinstance(kernel, MMInfQueueKernel):
+            pmf = {int(c): w / urn.total_mass for c, w in urn.atoms()}
+            entry["tv"] = stats.total_variation(pmf, plan.gamma_reference.pmf_dict(max(pmf) + 10))
+            entry["pass"] = entry["tv"] <= tv_threshold
+            continue
+        if isinstance(kernel, DColourKernel):
+            lam, v1 = leading_eigenpair(kernel.rows)
+            comp = np.array([urn.weight(j) for j in range(kernel.d)]) / n
+            entry["l1"] = float(np.abs(comp - lam * v1).sum())
+            entry["pass"] = entry["l1"] <= tv_threshold
+            continue
+        if plan.name == "stable":
+            entry["hill"] = stats.hill_tail_exponent(values, max(len(values) // 40, 10))
+            entry["pass"] = abs(entry["hill"] - plan.gamma_reference.alpha) <= HILL_BAND
         else:
-            entry["hill"] = stats.hill_tail_exponent(pooled, max(len(pooled) // 20, 10))
-            entry["pass"] = True  # qualitative: caller inspects hill/qq
-        phi_a = np.cos(a_resc)
-        phi_b = np.cos(b_resc)
+            entry["ks"] = stats.ks_statistic(values, composite_reference(plan))
+            entry["pass"] = entry["ks"] <= ks_threshold
+        phi_a, phi_b = np.cos(np.split(values, 2))
         if np.std(phi_a) > 0 and np.std(phi_b) > 0:
             entry["decorrelation"] = float(np.corrcoef(phi_a, phi_b)[0, 1])
     return {
@@ -655,4 +642,5 @@ def verify_main_theorem(
         "results": results,
         "pass": all(r.get("pass", False) for r in results),
         "samples": samples,
+        "measures": measures,
     }

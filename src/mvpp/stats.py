@@ -203,6 +203,23 @@ class Poisson:
 
 
 @dataclass(frozen=True)
+class MMInfJumpChain:
+    """Stationary law of the M/M/infinity queue's jump chain, which steps up
+    with probability lam/(lam + x mu) (always, from 0).  Detailed balance
+    gives pi(x) = Poisson(lam/mu)(x) (1 + x mu/lam) / 2."""
+
+    lam: float
+    mu: float
+
+    def pmf(self, k: int) -> float:
+        rho = self.lam / self.mu
+        return Poisson(rho).pmf(k) * (1.0 + k / rho) / 2.0
+
+    def pmf_dict(self, upto: int) -> dict:
+        return {k: self.pmf(k) for k in range(upto + 1)}
+
+
+@dataclass(frozen=True)
 class Geometric:
     """Geometric law with success probability p.
 
@@ -231,32 +248,6 @@ class Geometric:
 
 
 @dataclass(frozen=True)
-class Beta:
-    a: float
-    b: float
-
-    def __post_init__(self):
-        if self.a <= 0 or self.b <= 0:
-            raise ValueError("beta parameters must be positive")
-
-    def cdf(self, x: float) -> float:
-        return beta_inc(self.a, self.b, x)
-
-
-@dataclass(frozen=True)
-class NormalMulti:
-    mean: tuple
-    cov: tuple  # row tuples
-
-    def project(self, u) -> Normal:
-        """Law of u . X for X ~ N(mean, cov)."""
-        u = np.asarray(u, dtype=float)
-        mean = np.asarray(self.mean, dtype=float)
-        cov = np.asarray(self.cov, dtype=float)
-        return Normal(float(u @ mean), float(u @ cov @ u))
-
-
-@dataclass(frozen=True)
 class PointMass:
     value: float = 0.0
 
@@ -277,19 +268,6 @@ class StableLaw:
 
     def sample(self, s: RngStream, size: int) -> np.ndarray:
         return s.stables(self.alpha, size, skew=self.skew, scale=self.scale)
-
-
-def simulate_reference(law, plan, s: RngStream, size: int = 1) -> np.ndarray:
-    """Draw G * g(L) + f(L) with G ~ law and L ~ N(0,1) independent.
-
-    This is the composite limit a renormalisation plan predicts for the
-    rescaled urn; plan.f and plan.g are the plan's limit functions.
-    """
-    gam = np.asarray(law.sample(s, size), dtype=float)
-    lam = s.standard_normals(size)
-    g = np.array([plan.g(v) for v in lam])
-    f = np.array([plan.f(v) for v in lam])
-    return gam * g + f
 
 
 # ---------------------------------------------------------------------------
@@ -479,23 +457,3 @@ def hill_tail_exponent(samples, k: int) -> float:
         raise ValueError("non-positive tail reference")
     return float(1.0 / np.mean(np.log(top / ref)))
 
-
-def fit_geometric(pmf: dict) -> dict:
-    """Fit both geometric conventions to a pmf by matching the mean.
-
-    Returns {"start0": (law, tv), "start1": (law, tv), "best": "start0"|"start1"}.
-    """
-    mean = sum(k * p for k, p in pmf.items())
-    out = {}
-    upto = max(pmf) + 20
-    for start in (0, 1):
-        shifted = mean - start
-        if shifted <= 0:
-            out[f"start{start}"] = (None, float("inf"))
-            continue
-        p = 1.0 / (1.0 + shifted)
-        law = Geometric(p, support_start=start)
-        tv = total_variation(pmf, law.pmf_dict(upto))
-        out[f"start{start}"] = (law, tv)
-    out["best"] = min(("start0", "start1"), key=lambda k: out[k][1])
-    return out

@@ -99,10 +99,6 @@ class GrowingTree:
             raise ValueError(f"node {u} is not a leaf")
         return [self.add_child(u) for _ in range(self.kappa)]
 
-    def is_leaf(self, u: int) -> bool:
-        self._check(u)
-        return not self.children[u]
-
     def leaves(self) -> list:
         if self.kind == KARY:
             return sorted(self.leaf_list)
@@ -170,11 +166,6 @@ class GrowingTree:
                 for c in self.children[u]:
                     stack.append((c, False))
         return out[0]
-
-
-def depth(t: GrowingTree, u: int) -> int:
-    t._check(u)
-    return t.depth[u]
 
 
 def left_depth(t: GrowingTree, u: int) -> int:

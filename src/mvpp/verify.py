@@ -23,10 +23,16 @@ from .kernels import (
     NormalIncrement,
     RademacherIncrement,
     leading_eigenpair,
+    plan_brw,
+    plan_ergodic,
+    plan_stable,
+    walk_kernel_normal,
+    walk_kernel_rademacher,
     walk_kernel_stable,
 )
 from .measures import AtomicMeasure, expected_f_n, pbar_recursion, z_n
 from .process import (
+    HILL_BAND,
     batch_bmc_walk_labels,
     batch_bst_walk_leaf_colours,
     batch_direct_walk_colours,
@@ -35,8 +41,8 @@ from .process import (
     batch_rrt_depths,
     batch_rrt_walk_labels,
     batch_walk_pairs,
-    mvpp_direct,
     mvpp_kdiscrete,
+    verify_main_theorem,
 )
 from .randomness import derive_stream
 from .trees import (
@@ -51,7 +57,7 @@ from .trees import (
     sample_uniform_node,
 )
 
-M0_POINT = AtomicMeasure([(0.0, 1.0)])
+M0_POINT = AtomicMeasure([(0, 1.0)])
 
 
 def _result(name, statistic, threshold, passed, **extra):
@@ -205,16 +211,16 @@ def check_coupling_two_sample(root_seed: int, n: int = 1000, reps: int = 10_000)
     lab = batch_rrt_walk_labels(n, reps, inc, s)
     flags = np.zeros(lab.shape, dtype=bool)
     flags[:, 0] = True
-    rrt = batch_exact_colour_samples(lab, flags, inc, s)[:, 0]
+    rrt = batch_exact_colour_samples(lab, flags, inc, s)
 
     col = batch_direct_walk_colours(n, reps, inc, s)
     col2 = np.concatenate([np.zeros((reps, 1)), col], axis=1)
     flags2 = np.zeros(col2.shape, dtype=bool)
     flags2[:, 0] = True
-    direct = batch_exact_colour_samples(col2, flags2, inc, s)[:, 0]
+    direct = batch_exact_colour_samples(col2, flags2, inc, s)
 
     bcol, bflags = batch_bst_walk_leaf_colours(n, reps, inc, s)
-    bst = batch_exact_colour_samples(bcol, bflags, inc, s)[:, 0]
+    bst = batch_exact_colour_samples(bcol, bflags, inc, s)
 
     crit = stats.ks_two_sample_critical(0.01, reps, reps)
     pairs = {
@@ -312,22 +318,19 @@ def check_pbar_recursion(root_seed: int, n: int = 100, replicas: int = 100_000) 
 
 def check_dcolour_limit(root_seed: int, n: int = 100_000) -> dict:
     """Single-run composition against the Perron eigenpair."""
-    rows = [[0.6, 0.4], [0.3, 0.7]]
-    kern = DColourKernel(rows)
+    kern = DColourKernel([[0.6, 0.4], [0.3, 0.7]])
     s = derive_stream(root_seed, 601)
-    trace = mvpp_direct(AtomicMeasure([(0, 1.0)]), kern, n, s)
-    mat = trace.materialize()
-    lam, v1 = leading_eigenpair(rows)
-    comp = np.array([mat.weight(0), mat.weight(1)]) / n
-    err = float(np.abs(comp - lam * v1).sum())
-    return _result("dcolour_perron_limit", round(err, 5), 0.05, err <= 0.05, v1=[round(v, 6) for v in v1])
+    entry = verify_main_theorem(kern, plan_ergodic(None), M0_POINT, [n], 1, s)["results"][0]
+    v1 = leading_eigenpair(kern.rows)[1]
+    return _result(
+        "dcolour_perron_limit", round(entry["l1"], 5), 0.05, entry["pass"], v1=[round(v, 6) for v in v1]
+    )
 
 
 def check_brw_normal(root_seed: int, n: int = 100_000, pairs: int = 10_000) -> dict:
     s = derive_stream(root_seed, 602)
-    pool = batch_walk_pairs(n, 16, pairs, NormalIncrement(0.0, 1.0), s, m0=M0_POINT) / math.sqrt(math.log(n))
-    ks = stats.ks_statistic(pool, stats.STD_NORMAL)
-    return _result("brw_normal_increment_ks", round(ks, 4), 0.05, ks <= 0.05, n=n, pairs=pairs)
+    entry = verify_main_theorem(walk_kernel_normal(), plan_brw(), M0_POINT, [n], pairs, s)["results"][0]
+    return _result("brw_normal_increment_ks", round(entry["ks"], 4), 0.05, entry["pass"], n=n, pairs=pairs)
 
 
 def check_brw_rademacher(root_seed: int, n: int = 100_000, pairs: int = 10_000) -> dict:
@@ -335,14 +338,13 @@ def check_brw_rademacher(root_seed: int, n: int = 100_000, pairs: int = 10_000) 
     the sup distance to the Gaussian is floored near phi(0)/(2 sqrt(log n))
     (~0.059 at n = 1e5) regardless of the pair budget."""
     s = derive_stream(root_seed, 603)
-    pool = batch_walk_pairs(n, 16, pairs, RademacherIncrement(), s, m0=M0_POINT) / math.sqrt(math.log(n))
-    ks = stats.ks_statistic(pool, stats.STD_NORMAL)
+    entry = verify_main_theorem(walk_kernel_rademacher(), plan_brw(), M0_POINT, [n], pairs, s)["results"][0]
     floor = stats.normal_pdf(0.0) / (2 * math.sqrt(math.log(n)))
     return _result(
         "brw_rademacher_ks",
-        round(ks, 4),
+        round(entry["ks"], 4),
         0.05,
-        ks <= 0.05,
+        entry["pass"],
         n=n,
         pairs=pairs,
         lattice_ks_floor=round(floor, 4),
@@ -423,22 +425,20 @@ def check_forest_fractional(root_seed: int, n: int = 10_000, reps: int = 50) -> 
 
 def check_mminf_poisson(root_seed: int, n: int = 100_000) -> dict:
     """Queue example: urn pmf against Poisson(1) as stated; the total
-    variation to the jump chain's true stationary law (x+1)/(2e x!) is
-    reported alongside."""
-    kern = MMInfQueueKernel(1.0, 1.0)
+    variation of the same urn to the jump chain's true stationary law
+    (x+1)/(2e x!) is reported alongside."""
     s = derive_stream(root_seed, 608)
-    trace = mvpp_direct(AtomicMeasure([(0, 1.0)]), kern, n, s)
-    mat = trace.materialize()
-    pmf = {int(c): w / mat.total_mass for c, w in mat.atoms()}
-    upto = max(pmf) + 10
-    tv_poisson = stats.total_variation(pmf, stats.Poisson(1.0).pmf_dict(upto))
-    sb = {x: (x + 1) / (2 * math.e * math.factorial(x)) for x in range(upto + 1)}
-    tv_stationary = stats.total_variation(pmf, sb)
+    kern = MMInfQueueKernel(1.0, 1.0)
+    out = verify_main_theorem(kern, plan_ergodic(stats.Poisson(1.0)), M0_POINT, [n], 1, s)
+    entry, urn = out["results"][0], out["measures"][0]
+    pmf = {int(c): w / urn.total_mass for c, w in urn.atoms()}
+    stationary = stats.MMInfJumpChain(kern.lam, kern.mu).pmf_dict(max(pmf) + 10)
+    tv_stationary = stats.total_variation(pmf, stationary)
     return _result(
         "mminf_poisson_tv",
-        round(tv_poisson, 4),
+        round(entry["tv"], 4),
         0.05,
-        tv_poisson <= 0.05,
+        entry["pass"],
         n=n,
         tv_vs_jump_chain_stationary=round(tv_stationary, 4),
     )
@@ -446,13 +446,11 @@ def check_mminf_poisson(root_seed: int, n: int = 100_000) -> dict:
 
 def check_stable_hill(root_seed: int, n: int = 100_000, pairs: int = 10_000, alpha: float = 1.5) -> dict:
     """Heavy-tail sanity only: Hill exponent of the rescaled samples within
-    alpha +- 0.4, plus quantile-quantile data against simulated stable draws
-    for visual inspection (not asserted)."""
-    kern = walk_kernel_stable(alpha, 0.0, 1.0)
+    alpha +- HILL_BAND, plus quantile-quantile data against simulated stable
+    draws for visual inspection (not asserted)."""
     s = derive_stream(root_seed, 609)
-    pool = batch_walk_pairs(n, 16, pairs, kern.increment, s, m0=M0_POINT) / (math.log(n)) ** (1.0 / alpha)
-    hill = stats.hill_tail_exponent(pool, max(len(pool) // 40, 10))
-    ok = alpha - 0.4 <= hill <= alpha + 0.4
+    out = verify_main_theorem(walk_kernel_stable(alpha), plan_stable(alpha), M0_POINT, [n], pairs, s)
+    entry, pool = out["results"][0], out["samples"][0]
     ref = np.sort(s.stables(alpha, len(pool)))
     emp = np.sort(pool)
     qs = np.linspace(0.05, 0.95, 19)
@@ -461,8 +459,8 @@ def check_stable_hill(root_seed: int, n: int = 100_000, pairs: int = 10_000, alp
         for q in qs
     ]
     return _result(
-        "stable_hill_exponent", round(hill, 4), [alpha - 0.4, alpha + 0.4], ok, n=n,
-        qq_prob_empirical_reference=qq,
+        "stable_hill_exponent", round(entry["hill"], 4), [alpha - HILL_BAND, alpha + HILL_BAND], entry["pass"],
+        n=n, qq_prob_empirical_reference=qq,
     )
 
 

@@ -11,6 +11,7 @@ in the xfail reason; see the acceptance table in README.md for the
 numbers.  Everything else must be green.
 """
 
+import hashlib
 import json
 
 import pytest
@@ -18,6 +19,9 @@ import pytest
 from mvpp import verify
 
 ROOT_SEED = 1
+
+# sha256 of `mvpp verify --suite all --seed 1`'s verify_all.json
+VERIFY_ALL_SHA256 = "36dfc024add3311a7d4575b96c0e420acba099e717d538ae9ef5bfdb99f6f247"
 
 
 @pytest.fixture(scope="module")
@@ -209,3 +213,12 @@ def test_criterion_12_determinism(suite_all):
     flag = "PASS" if a == b else "FAIL"
     print(f"[criterion 12] {flag} byte-identical verify(all) reports")
     assert a.encode() == b.encode()
+
+
+def test_verify_all_report_is_pinned(suite_all):
+    text = json.dumps(suite_all, indent=2, sort_keys=True) + "\n"
+    digest = hashlib.sha256(text.encode()).hexdigest()
+    assert digest == VERIFY_ALL_SHA256, (
+        f"the seed-1 verify_all.json now hashes to {digest}: record each check's "
+        "old and new statistic in CHANGES.md before moving this pin"
+    )

@@ -175,11 +175,29 @@ def test_simulate_missing_kernel_section_exits_2(tmp_path, capsys):
 
 
 def test_simulate_rejects_bad_grid(tmp_path, capsys):
-    text = CONFIG.format(svg="false").replace("n_grid = 200,400", "n_grid = 400,200")
-    path = tmp_path / "bad.ini"
-    path.write_text(text)
-    assert cli.run_simulate(path, tmp_path / "out") == 2
-    assert "n_grid" in capsys.readouterr().err
+    # a decreasing grid, and n = 1, where the walk's scale a(log 1) is 0
+    for grid in ("400,200", "1,10"):
+        text = CONFIG.format(svg="false").replace("n_grid = 200,400", f"n_grid = {grid}")
+        path = tmp_path / "bad.ini"
+        path.write_text(text)
+        assert cli.run_simulate(path, tmp_path / "out") == 2
+        assert "n_grid" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_simulate_gates_a_stable_run_by_the_hill_band(tmp_path):
+    path = variant_config(tmp_path, "variant = stable\nalpha = 1.3", "stable", grid="50,400,1000")
+    path.write_text(path.read_text().replace("replicas = 200", "replicas = 300"))
+    out = tmp_path / "run"
+    assert cli.run_simulate(path, out, seed=7) == 0
+    report = json.loads((out / "demo_report.json").read_text())
+    for entry in report["results"]:
+        values = read_samples(out / f"demo_n{entry['n']}_samples.csv")
+        assert stats.hill_tail_exponent(values, max(len(values) // 40, 10)) == entry["hill"]
+        assert entry["pass"] == (abs(entry["hill"] - 1.3) <= 0.4)
+    n400 = [e for e in report["results"] if e["n"] == 400][0]
+    assert n400["hill"] > 1.7 and not n400["pass"]
+    assert report["pass"] is False
 
 
 def test_simulate_emits_svg(tmp_path):

@@ -275,7 +275,7 @@ def test_plan_presets():
     p = plan_brw(mean=1.0, var=0.0)
     assert p.a(100.0) == pytest.approx(10.0)
     assert p.b(100.0) == pytest.approx(100.0)
-    assert p.f(2.0) == pytest.approx(2.0) and p.g(2.0) == 1.0
+    assert p.f(2.0) == pytest.approx(2.0)
 
     pe = plan_ergodic(stats.Poisson(1.0), claimed=True)
     assert pe.a(50) == 1.0 and pe.b(50) == 0.0 and pe.claimed

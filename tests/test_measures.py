@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from mvpp.measures import (
     FINITE,
     AtomicMeasure,
-    MartingaleSeries,
     Rescaling,
     empirical_f_n,
     expected_f_n,
@@ -18,7 +17,6 @@ from mvpp.measures import (
     pbar_recursion,
     sample_atom,
     t_n,
-    theta_grid,
     theta_rescale,
     z_n,
 )
@@ -148,13 +146,6 @@ def test_theta_rescale_composition(samples, a1, b1, a2, b2):
 def test_rescaling_requires_positive_scale():
     with pytest.raises(ValueError):
         Rescaling(0.0, 0.0)
-
-
-def test_theta_grid():
-    g = theta_grid(1000, points=21, span=3.0)
-    assert len(g) == 21
-    assert g[0] == pytest.approx(-3.0 / math.sqrt(math.log(1000)))
-    assert g[10] == pytest.approx(0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -304,13 +295,6 @@ def test_pbar_general_initial_colour_hook():
 # ---------------------------------------------------------------------------
 # serialization
 # ---------------------------------------------------------------------------
-
-
-def test_martingale_series_csv():
-    ms = MartingaleSeries.evaluate([0.0, 1.0, -1.0], 0.2, 0.0, PHI_COIN)
-    row = ms.csv_row()
-    assert row.startswith("2,0.2,")
-    assert len(row.split(",")) == 6
 
 
 def test_measure_csv_round_shape():

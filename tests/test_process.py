@@ -15,9 +15,12 @@ from mvpp.kernels import (
     RademacherIncrement,
     plan_brw,
     plan_ergodic,
+    plan_kdiscrete_shift,
+    plan_stable,
     walk_kernel_constant,
     walk_kernel_normal,
     walk_kernel_rademacher,
+    walk_kernel_stable,
 )
 from mvpp.measures import AtomicMeasure
 from mvpp.process import (
@@ -298,7 +301,7 @@ def test_sample_colour_matches_direct_law():
     lab = batch_rrt_walk_labels(n, reps, inc, s)
     flags = np.zeros(lab.shape, dtype=bool)
     flags[:, 0] = True
-    batch = batch_exact_colour_samples(lab, flags, inc, s)[:, 0]
+    batch = batch_exact_colour_samples(lab, flags, inc, s)
     crit = stats.ks_two_sample_critical(0.01, reps, reps)
     assert stats.ks_two_sample(np.array(scalar), batch) < crit
 
@@ -533,8 +536,8 @@ def test_composite_reference_reductions():
     # deterministic +1 walk: reference is standard normal (profile case)
     ref = composite_reference(plan_brw(1.0, 0.0))
     assert isinstance(ref, stats.Normal) and ref.var == pytest.approx(1.0)
-    law = stats.Poisson(2.0)
-    assert composite_reference(plan_ergodic(law)) is law
+    # mean 1, var 1: G + f(L) = G + L ~ N(0, 2)
+    assert composite_reference(plan_brw(1.0, 1.0)).var == pytest.approx(2.0)
 
 
 def test_verify_main_theorem_walk_smoke():
@@ -566,8 +569,6 @@ def test_verify_main_theorem_mminf_branch():
 
 def test_verify_main_theorem_kdiscrete_branch():
     s = derive_stream(30, 28)
-    from mvpp.kernels import plan_kdiscrete_shift
-
     rep = verify_main_theorem(
         KDiscreteKernel.from_offsets((1, 1)),
         plan_kdiscrete_shift(),
@@ -579,3 +580,20 @@ def test_verify_main_theorem_kdiscrete_branch():
     )
     assert rep["results"][0]["ks"] is not None
     assert rep["pass"]
+
+
+def test_verify_main_theorem_rejects_a_zero_scale():
+    s = derive_stream(30, 29)
+    walks = (
+        (walk_kernel_rademacher(), plan_brw(0.0, 1.0), DELTA0),
+        (walk_kernel_stable(1.5), plan_stable(1.5), DELTA0),
+        (KDiscreteKernel.from_offsets((1, 1)), plan_kdiscrete_shift(), AtomicMeasure([(0, 0.5)])),
+    )
+    for kernel, plan, m0 in walks:  # a(log 1) = 0: every rescaled sample would be infinite
+        with pytest.raises(ValueError, match="n_grid point n=1"):
+            verify_main_theorem(kernel, plan, m0, [1, 10], 100, s)
+    # the ergodic plan does not rescale, so n = 1 is a valid grid point
+    queue = MMInfQueueKernel(1.0, 1.0)
+    rep = verify_main_theorem(queue, plan_ergodic(stats.Poisson(1.0)), AtomicMeasure([(0, 1.0)]), [1, 10], 1, s)
+    assert [e["n"] for e in rep["results"]] == [1, 10]
+
