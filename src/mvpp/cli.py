@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import configparser
 import json
+import math
 import sys
 import time
 from pathlib import Path
@@ -74,6 +75,8 @@ def load_config(path) -> dict:
         raise ConfigError(f"bad [experiment] value: {e}")
     if cfg["replicas"] < 1:
         raise ConfigError("replicas must be >= 1")
+    if min(cfg["n_grid"]) < 1:
+        raise ConfigError("n_grid values must be >= 1")
     if any(b <= a for a, b in zip(cfg["n_grid"], cfg["n_grid"][1:])):
         raise ConfigError("n_grid must be strictly increasing")
     cfg["kernel"] = _parse_kernel(cp["kernel"])
@@ -119,11 +122,12 @@ def _parse_m0(sec) -> AtomicMeasure:
     atoms = []
     for part in raw.split(","):
         try:
-            colour, weight = part.split(":")
-            c = float(colour)
-            atoms.append((int(c) if c == int(c) else c, float(weight)))
+            c, w = (float(v) for v in part.split(":"))
+            if not (math.isfinite(c) and math.isfinite(w) and w > 0):
+                raise ValueError
         except ValueError:
-            raise ConfigError(f"bad atom {part!r} in [m0]; expected colour:weight")
+            raise ConfigError(f"bad atom {part!r} in [m0] atoms; expected finite colour:weight with weight > 0")
+        atoms.append((int(c) if c == int(c) else c, w))
     return AtomicMeasure(atoms)
 
 

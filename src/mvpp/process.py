@@ -98,36 +98,16 @@ class LabelledTree:
             return (self.tree.n_nodes - 1) // 2
         return (self.tree.n_nodes - 1) // self.tree.kappa
 
-    def packet_nodes(self) -> list:
-        """Node ids carrying one unit-mass packet each (root/initial first)."""
-        if self.kind == "rrt":
-            return list(range(self.tree.n_nodes))
-        if self.kind == "bst":
-            return self.tree.leaves()
-        raise ValueError("kary urns have balls, not unit packets")
-
     def represented_measure(self) -> AtomicMeasure:
         """Exact composition; requires an atomic kernel (or kappa-discrete)."""
         if self.kind == "kary":
             k = self.tree.kappa
-            return AtomicMeasure(
-                (self.labels[u], 1.0 / k) for u in self.tree.leaf_list
-            )
-        pairs = list(self.m0.atoms())
+            return AtomicMeasure((self.labels[u], 1.0 / k) for u in self.tree.leaf_list)
         if self.kind == "rrt":
-            nodes = range(1, self.tree.n_nodes)
-            flags = None
+            drawn = self.labels[1:]
         else:
-            nodes = self.tree.leaves()
-            flags = self.m0_flags
-        for u in nodes:
-            if flags is not None and flags[u]:
-                continue
-            add = self.kernel.atoms(self.labels[u])
-            if add is None:
-                raise ValueError("cannot materialize a non-atomic kernel")
-            pairs.extend(add.atoms())
-        return AtomicMeasure(pairs)
+            drawn = [self.labels[u] for u in self.tree.leaves() if not self.m0_flags[u]]
+        return UrnTrace(self.m0, self.kernel, drawn).materialize()
 
     @property
     def total_mass(self) -> float:
@@ -306,74 +286,44 @@ def mvpp_kdiscrete(m0: AtomicMeasure, kernel: KDiscreteKernel, n: int, s: RngStr
 # ---------------------------------------------------------------------------
 
 
-def sample_colour(rep, s: RngStream):
-    """One exact draw from the normalized current urn measure."""
+def _pick_packet(rep, s: RngStream) -> tuple:
+    """(colour, ready) of a uniform unit packet of the urn, or of a uniform
+    ball of a kappa-ary urn.  ready: the colour is itself a draw from the
+    packet -- a fresh draw from the normalized initial measure for the
+    initial packet, or a ball's own colour; otherwise the packet is the
+    replacement measure of the returned colour."""
     if isinstance(rep, UrnTrace):
         m = rep.m0.total_mass
         u = s.next_uniform() * (m + rep.n)
-        if u < m:
-            return sample_atom(normalize(rep.m0), s)
-        return rep.kernel.sample(rep.drawn[int(u - m)], s)
-    if rep.kind == "kary":
-        t = rep.tree
-        return rep.labels[t.leaf_list[int(s.next_uniform() * len(t.leaf_list))]]
-    packets = rep.packet_nodes()
-    u = packets[int(s.next_uniform() * len(packets))]
-    if rep.kind == "rrt":
-        is_m0 = u == 0
-    else:
-        is_m0 = rep.m0_flags[u]
-    if is_m0:
-        return sample_atom(normalize(rep.m0), s)
-    return rep.kernel.sample(rep.labels[u], s)
+        initial = u < m
+        colour = None if initial else rep.drawn[int(u - m)]
+    elif rep.kind == "rrt":
+        u = int(s.next_uniform() * rep.tree.n_nodes)
+        initial, colour = u == 0, rep.labels[u]
+    else:  # the packets of a binary-tree urn and the balls of a kappa-ary one are its leaves
+        leaves = rep.tree.leaf_list
+        u = leaves[int(s.next_uniform() * len(leaves))]
+        if rep.kind == "kary":
+            return rep.labels[u], True
+        initial, colour = rep.m0_flags[u], rep.labels[u]
+    if initial:
+        return sample_atom(normalize(rep.m0), s), True
+    return colour, False
+
+
+def sample_colour(rep, s: RngStream):
+    """One exact draw from the normalized current urn measure."""
+    colour, ready = _pick_packet(rep, s)
+    return colour if ready else rep.kernel.sample(colour, s)
 
 
 def sample_pair(rep, s: RngStream) -> tuple:
-    """Two conditionally independent kernel draws off the current urn.
-
-    Tree form: two independent uniform packets, each pushed through the
-    replacement kernel at its colour (the initial packet contributes a fresh
-    draw from the normalized initial measure pushed through the kernel).
-    Trace form: the drawing-scheme equivalent of the same construction.
-    """
-    if isinstance(rep, UrnTrace):
-        if rep.n < 1:
-            raise ValueError("pair sampling needs n >= 1")
-
-        def one():
-            m = rep.m0.total_mass
-            u = s.next_uniform() * (m + rep.n)
-            if u < m:
-                c = sample_atom(normalize(rep.m0), s)
-            else:
-                c = rep.drawn[int(u - m)]
-            return rep.kernel.sample(c, s)
-
-        return one(), one()
+    """Two conditionally independent kernel draws off the current urn: two
+    independent uniform packets, each pushed through the replacement kernel
+    at its colour (the initial packet at a fresh initial-measure draw)."""
     if rep.n < 1:
         raise ValueError("pair sampling needs n >= 1")
-    if rep.kind == "kary":
-        t = rep.tree
-
-        def one_leaf():
-            leaf = t.leaf_list[int(s.next_uniform() * len(t.leaf_list))]
-            return rep.kernel.sample(rep.labels[leaf], s)
-
-        return one_leaf(), one_leaf()
-
-    def one_node():
-        u = int(s.next_uniform() * rep.tree.n_nodes)
-        if rep.kind == "rrt":
-            colour = rep.labels[u] if u != 0 else sample_atom(normalize(rep.m0), s)
-        else:
-            colour = (
-                sample_atom(normalize(rep.m0), s)
-                if rep.m0_flags[u]
-                else rep.labels[u]
-            )
-        return rep.kernel.sample(colour, s)
-
-    return one_node(), one_node()
+    return tuple(rep.kernel.sample(_pick_packet(rep, s)[0], s) for _ in range(2))
 
 
 # ---------------------------------------------------------------------------
@@ -590,8 +540,11 @@ def verify_main_theorem(
     the rescaled values that were scored (the pooled a's then b's, or the
     scored urn's drawn colours) and `measures` the scored urn's measure (None
     for pooled pairs).  A grid point with a(log n) = 0, which is n = 1 under
-    every growing scale, raises ValueError.
+    every growing scale, raises ValueError, and so does a walk or stable kernel
+    with an initial measure of mass other than 1.
     """
+    if isinstance(kernel, RandomWalkKernel) and abs(m0.total_mass - 1.0) > 1e-12:
+        raise ValueError(f"the walk route grows recursive trees, so m0 needs mass 1, not {m0.total_mass:g}")
     results, samples, measures = [], [], []
     for n in n_grid:
         t_arg = math.log(n)

@@ -10,11 +10,9 @@ with generous slack so that pass/fail is deterministic under pinned seeds.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
-
-from .randomness import RngStream
 
 # ---------------------------------------------------------------------------
 # special functions (double precision, no external deps)
@@ -24,6 +22,11 @@ from .randomness import RngStream
 def normal_cdf(x: float) -> float:
     """Standard normal CDF. Absolute error well below 1e-7 (see golden test)."""
     return 0.5 * (1.0 + math.erf(x / math.sqrt(2.0)))
+
+
+# math.erf point by point over an array, so that Normal.cdf on an array
+# matches normal_cdf on each of its points bit for bit
+_erf = np.frompyfunc(math.erf, 1, 1)
 
 
 def normal_pdf(x: float) -> float:
@@ -155,13 +158,12 @@ class Normal:
         if self.var < 0:
             raise ValueError("variance must be non-negative")
 
-    def cdf(self, x: float) -> float:
+    def cdf(self, x):
+        """Elementwise on arrays, with normal_cdf's arithmetic."""
         if self.var == 0:
-            return 0.0 if x < self.mean else 1.0
-        return normal_cdf((x - self.mean) / math.sqrt(self.var))
-
-    def sample(self, s: RngStream, size: int) -> np.ndarray:
-        return self.mean + math.sqrt(self.var) * s.standard_normals(size)
+            return PointMass(self.mean).cdf(x)
+        z = (np.asarray(x, dtype=float) - self.mean) / math.sqrt(self.var) / math.sqrt(2.0)
+        return 0.5 * (1.0 + np.asarray(_erf(z), dtype=float))
 
 
 STD_NORMAL = Normal(0.0, 1.0)
@@ -169,11 +171,8 @@ STD_NORMAL = Normal(0.0, 1.0)
 
 @dataclass(frozen=True)
 class Uniform01:
-    def cdf(self, x: float) -> float:
-        return min(1.0, max(0.0, x))
-
-    def sample(self, s: RngStream, size: int) -> np.ndarray:
-        return s.uniforms(size)
+    def cdf(self, x):
+        return np.clip(x, 0.0, 1.0)
 
 
 @dataclass(frozen=True)
@@ -189,17 +188,12 @@ class Poisson:
             return 0.0
         return math.exp(-self.rate + k * math.log(self.rate) - math.lgamma(k + 1))
 
-    def cdf(self, x: float) -> float:
-        k = math.floor(x)
-        if k < 0:
-            return 0.0
-        return gamma_q(k + 1.0, self.rate)
+    def cdf(self, x):
+        point = lambda v: gamma_q(math.floor(v) + 1.0, self.rate) if v >= 0 else 0.0
+        return np.vectorize(point, otypes=[float])(x)
 
     def pmf_dict(self, upto: int) -> dict:
         return {k: self.pmf(k) for k in range(upto + 1)}
-
-    def sample(self, s: RngStream, size: int) -> np.ndarray:
-        return s._gen.poisson(self.rate, size=size)
 
 
 @dataclass(frozen=True)
@@ -251,23 +245,18 @@ class Geometric:
 class PointMass:
     value: float = 0.0
 
-    def cdf(self, x: float) -> float:
-        return 0.0 if x < self.value else 1.0
-
-    def sample(self, s: RngStream, size: int) -> np.ndarray:
-        return np.full(size, self.value)
+    def cdf(self, x):
+        return np.where(np.less(x, self.value), 0.0, 1.0)
 
 
 @dataclass(frozen=True)
 class StableLaw:
-    """Alpha-stable law, sampling only (no closed-form CDF shipped)."""
+    """Alpha-stable law by its parameters only (no closed-form CDF shipped);
+    the stable route scores the Hill exponent against alpha."""
 
     alpha: float
     skew: float = 0.0
     scale: float = 1.0
-
-    def sample(self, s: RngStream, size: int) -> np.ndarray:
-        return s.stables(self.alpha, size, skew=self.skew, scale=self.scale)
 
 
 # ---------------------------------------------------------------------------
@@ -275,45 +264,25 @@ class StableLaw:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
 class WeightedSample:
-    """Real-valued sample points with positive weights."""
-
-    points: list = field(default_factory=list)  # (value, weight) pairs
-
-    @classmethod
-    def from_values(cls, values, weights=None):
-        values = np.asarray(values, dtype=float)
-        if weights is None:
-            weights = np.ones_like(values)
-        else:
-            weights = np.asarray(weights, dtype=float)
-        if np.any(weights <= 0):
-            raise ValueError("weights must be positive")
-        return cls(points=list(zip(values.tolist(), weights.tolist())))
-
-    def arrays(self):
-        vals = np.array([p[0] for p in self.points])
-        wts = np.array([p[1] for p in self.points])
-        return vals, wts
+    """Retired: `ks_statistic` takes `weights=`.  The name stays only because
+    perfbench/tracer.py imports it; no sample is one."""
 
 
-def ks_statistic(sample, law) -> float:
+def ks_statistic(sample, law, weights=None) -> float:
     """Sup distance between the weighted empirical CDF and law.cdf.
 
-    Both one-sided gaps are evaluated at every distinct sample point; weights
-    are normalized internally, so measures of any total mass can be compared.
+    Both one-sided gaps are evaluated at every distinct sample point, with one
+    law.cdf call on the array of those points; weights (default 1 each) must
+    be positive and are normalized, so measures of any total mass compare.
     """
-    if isinstance(sample, WeightedSample):
-        vals, wts = sample.arrays()
-    else:
-        vals = np.asarray(sample, dtype=float)
-        wts = np.ones_like(vals)
+    vals = np.asarray(sample, dtype=float)
+    wts = np.ones_like(vals) if weights is None else np.asarray(weights, dtype=float)
     if vals.size == 0:
         raise ValueError("empty sample")
+    if wts.shape != vals.shape or wts.min() <= 0:
+        raise ValueError("weights must be positive, one per sample point")
     total = wts.sum()
-    if total <= 0:
-        raise ValueError("zero total weight")
     order = np.argsort(vals, kind="stable")
     vals, wts = vals[order], wts[order]
     # collapse ties so each distinct value carries one CDF jump
@@ -321,12 +290,7 @@ def ks_statistic(sample, law) -> float:
     cum = np.cumsum(wts) / total
     upper = cum[np.append(idx[1:] - 1, len(vals) - 1)]
     lower = np.concatenate(([0.0], upper[:-1]))
-    if isinstance(law, Normal) and law.var > 0:
-        # normal_cdf's arithmetic, one erf pass over all points
-        z = (uniq - law.mean) / math.sqrt(law.var) / math.sqrt(2.0)
-        ref = 0.5 * (1.0 + np.frompyfunc(math.erf, 1, 1)(z).astype(float))
-    else:
-        ref = np.array([law.cdf(float(x)) for x in uniq])
+    ref = np.asarray(law.cdf(uniq), dtype=float)
     return float(np.max(np.maximum(np.abs(ref - lower), np.abs(upper - ref))))
 
 

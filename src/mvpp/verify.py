@@ -102,11 +102,11 @@ def check_rotation_bijection(root_seed: int) -> dict:
     return _result("rotation_bijection_depth_transport", violations, 0, violations == 0, trees=trees)
 
 
-def _profile_ks(depth_row: np.ndarray, n: int) -> float:
-    t = math.log(n)
-    vals, cnts = np.unique(depth_row[: n + 1], return_counts=True)
-    resc = (vals - t) / math.sqrt(t)
-    return stats.ks_statistic(stats.WeightedSample.from_values(resc, cnts), stats.STD_NORMAL)
+def _gaussian_ks(values, t: float) -> float:
+    """KS distance to N(0,1) of the values rescaled by (v - t)/sqrt(t),
+    scored on their histogram (each distinct value weighted by its count)."""
+    vals, cnts = np.unique(values, return_counts=True)
+    return stats.ks_statistic((vals - t) / math.sqrt(t), stats.STD_NORMAL, weights=cnts)
 
 
 def check_rrt_profile(root_seed: int, seeds: int = 20, n_top: int = 100_000) -> dict:
@@ -114,7 +114,7 @@ def check_rrt_profile(root_seed: int, seeds: int = 20, n_top: int = 100_000) -> 
     s = derive_stream(root_seed, 301)
     dep = batch_rrt_depths(n_top, seeds, s)
     grid = [n_top // 100, n_top // 10, n_top]
-    ks = {n: [ _profile_ks(dep[i], n) for i in range(seeds) ] for n in grid}
+    ks = {n: [_gaussian_ks(dep[i, : n + 1], math.log(n)) for i in range(seeds)] for n in grid}
     medians = [float(np.median(ks[n])) for n in grid]
     n_pass = sum(1 for v in ks[n_top] if v <= 0.12)
     monotone = medians[1] <= medians[0] and medians[2] <= medians[1]
@@ -128,13 +128,19 @@ def check_rrt_profile(root_seed: int, seeds: int = 20, n_top: int = 100_000) -> 
     )
 
 
+def _depth_clt(name: str, depths, t: float) -> dict:
+    """KS of (depth - t)/sqrt(t) against N(0,1), gated at 0.1; t is the leading
+    term of the depth's mean and variance (log n for the recursive tree,
+    2 log n for the binary one)."""
+    ks = _gaussian_ks(depths, t)
+    return _result(name, round(ks, 4), 0.1, ks <= 0.1)
+
+
 def check_rrt_depth_clt(root_seed: int, n: int = 100_000) -> dict:
     s = derive_stream(root_seed, 302)
     dep = batch_rrt_depths(n, 10, s)
     pool = [dep[i, s.integers(0, n + 1, 1000)] for i in range(10)]
-    resc = (np.concatenate(pool) - math.log(n)) / math.sqrt(math.log(n))
-    ks = stats.ks_statistic(resc, stats.STD_NORMAL)
-    return _result("rrt_depth_clt", round(ks, 4), 0.1, ks <= 0.1)
+    return _depth_clt("rrt_depth_clt", np.concatenate(pool), math.log(n))
 
 
 def check_bst_depth_clt(root_seed: int, n: int = 100_000) -> dict:
@@ -142,44 +148,36 @@ def check_bst_depth_clt(root_seed: int, n: int = 100_000) -> dict:
     for i in range(10):
         s = derive_stream(root_seed, 310 + i)
         t = grow_bst_leaf(n, s)
-        idx = s.integers(0, n, 1000)
-        pool.append(np.array([t.depth[j] for j in idx]))
-    resc = (np.concatenate(pool) - 2 * math.log(n)) / math.sqrt(2 * math.log(n))
-    ks = stats.ks_statistic(resc, stats.STD_NORMAL)
-    return _result("bst_depth_clt", round(ks, 4), 0.1, ks <= 0.1)
+        pool.extend(t.depth[j] for j in s.integers(0, n, 1000))
+    return _depth_clt("bst_depth_clt", pool, 2 * math.log(n))
 
 
 def _tv_threshold(pmf: dict, replicas: int) -> float:
     return 3 * 0.5 * sum(math.sqrt(p * (1 - p) / replicas) for p in pmf.values())
 
 
-def check_rrt_lca_pmf(root_seed: int, n: int = 6, replicas: int = 100_000) -> dict:
-    """Simulated LCA-depth pmf against the exhaustive small-n law."""
-    ref = oracle.exact_rrt_joint_depths(n).marginal(lambda o: o[2]).probs
-    s = derive_stream(root_seed, 303)
+def _lca_pmf(name: str, grow, ref: dict, n: int, replicas: int, s) -> dict:
+    """Simulated LCA-depth pmf of two uniform nodes of `grow(n, s)` trees
+    against the exhaustive small-n law `ref`."""
     counts: Counter = Counter()
     for _ in range(replicas):
-        t = grow_rrt(n, s)
+        t = grow(n, s)
         u = sample_uniform_node(t, s)
         v = sample_uniform_node(t, s)
         counts[t.depth[lca(t, u, v)]] += 1
     tv = stats.total_variation(stats.counts_to_pmf(counts), ref)
     thr = _tv_threshold(ref, replicas)
-    return _result("rrt_lca_pmf_vs_oracle", round(tv, 5), round(thr, 5), tv <= thr, n=n)
+    return _result(name, round(tv, 5), round(thr, 5), tv <= thr, n=n)
+
+
+def check_rrt_lca_pmf(root_seed: int, n: int = 6, replicas: int = 100_000) -> dict:
+    ref = oracle.exact_rrt_joint_depths(n).marginal(lambda o: o[2]).probs
+    return _lca_pmf("rrt_lca_pmf_vs_oracle", grow_rrt, ref, n, replicas, derive_stream(root_seed, 303))
 
 
 def check_bst_lca_pmf(root_seed: int, n: int = 6, replicas: int = 100_000) -> dict:
     ref = oracle.exact_bst_joint_depths(n)[0].marginal(lambda o: o[2]).probs
-    s = derive_stream(root_seed, 304)
-    counts: Counter = Counter()
-    for _ in range(replicas):
-        t = grow_bst_leaf(n, s)
-        u = sample_uniform_node(t, s)
-        v = sample_uniform_node(t, s)
-        counts[t.depth[lca(t, u, v)]] += 1
-    tv = stats.total_variation(stats.counts_to_pmf(counts), ref)
-    thr = _tv_threshold(ref, replicas)
-    return _result("bst_lca_pmf_vs_oracle", round(tv, 5), round(thr, 5), tv <= thr, n=n)
+    return _lca_pmf("bst_lca_pmf_vs_oracle", grow_bst_leaf, ref, n, replicas, derive_stream(root_seed, 304))
 
 
 # ---------------------------------------------------------------------------
@@ -262,23 +260,24 @@ def check_zn_identities(root_seed: int) -> dict:
     )
 
 
+def _bmc_rows(n: int, replicas: int, chunk: int, s, row_stat) -> np.ndarray:
+    """row_stat of the labels of `replicas` Rademacher branching walks,
+    grown `chunk` at a time to bound memory."""
+    out = []
+    for lo in range(0, replicas, chunk):
+        out.append(row_stat(batch_bmc_walk_labels(n, min(chunk, replicas - lo), RademacherIncrement(), s)))
+    return np.concatenate(out)
+
+
 def check_tn_martingale_mean(root_seed: int, replicas: int = 10_000) -> dict:
     """Monte Carlo mean of T_n(theta) within 3 standard errors of 1."""
-    inc = RademacherIncrement()
     phi = lambda t: complex(np.cos(t))
     entries = []
     ok = True
     for i, n in enumerate((10, 100, 1000)):
-        s = derive_stream(root_seed, 501 + i)
         theta = 0.3 / math.sqrt(math.log(n))
-        chunks = []
-        left = replicas
-        while left > 0:
-            take = min(left, 2000)
-            lab = batch_bmc_walk_labels(n, take, inc, s)
-            chunks.append(np.exp(1j * theta * lab).mean(axis=1))
-            left -= take
-        f = np.concatenate(chunks)
+        rows = lambda lab: np.exp(1j * theta * lab).mean(axis=1)
+        f = _bmc_rows(n, replicas, 2000, derive_stream(root_seed, 501 + i), rows)
         t_vals = f / expected_f_n(n, theta, 0.0, phi)
         se_r = float(t_vals.real.std(ddof=1)) / math.sqrt(replicas)
         se_i = float(t_vals.imag.std(ddof=1)) / math.sqrt(replicas)
@@ -292,18 +291,12 @@ def check_tn_martingale_mean(root_seed: int, replicas: int = 10_000) -> dict:
 
 def check_pbar_recursion(root_seed: int, n: int = 100, replicas: int = 100_000) -> dict:
     """Second-moment recursion against Monte Carlo E[fbar(z1) fbar(z2)]."""
-    inc = RademacherIncrement()
     z1, z2 = 0.2j, -0.2j
     pb = pbar_recursion(n, z1, z2, lambda z: np.cos(z)).real
-    s = derive_stream(root_seed, 510)
-    vals = []
-    left = replicas
-    while left > 0:
-        take = min(left, 10_000)
-        lab = batch_bmc_walk_labels(n, take, inc, s)
-        vals.append((np.exp(1j * z1 * lab).sum(axis=1) * np.exp(1j * z2 * lab).sum(axis=1)).real)
-        left -= take
-    vals = np.concatenate(vals)
+    vals = _bmc_rows(
+        n, replicas, 10_000, derive_stream(root_seed, 510),
+        lambda lab: (np.exp(1j * z1 * lab).sum(axis=1) * np.exp(1j * z2 * lab).sum(axis=1)).real,
+    )
     se = float(vals.std(ddof=1)) / math.sqrt(replicas)
     dev = abs(pb - float(vals.mean()))
     return _result(
@@ -393,31 +386,31 @@ def check_brw_d2_projections(root_seed: int, n: int = 100_000, pairs: int = 10_0
     return _result("brw_d2_projection_ks", out, 0.05, ok, n=n)
 
 
+def _forest_sizes(weights, n: int, reps: int, s) -> np.ndarray:
+    """(reps, len(weights)) tree sizes (root weight plus one per node) of
+    `reps` forest urns after n steps from root weights `weights`: each step
+    adds a node to the tree whose slot of the cumulated sizes a uniform on
+    [0, total size) falls in."""
+    w = np.tile(np.asarray(weights, dtype=float), (reps, 1))
+    rows, mass = np.arange(reps), float(sum(weights))
+    for k in range(n):
+        u = s.uniforms(reps) * (mass + k)
+        tree = (u[:, None] >= np.cumsum(w[:, :-1], axis=1)).sum(axis=1)
+        w[rows, tree] += 1
+    return w
+
+
 def check_forest_mass2(root_seed: int, n: int = 1000, reps: int = 2000) -> dict:
     """Mass-2 forest: the leading tree-size fraction is asymptotically
     uniform (flat Dirichlet marginal)."""
-    s = derive_stream(root_seed, 606)
-    sizes = np.ones((reps, 2))
-    for k in range(n):
-        pick0 = s.uniforms(reps) * (2 + k) < sizes[:, 0]
-        sizes[pick0, 0] += 1
-        sizes[~pick0, 1] += 1
+    sizes = _forest_sizes([1.0, 1.0], n, reps, derive_stream(root_seed, 606))
     ks = stats.ks_statistic(sizes[:, 0] / n, stats.Uniform01())
     return _result("forest_mass2_uniform", round(ks, 4), 0.05, ks <= 0.05, n=n, replicas=reps)
 
 
 def check_forest_fractional(root_seed: int, n: int = 10_000, reps: int = 50) -> dict:
     """Mass-2.5 forest: every tree keeps a positive size fraction."""
-    s = derive_stream(root_seed, 607)
-    w = np.tile(np.array([1.0, 1.0, 0.5]), (reps, 1))
-    for k in range(n):
-        u = s.uniforms(reps) * (2.5 + k)
-        c0 = u < w[:, 0]
-        c1 = (~c0) & (u < w[:, 0] + w[:, 1])
-        c2 = ~(c0 | c1)
-        w[c0, 0] += 1
-        w[c1, 1] += 1
-        w[c2, 2] += 1
+    w = _forest_sizes([1.0, 1.0, 0.5], n, reps, derive_stream(root_seed, 607))
     nodes = np.column_stack([w[:, 0], w[:, 1], w[:, 2] + 0.5])
     min_frac = float((nodes.min(axis=1) / n).min())
     return _result("forest_fractional_liminf", round(min_frac, 6), 0.001, min_frac > 0.001, replicas=reps, n=n)
@@ -502,10 +495,7 @@ def check_kappa3_depth(root_seed: int, n: int = 100_000) -> dict:
     lab = batch_kary_shift_leaf_labels(n, 4, 3, s)
     beta = 1.5
     mean_ratio = float(lab.mean()) / math.log(n)
-    t = beta * math.log(n)
-    vals, cnts = np.unique(lab, return_counts=True)
-    resc = (vals - t) / math.sqrt(t)
-    ks = stats.ks_statistic(stats.WeightedSample.from_values(resc, cnts), stats.STD_NORMAL)
+    ks = _gaussian_ks(lab, beta * math.log(n))
     ok = abs(mean_ratio - beta) <= 0.1 and ks <= 0.12
     return _result(
         "kdiscrete_kappa3_depth",

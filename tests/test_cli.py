@@ -175,13 +175,32 @@ def test_simulate_missing_kernel_section_exits_2(tmp_path, capsys):
 
 
 def test_simulate_rejects_bad_grid(tmp_path, capsys):
-    # a decreasing grid, and n = 1, where the walk's scale a(log 1) is 0
-    for grid in ("400,200", "1,10"):
+    # a decreasing grid, n = 1, where the walk's scale a(log 1) is 0, and n < 1
+    for grid in ("400,200", "1,10", "0,10", "-5,10"):
         text = CONFIG.format(svg="false").replace("n_grid = 200,400", f"n_grid = {grid}")
         path = tmp_path / "bad.ini"
         path.write_text(text)
         assert cli.run_simulate(path, tmp_path / "out") == 2
         assert "n_grid" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("atoms", ["0:0", "inf:1", "0:nan"])
+def test_simulate_rejects_a_bad_atom(tmp_path, capsys, atoms):
+    path = tmp_path / "bad.ini"
+    path.write_text(CONFIG.format(svg="false").replace("atoms = 0:1", f"atoms = {atoms}"))
+    assert cli.run_simulate(path, tmp_path / "out") == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error") and "atoms" in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_simulate_rejects_a_walk_m0_without_unit_mass(tmp_path, capsys):
+    for kernel, preset in (("variant = random_walk\nincrement = rademacher", "brw"), ("variant = stable", "stable")):
+        path = variant_config(tmp_path, kernel, preset)
+        path.write_text(path.read_text().replace("atoms = 0:1", "atoms = 0:2"))
+        assert cli.run_simulate(path, tmp_path / "out") == 2
+        assert "mass 1" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 

@@ -289,6 +289,23 @@ def test_sample_pair_exchangeable():
     assert p > 0.01
 
 
+@pytest.mark.parametrize("form", ["direct", "rrt", "bst"])
+def test_sample_pair_law_is_the_same_in_every_form(form):
+    # +1 walk from delta_0, n = 2: the packets are m0, R_0 = delta_1 and R_c
+    # with c uniform on {0, 1}, so a pair draw reads 2 with probability 1/6
+    build = {"direct": mvpp_direct, "rrt": mvpp_via_rrt, "bst": mvpp_via_bst}[form]
+    kern = walk_kernel_constant(1.0)
+    s = derive_stream(32, ("direct", "rrt", "bst").index(form))
+    reps = 40_000
+    twos = 0
+    for _ in range(reps):
+        a, b = sample_pair(build(DELTA0, kern, 2, s), s)
+        assert {a, b} <= {1.0, 2.0}
+        twos += (a == 2.0) + (b == 2.0)
+    # a and b share an urn, so the tolerance counts urns, not draws
+    assert abs(twos / (2 * reps) - 1 / 6) <= 4 * math.sqrt(1 / 6 * 5 / 6 / reps)
+
+
 def test_sample_colour_matches_direct_law():
     # exact draws from tree urns agree with the trace form (two-sample KS)
     inc = RademacherIncrement()
@@ -597,3 +614,13 @@ def test_verify_main_theorem_rejects_a_zero_scale():
     rep = verify_main_theorem(queue, plan_ergodic(stats.Poisson(1.0)), AtomicMeasure([(0, 1.0)]), [1, 10], 1, s)
     assert [e["n"] for e in rep["results"]] == [1, 10]
 
+
+@pytest.mark.parametrize("mass", [0.5, 2.0])
+def test_verify_main_theorem_walk_routes_need_unit_mass(mass):
+    # the walk and stable routes grow recursive trees, which carry an initial
+    # packet of mass 1; any other mass would simulate a different urn
+    s = derive_stream(30, 30)
+    m0 = AtomicMeasure([(0.0, mass)])
+    for kernel, plan in ((walk_kernel_rademacher(), plan_brw(0.0, 1.0)), (walk_kernel_stable(1.5), plan_stable(1.5))):
+        with pytest.raises(ValueError, match="mass 1"):
+            verify_main_theorem(kernel, plan, m0, [10], 100, s)

@@ -54,34 +54,63 @@ def test_ks_normal_draws_95_of_100_seeds():
 
 
 def test_ks_statistic_weighted_ties():
-    ws = stats.WeightedSample.from_values([0.0, 0.0, 1.0], [1.0, 1.0, 2.0])
-    assert 0 < stats.ks_statistic(ws, stats.STD_NORMAL) <= 1
+    assert 0 < stats.ks_statistic([0.0, 0.0, 1.0], stats.STD_NORMAL, weights=[1.0, 1.0, 2.0]) <= 1
 
 
 class _PointwiseLaw:
-    """Wraps a law so that ks_statistic takes its per-point CDF path."""
+    """A normal law whose CDF calls the scalar normal_cdf once per point."""
 
     def __init__(self, law):
-        self.cdf = law.cdf
+        self.law = law
+
+    def cdf(self, xs):
+        return np.array([stats.normal_cdf((x - self.law.mean) / math.sqrt(self.law.var)) for x in xs])
 
 
 @pytest.mark.parametrize("law", [stats.STD_NORMAL, stats.Normal(1.3, 2.7), stats.Normal(-4, 1)])
 def test_ks_normal_fast_path_equals_pointwise_path(law):
+    # the array Normal.cdf is normal_cdf's arithmetic, point by point, bit for bit
     s = derive_stream(77, 0)
     x = 1.3 + 1.7 * s.standard_normals(20_000)
     tied = np.round(x, 1)  # about 200 distinct values
-    weighted = stats.WeightedSample.from_values(tied[:500], s.uniforms(500) + 0.1)
     far = np.array([-40.0, -9.0, 0.0, 9.0, 40.0])  # CDF saturates at 0 and 1
-    for sample in (x, tied, weighted, far, [2.5]):
-        fast = stats.ks_statistic(sample, law)
-        assert fast == stats.ks_statistic(sample, _PointwiseLaw(law))
+    for sample in (x, tied, far, np.array([2.5])):
+        assert np.array_equal(law.cdf(sample), _PointwiseLaw(law).cdf(sample))
+        assert stats.ks_statistic(sample, law) == stats.ks_statistic(sample, _PointwiseLaw(law))
+    weights = s.uniforms(500) + 0.1
+    fast = stats.ks_statistic(tied[:500], law, weights=weights)
+    assert fast == stats.ks_statistic(tied[:500], _PointwiseLaw(law), weights=weights)
 
 
 def test_ks_errors():
     with pytest.raises(ValueError):
         stats.ks_statistic([], stats.STD_NORMAL)
     with pytest.raises(ValueError):
-        stats.WeightedSample.from_values([1.0], [0.0])
+        stats.ks_statistic([1.0], stats.STD_NORMAL, weights=[0.0])
+    with pytest.raises(ValueError):
+        stats.ks_statistic([1.0, 2.0], stats.STD_NORMAL, weights=[1.0])
+
+
+@pytest.mark.parametrize("ties", [False, True])
+@pytest.mark.parametrize("law,name", [(stats.STD_NORMAL, "norm"), (stats.Uniform01(), "uniform")])
+def test_ks_statistic_matches_scipy_kstest(law, name, ties):
+    scipy_stats = pytest.importorskip("scipy.stats")
+    s = derive_stream(78, 0)
+    x = s.standard_normals(5000) if name == "norm" else s.uniforms(5000)
+    if ties:
+        x = np.round(x, 2)
+    want = scipy_stats.kstest(x, name).statistic
+    assert stats.ks_statistic(x, law) == pytest.approx(want, abs=1e-12)
+
+
+def test_law_cdfs_take_arrays():
+    # Normal with var > 0: test_ks_normal_fast_path_equals_pointwise_path
+    x = np.array([-2.0, -0.5, 0.0, 0.25, 1.0, 3.0])
+    assert np.array_equal(stats.Normal(0.25, 0.0).cdf(x), [0, 0, 0, 1, 1, 1])
+    assert np.array_equal(stats.PointMass(0.0).cdf(x), [0, 0, 1, 1, 1, 1])
+    assert np.array_equal(stats.Uniform01().cdf(x), [0, 0, 0, 0.25, 1, 1])
+    e = math.exp(-1.0)
+    assert stats.Poisson(1.0).cdf(x) == pytest.approx([0, 0, e, e, 2 * e, 2.5 * e + e / 6])
 
 
 @given(
