@@ -2,14 +2,18 @@
 
 Every closed form and every simulator in the package is checked against the
 enumerations here on small instances.  Budgets are hard caps with explicit
-errors, never silent truncation; probabilities are accumulated in double
-precision (the instance sizes keep the rounding error far below the 1e-12
-assertion tolerances).
+errors, never silent truncation.  Where every enumerated case is equally
+likely (the joint depth laws), outcomes are counted as integers and divided
+once at the end, so the mass is 1 to within a few ulps: adding 1.3 million
+equal double weights at n = 8 drifted 1.3e-12 from 1, past the 1e-12
+tolerance of ExactLaw.check.  The other laws accumulate probabilities in
+double precision.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 from math import comb
 
@@ -50,6 +54,12 @@ class ExactLaw:
     def max_abs_diff(self, other: "ExactLaw") -> float:
         keys = set(self.probs) | set(other.probs)
         return max(abs(self.probs.get(k, 0.0) - other.probs.get(k, 0.0)) for k in keys)
+
+
+def _equal_weight_law(counts: Counter) -> ExactLaw:
+    """Law of outcomes counted once per equally likely case."""
+    total = sum(counts.values())
+    return ExactLaw({o: c / total for o, c in counts.items()}).check()
 
 
 # ---------------------------------------------------------------------------
@@ -155,12 +165,10 @@ def exact_rrt_joint_depths(n: int, include_root: bool = True) -> ExactLaw:
         raise BudgetError(f"n={n} exceeds the enumeration budget of 8")
     if n < 1:
         raise ValueError("n must be >= 1")
-    law = ExactLaw()
+    counts: Counter = Counter()  # every (history, pair) case is equally likely
     parent = [0] * (n + 1)
     dep = [0] * (n + 1)
     lo = 0 if include_root else 1
-    hist_p = 1.0 / math.factorial(n)
-    pair_p = 1.0 / (n + 1 - lo) ** 2
 
     def lca_depth(u, v):
         while dep[u] > dep[v]:
@@ -173,10 +181,9 @@ def exact_rrt_joint_depths(n: int, include_root: bool = True) -> ExactLaw:
 
     def rec(k: int):
         if k > n:
-            w = hist_p * pair_p
             for u in range(lo, n + 1):
                 for v in range(lo, n + 1):
-                    law.add((dep[u], dep[v], lca_depth(u, v)), w)
+                    counts[(dep[u], dep[v], lca_depth(u, v))] += 1
             return
         for par in range(k):
             parent[k] = par
@@ -184,7 +191,7 @@ def exact_rrt_joint_depths(n: int, include_root: bool = True) -> ExactLaw:
             rec(k + 1)
 
     rec(1)
-    return law.check()
+    return _equal_weight_law(counts)
 
 
 def exact_rrt_depth(n: int) -> ExactLaw:
@@ -218,14 +225,13 @@ def exact_bst_joint_depths(n: int) -> tuple:
         raise BudgetError(f"n={n} exceeds the enumeration budget of 8")
     if n < 1:
         raise ValueError("n must be >= 1")
-    depth_law = ExactLaw()
-    left_law = ExactLaw()
+    # every (history, pair) case is equally likely: k+1 free slots at step k
+    depth_counts: Counter = Counter()
+    left_counts: Counter = Counter()
     parent = [-1] * n
     slot = [-1] * n
     dep = [0] * n
     ldep = [0] * n
-    hist_p = 1.0 / math.factorial(n)
-    pair_p = 1.0 / n**2
 
     def lca_stats(u, v):
         while dep[u] > dep[v]:
@@ -238,12 +244,11 @@ def exact_bst_joint_depths(n: int) -> tuple:
 
     def rec(k: int, free: list):
         if k == n:
-            w = hist_p * pair_p
             for u in range(n):
                 for v in range(n):
                     dl, ll = lca_stats(u, v)
-                    depth_law.add((dep[u], dep[v], dl), w)
-                    left_law.add((ldep[u], ldep[v], ll), w)
+                    depth_counts[(dep[u], dep[v], dl)] += 1
+                    left_counts[(ldep[u], ldep[v], ll)] += 1
             return
         for i in range(len(free)):
             par, sl = free[i]
@@ -258,7 +263,7 @@ def exact_bst_joint_depths(n: int) -> tuple:
     dep[0] = 0
     ldep[0] = 0
     rec(1, [(0, 0), (0, 1)])
-    return depth_law.check(), left_law.check()
+    return _equal_weight_law(depth_counts), _equal_weight_law(left_counts)
 
 
 # ---------------------------------------------------------------------------

@@ -7,11 +7,17 @@ complete kappa-ary recursive tree grown by uniform leaf splitting (kind
 "kary").  Trees live in flat arenas of integer ids; node ids equal insertion
 rank, words are rebuilt on demand from parent pointers, and growth steps are
 O(1).
+
+Batches of recursive trees and of their rotation images (the free-slot
+binary trees) also come as (reps, n+1) parent arrays, with depths and
+LCA depths computed by whole-array steps.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+
+import numpy as np
 
 from .measures import AtomicMeasure
 from .randomness import RngStream
@@ -461,6 +467,67 @@ def profile(t: GrowingTree) -> AtomicMeasure:
     for d in t.depth:
         counts[d] = counts.get(d, 0) + 1
     return AtomicMeasure((k, c / n) for k, c in sorted(counts.items()))
+
+
+# ---------------------------------------------------------------------------
+# batched parent arrays
+# ---------------------------------------------------------------------------
+
+
+def rrt_parents(n: int, reps: int, s: RngStream) -> np.ndarray:
+    """(reps, n+1) parent arrays of independent recursive trees after n growth
+    steps.  Node k >= 1 takes parent floor(U*k), all from one uniforms call
+    laid out (reps, n) row-major, so a row holds grow_rrt's parents for the
+    same draws.  Each root is its own parent."""
+    par = np.zeros((reps, n + 1), dtype=np.intp)
+    par[:, 1:] = s.uniforms(reps * n).reshape(reps, n) * np.arange(1, n + 1)
+    return par
+
+
+def rotation_parents(par: np.ndarray) -> np.ndarray:
+    """Parent arrays of the rotation images of the recursive trees `par`, over
+    the same node ids.  Node c >= 1 hangs below its previous sibling in birth
+    order (the 1-slot) or, as a first child, below its planar parent (the
+    0-slot).  Node 1, the root's first child, is the binary root; node 0 stays
+    above it as a virtual root, so every binary depth and LCA depth is one less
+    than in the returned array."""
+    reps, n1 = par.shape
+    key = (par[:, 1:] + n1 * np.arange(reps)[:, None]).ravel()  # flat parent ids
+    order = np.argsort(key, kind="stable")  # siblings adjacent, in birth order
+    key = key[order]
+    node = order % (n1 - 1) + 1
+    first = np.r_[True, key[1:] != key[:-1]]
+    up = np.empty_like(key)
+    up[order] = np.where(first, key % n1, np.roll(node, 1))
+    out = np.zeros_like(par)
+    out[:, 1:] = up.reshape(reps, n1 - 1)
+    return out
+
+
+def parent_depths(par: np.ndarray) -> np.ndarray:
+    """Node depths along (reps, m) parent arrays whose roots are their own
+    parents, by pointer doubling: each round doubles every node's jump."""
+    reps, m = par.shape
+    jump = (par + m * np.arange(reps)[:, None]).ravel()  # flat ids
+    dep = (jump != np.arange(jump.size)).astype(np.int64)  # length of each jump
+    while not np.array_equal(nxt := jump[jump], jump):
+        dep += dep[jump]
+        jump = nxt
+    return dep.reshape(reps, m)
+
+
+def lca_depths(par: np.ndarray, dep: np.ndarray, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Depth of the deepest common ancestor of nodes u[i] and v[i] of tree i,
+    given parent arrays and their depths: each round steps the deeper node of
+    every unmet pair up, or both at equal depths."""
+    rows = np.arange(par.shape[0])
+    while (live := u != v).any():
+        du, dv = dep[rows, u], dep[rows, v]
+        u, v = (
+            np.where(live & (du >= dv), par[rows, u], u),
+            np.where(live & (dv >= du), par[rows, v], v),
+        )
+    return dep[rows, u]
 
 
 # ---------------------------------------------------------------------------

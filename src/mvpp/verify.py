@@ -11,7 +11,6 @@ byte-identical.
 from __future__ import annotations
 
 import math
-from collections import Counter
 
 import numpy as np
 
@@ -47,14 +46,15 @@ from .process import (
 from .randomness import derive_stream
 from .trees import (
     build_planar,
-    grow_bst_leaf,
-    grow_rrt,
     lca,
+    lca_depths,
     left_depth,
+    parent_depths,
     planar_shapes,
     rotation,
     rotation_inverse,
-    sample_uniform_node,
+    rotation_parents,
+    rrt_parents,
 )
 
 M0_POINT = AtomicMeasure([(0, 1.0)])
@@ -145,39 +145,42 @@ def check_rrt_depth_clt(root_seed: int, n: int = 100_000) -> dict:
 
 def check_bst_depth_clt(root_seed: int, n: int = 100_000) -> dict:
     pool = []
-    for i in range(10):
+    for i in range(10):  # one tree at a time bounds the peak memory
         s = derive_stream(root_seed, 310 + i)
-        t = grow_bst_leaf(n, s)
-        pool.extend(t.depth[j] for j in s.integers(0, n, 1000))
-    return _depth_clt("bst_depth_clt", pool, 2 * math.log(n))
+        dep = parent_depths(rotation_parents(rrt_parents(n, 1, s)))[0]
+        pool.append(dep[s.integers(1, n + 1, 1000)] - 1)  # less the virtual root
+    return _depth_clt("bst_depth_clt", np.concatenate(pool), 2 * math.log(n))
 
 
 def _tv_threshold(pmf: dict, replicas: int) -> float:
     return 3 * 0.5 * sum(math.sqrt(p * (1 - p) / replicas) for p in pmf.values())
 
 
-def _lca_pmf(name: str, grow, ref: dict, n: int, replicas: int, s) -> dict:
-    """Simulated LCA-depth pmf of two uniform nodes of `grow(n, s)` trees
-    against the exhaustive small-n law `ref`."""
-    counts: Counter = Counter()
-    for _ in range(replicas):
-        t = grow(n, s)
-        u = sample_uniform_node(t, s)
-        v = sample_uniform_node(t, s)
-        counts[t.depth[lca(t, u, v)]] += 1
-    tv = stats.total_variation(stats.counts_to_pmf(counts), ref)
-    thr = _tv_threshold(ref, replicas)
+def _lca_pmf(name: str, ref: dict, n: int, par, lo: int, s) -> dict:
+    """Simulated LCA-depth pmf of two uniform nodes among columns lo.. of each
+    parent array in `par`, against the exhaustive small-n law `ref`; lo = 1
+    skips a rotation image's virtual root, which adds 1 to every depth."""
+    reps, n1 = par.shape
+    u = s.integers(lo, n1, reps)
+    v = s.integers(lo, n1, reps)
+    d, cnt = np.unique(lca_depths(par, parent_depths(par), u, v) - lo, return_counts=True)
+    tv = stats.total_variation(stats.counts_to_pmf(dict(zip(d.tolist(), cnt.tolist()))), ref)
+    thr = _tv_threshold(ref, reps)
     return _result(name, round(tv, 5), round(thr, 5), tv <= thr, n=n)
 
 
 def check_rrt_lca_pmf(root_seed: int, n: int = 6, replicas: int = 100_000) -> dict:
     ref = oracle.exact_rrt_joint_depths(n).marginal(lambda o: o[2]).probs
-    return _lca_pmf("rrt_lca_pmf_vs_oracle", grow_rrt, ref, n, replicas, derive_stream(root_seed, 303))
+    s = derive_stream(root_seed, 303)
+    return _lca_pmf("rrt_lca_pmf_vs_oracle", ref, n, rrt_parents(n, replicas, s), 0, s)
 
 
 def check_bst_lca_pmf(root_seed: int, n: int = 6, replicas: int = 100_000) -> dict:
+    """The n-node free-slot binary tree is the rotation image of the recursive
+    tree with n+1 nodes."""
     ref = oracle.exact_bst_joint_depths(n)[0].marginal(lambda o: o[2]).probs
-    return _lca_pmf("bst_lca_pmf_vs_oracle", grow_bst_leaf, ref, n, replicas, derive_stream(root_seed, 304))
+    s = derive_stream(root_seed, 304)
+    return _lca_pmf("bst_lca_pmf_vs_oracle", ref, n, rotation_parents(rrt_parents(n, replicas, s)), 1, s)
 
 
 # ---------------------------------------------------------------------------

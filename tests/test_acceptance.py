@@ -21,7 +21,7 @@ from mvpp import verify
 ROOT_SEED = 1
 
 # sha256 of `mvpp verify --suite all --seed 1`'s verify_all.json
-VERIFY_ALL_SHA256 = "36dfc024add3311a7d4575b96c0e420acba099e717d538ae9ef5bfdb99f6f247"
+VERIFY_ALL_SHA256 = "7068a278f498e08117acd66e635e51452cdf8ccfcaad2239fc32486b757e07d1"
 
 
 @pytest.fixture(scope="module")

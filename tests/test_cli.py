@@ -245,6 +245,13 @@ def test_oracle_subcommand_kary(tmp_path):
     assert len(out.read_text().strip().splitlines()) == 4
 
 
+def test_oracle_subcommand_at_the_budget(tmp_path):
+    out = tmp_path / "bst8.csv"
+    assert cli.main(["oracle", "--name", "bst-joint-depths", "--n", "8", "--out", str(out)]) == 0
+    probs = [float(row.rsplit(",", 1)[1]) for row in out.read_text().strip().splitlines()[1:]]
+    assert abs(sum(probs) - 1.0) <= 1e-12
+
+
 def test_oracle_unknown_name(capsys):
     assert cli.run_oracle("nope", 2, 2, None) == 2
 

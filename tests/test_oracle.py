@@ -1,8 +1,11 @@
+import numpy as np
 import pytest
 
-from mvpp import oracle
+from mvpp import oracle, stats, verify
 from mvpp.kernels import DColourKernel, KDiscreteKernel
 from mvpp.measures import AtomicMeasure
+from mvpp.randomness import derive_stream
+from mvpp.trees import parent_depths, rotation_parents, rrt_parents
 
 IDENT2 = DColourKernel([[1.0, 0.0], [0.0, 1.0]])
 
@@ -104,6 +107,36 @@ def test_left_depth_transport_law_at_n3():
     rrt = oracle.exact_rrt_joint_depths(3, include_root=False)
     rrt_pairs = rrt.marginal(lambda o: (o[0] - 1, o[1] - 1))
     assert bst_pairs.max_abs_diff(rrt_pairs) < 1e-12
+
+
+@pytest.fixture(scope="module", params=[3, 8])
+def joint_depth_laws(request):
+    n = request.param
+    return n, oracle.exact_rrt_joint_depths(n), oracle.exact_bst_joint_depths(n)
+
+
+def test_joint_depth_laws_hold_their_mass_up_to_the_budget(joint_depth_laws):
+    # at n = 8, adding 1.3 million equal double weights drifted past 1e-12
+    _, rrt, (depth_law, left_law) = joint_depth_laws
+    for law in (rrt, depth_law, left_law):
+        law.check()
+
+
+def test_batched_tree_paths_match_the_joint_depth_laws(joint_depth_laws):
+    # the one-node binary-tree depth and both LCA depths of the parent-array
+    # path, scored as verify scores its LCA checks
+    n, rrt, (bst, _) = joint_depth_laws
+    reps = 100_000
+    s = derive_stream(12, n)
+    bpar = rotation_parents(rrt_parents(n, reps, s))
+    depth = parent_depths(bpar)[np.arange(reps), s.integers(1, n + 1, reps)] - 1
+    d, cnt = np.unique(depth, return_counts=True)
+    ref = bst.marginal(lambda o: o[0]).probs
+    tv = stats.total_variation(dict(zip(d.tolist(), (cnt / reps).tolist())), ref)
+    assert tv <= verify._tv_threshold(ref, reps)
+    for law, par, lo in ((rrt, rrt_parents(n, reps, s), 0), (bst, bpar, 1)):
+        ref = law.marginal(lambda o: o[2]).probs
+        assert verify._lca_pmf("lca", ref, n, par, lo, s)["pass"]
 
 
 def test_depth_budgets():

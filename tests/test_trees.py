@@ -18,11 +18,15 @@ from mvpp.trees import (
     grow_kary_dirichlet,
     grow_rrt,
     lca,
+    lca_depths,
     left_depth,
+    parent_depths,
     planar_shapes,
     profile,
     rotation,
     rotation_inverse,
+    rotation_parents,
+    rrt_parents,
     sample_uniform_leaf,
     sample_uniform_node,
     swap_subtrees,
@@ -319,6 +323,44 @@ def test_rotation_depth_and_lca_transport_exhaustive():
                     if a in (u, v):
                         continue  # identity needs non-nested pairs
                     assert t.depth[a] == left_depth(b, lca(b, mp[u], mp[v]))
+
+
+def test_rotation_parents_equal_the_rotation_image():
+    # bit for bit against grow_rrt and trees.rotation under its node_map:
+    # parents, depths and the LCA depth of every ordered pair
+    for i in range(300):
+        n = 1 + i % 12
+        t = grow_rrt(n, derive_stream(11, i))
+        par = rrt_parents(n, 1, derive_stream(11, i))
+        assert par[0].tolist() == [0] + t.parent[1:]
+        assert parent_depths(par)[0].tolist() == t.depth
+        b, mp = rotation(t)
+        planar = {mp[c]: c for c in range(1, n + 1)}
+        planar[-1] = 0  # the binary root hangs below the virtual root
+        bpar = rotation_parents(par)
+        bdep = parent_depths(bpar)
+        assert bpar[0, 1:].tolist() == [planar[b.parent[mp[c]]] for c in range(1, n + 1)]
+        assert (bdep[0, 1:] - 1).tolist() == [b.depth[mp[c]] for c in range(1, n + 1)]
+        u, v = (x.ravel() for x in np.meshgrid(np.arange(n + 1), np.arange(n + 1)))
+        rows = np.zeros(u.size, dtype=int)
+        got = lca_depths(par[rows], parent_depths(par)[rows], u, v)
+        assert got.tolist() == [t.depth[lca(t, a, c)] for a, c in zip(u, v)]
+        inner = (u > 0) & (v > 0)
+        got = lca_depths(bpar[rows[inner]], bdep[rows[inner]], u[inner], v[inner]) - 1
+        assert got.tolist() == [b.depth[lca(b, mp[a], mp[c])] for a, c in zip(u[inner], v[inner])]
+
+
+def test_batched_bst_depth_matches_grow_bst_leaf():
+    # one uniform node per tree: the depths of one tree's nodes are dependent
+    n, reps = 100, 8000
+    s = derive_stream(10, 25)
+    scalar = []
+    for _ in range(reps):
+        t = grow_bst_leaf(n, s)
+        scalar.append(t.depth[sample_uniform_node(t, s)])
+    dep = parent_depths(rotation_parents(rrt_parents(n, reps, s)))
+    batched = dep[np.arange(reps), s.integers(1, n + 1, reps)] - 1
+    assert stats.ks_two_sample(scalar, batched) < stats.ks_two_sample_critical(0.01, reps, reps)
 
 
 def test_rotation_inverse_of_bst_is_recursive_tree_law():
