@@ -157,10 +157,37 @@ def _exact_urn_law_kdiscrete(m0: AtomicMeasure, kernel: KDiscreteKernel, n: int)
 # ---------------------------------------------------------------------------
 
 
+def _first_seen_order(counts: Counter, seen: int, lab: list, pairs: list) -> int:
+    """Move the keys `counts` gained past its first `seen` into the order in
+    which the triples (lab[u], lab[v], lab[lca]) of `pairs` first list them;
+    return the new key count.  With `pairs` one history's node pairs in
+    row-major order, the keys keep the order of a pair-by-pair count, so sums
+    over the law (ExactLaw.marginal) round the same way."""
+    fresh = set(list(counts)[seen:])
+    for o in dict.fromkeys((lab[u], lab[v], lab[m]) for u, v, m in pairs):
+        if o in fresh:
+            counts[o] = counts.pop(o)
+    return len(counts)
+
+
+def _lca(parent: list, dep: list, u: int, v: int) -> int:
+    while dep[u] > dep[v]:
+        u = parent[u]
+    while dep[v] > dep[u]:
+        v = parent[v]
+    while u != v:
+        u, v = parent[u], parent[v]
+    return u
+
+
 def exact_rrt_joint_depths(n: int, include_root: bool = True) -> ExactLaw:
     """Joint law of (|U|, |V|, |U ^ V|) for independent uniform nodes U, V of
     the n-step recursive tree, enumerated over all attachment histories.
-    U = V is allowed; include_root=False restricts U, V to non-root nodes."""
+    U = V is allowed; include_root=False restricts U, V to non-root nodes.
+
+    A pair's triple is fixed once its later node k attaches, so each history
+    prefix counts node k against every earlier node (both orders, one walk)
+    and itself, weighted by its n!/k! completions."""
     if n > 8:
         raise BudgetError(f"n={n} exceeds the enumeration budget of 8")
     if n < 1:
@@ -169,27 +196,29 @@ def exact_rrt_joint_depths(n: int, include_root: bool = True) -> ExactLaw:
     parent = [0] * (n + 1)
     dep = [0] * (n + 1)
     lo = 0 if include_root else 1
-
-    def lca_depth(u, v):
-        while dep[u] > dep[v]:
-            u = parent[u]
-        while dep[v] > dep[u]:
-            v = parent[v]
-        while u != v:
-            u, v = parent[u], parent[v]
-        return dep[u]
+    ways = [math.factorial(n) // math.factorial(k) for k in range(n + 1)]
+    seen = 0
 
     def rec(k: int):
-        if k > n:
-            for u in range(lo, n + 1):
-                for v in range(lo, n + 1):
-                    counts[(dep[u], dep[v], lca_depth(u, v))] += 1
-            return
+        nonlocal seen
+        w = ways[k]
         for par in range(k):
             parent[k] = par
-            dep[k] = dep[par] + 1
-            rec(k + 1)
+            dk = dep[k] = dep[par] + 1
+            counts[dk, dk, dk] += w
+            for u in range(lo, k):
+                du, dl = dep[u], dep[_lca(parent, dep, u, k)]
+                counts[du, dk, dl] += w
+                counts[dk, du, dl] += w
+            if k < n:
+                rec(k + 1)
+            elif len(counts) > seen:  # new keys in this history
+                nodes = range(lo, n + 1)
+                pairs = [(u, v, _lca(parent, dep, u, v)) for u in nodes for v in nodes]
+                seen = _first_seen_order(counts, seen, dep, pairs)
 
+    if include_root:
+        counts[0, 0, 0] += ways[0]
     rec(1)
     return _equal_weight_law(counts)
 
@@ -220,7 +249,8 @@ def exact_rrt_depth(n: int) -> ExactLaw:
 def exact_bst_joint_depths(n: int) -> tuple:
     """Joint laws for the n-node uniform-slot binary tree: returns
     (depth triple law, left-depth triple law) for two independent uniform
-    nodes (U = V allowed)."""
+    nodes (U = V allowed).  Counted by history prefix as in
+    exact_rrt_joint_depths, with n!/(k+1)! completions after node k."""
     if n > 8:
         raise BudgetError(f"n={n} exceeds the enumeration budget of 8")
     if n < 1:
@@ -229,40 +259,40 @@ def exact_bst_joint_depths(n: int) -> tuple:
     depth_counts: Counter = Counter()
     left_counts: Counter = Counter()
     parent = [-1] * n
-    slot = [-1] * n
     dep = [0] * n
     ldep = [0] * n
+    ways = [math.factorial(n) // math.factorial(k + 1) for k in range(n)]
+    seen = [0, 0]
 
-    def lca_stats(u, v):
-        while dep[u] > dep[v]:
-            u = parent[u]
-        while dep[v] > dep[u]:
-            v = parent[v]
-        while u != v:
-            u, v = parent[u], parent[v]
-        return dep[u], ldep[u]
+    def add(k: int):
+        dk, lk, w = dep[k], ldep[k], ways[k]
+        depth_counts[dk, dk, dk] += w
+        left_counts[lk, lk, lk] += w
+        for u in range(k):
+            m = _lca(parent, dep, u, k)
+            du, dm, lu, lm = dep[u], dep[m], ldep[u], ldep[m]
+            depth_counts[du, dk, dm] += w
+            depth_counts[dk, du, dm] += w
+            left_counts[lu, lk, lm] += w
+            left_counts[lk, lu, lm] += w
 
     def rec(k: int, free: list):
-        if k == n:
-            for u in range(n):
-                for v in range(n):
-                    dl, ll = lca_stats(u, v)
-                    depth_counts[(dep[u], dep[v], dl)] += 1
-                    left_counts[(ldep[u], ldep[v], ll)] += 1
-            return
         for i in range(len(free)):
             par, sl = free[i]
             parent[k] = par
-            slot[k] = sl
-            dep[k] = dep[par] + 1 if par >= 0 else 0
-            ldep[k] = (ldep[par] if par >= 0 else 0) + (1 if sl == 0 else 0)
-            rest = free[:i] + free[i + 1 :] + [(k, 0), (k, 1)]
-            rec(k + 1, rest)
+            dep[k] = dep[par] + 1
+            ldep[k] = ldep[par] + (1 if sl == 0 else 0)
+            add(k)
+            if k < n - 1:
+                rec(k + 1, free[:i] + free[i + 1 :] + [(k, 0), (k, 1)])
+            elif [len(depth_counts), len(left_counts)] != seen:  # new keys in this history
+                pairs = [(u, v, _lca(parent, dep, u, v)) for u in range(n) for v in range(n)]
+                seen[0] = _first_seen_order(depth_counts, seen[0], dep, pairs)
+                seen[1] = _first_seen_order(left_counts, seen[1], ldep, pairs)
 
-    parent[0] = -1
-    dep[0] = 0
-    ldep[0] = 0
-    rec(1, [(0, 0), (0, 1)])
+    add(0)
+    if n > 1:
+        rec(1, [(0, 0), (0, 1)])
     return _equal_weight_law(depth_counts), _equal_weight_law(left_counts)
 
 

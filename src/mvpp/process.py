@@ -37,7 +37,7 @@ from .kernels import (
 )
 from .measures import AtomicMeasure, normalize, sample_atom
 from .randomness import RngStream
-from .trees import KARY, PLANAR, GrowingTree
+from .trees import KARY, PLANAR, GrowingTree, parent_depths
 from . import stats
 
 
@@ -465,17 +465,36 @@ def batch_bst_walk_leaf_colours(n, reps, increment, s) -> tuple:
 
 
 def batch_kary_shift_leaf_labels(n, reps, kappa, s) -> np.ndarray:
-    """(reps, 1+n*(kappa-1)) leaf labels under the +1 shift kernel; the label
-    of a ball equals its depth in the kappa-ary tree."""
-    n_leaves = 1 + n * (kappa - 1)
-    labels = np.zeros((reps, n_leaves), dtype=np.int32)
-    rows = np.arange(reps)
-    for k in range(n):
-        size = 1 + k * (kappa - 1)
-        idx = s.integers(0, size, reps)
-        v = labels[rows, idx] + 1
-        labels[rows, idx] = v
-        labels[:, size : size + kappa - 1] = v[:, None]
+    """(reps, 1+n*(kappa-1)) leaf labels under the +1 shift kernel, in slot
+    order: split k picks a uniform slot of the 1+k*(kappa-1) present, adds 1
+    to its label and appends kappa-1 slots with the new label, so a label is
+    its leaf's depth in the kappa-ary tree.
+
+    One call draws every split position, the values of n successive per-split
+    calls.  Labels are then depths in an event tree, one replica at a time:
+    split k is node k+1 below a virtual root 0, and its value is 1 + its
+    slot's value just before.  So its parent is the previous split of that
+    slot, else the split that created the slot, node (slot-1)//(kappa-1) + 1
+    (node 0 for slot 0).  A slot ends with the depth of its last split, else
+    of its creator: the step-by-step recursion's labels, bit for bit."""
+    k1 = kappa - 1
+    pos = s.integers(0, 1 + np.arange(n)[:, None] * k1, (n, reps)).T.astype(np.int32)
+    labels = np.empty((reps, 1 + n * k1), dtype=np.int32)
+
+    def creator(slot):  # node that created each slot; 0 for slot 0
+        return (slot + k1 - 1) // k1
+
+    for row, p in zip(labels, pos):  # per replica, to bound the working arrays
+        node = np.argsort(p, kind="stable")  # each slot's splits adjacent, in time order
+        slot = p[node]
+        node += 1  # split k is node k+1
+        first = np.diff(slot, prepend=-1) != 0
+        last = np.diff(slot, append=-1) != 0
+        par = np.zeros(n + 1, dtype=np.int32)
+        par[node] = np.where(first, creator(slot), np.roll(node, 1))
+        dep = parent_depths(par[None])[0]
+        row[:] = dep[creator(np.arange(row.size, dtype=np.int32))]
+        row[slot[last]] = dep[node[last]]
     return labels
 
 

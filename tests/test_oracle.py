@@ -139,6 +139,73 @@ def test_batched_tree_paths_match_the_joint_depth_laws(joint_depth_laws):
         assert verify._lca_pmf("lca", ref, n, par, lo, s)["pass"]
 
 
+def _pair_by_pair_counts(n, include_root=True):
+    """The joint depth counts of every history and every ordered node pair,
+    one LCA walk per pair: recursive-tree depth triples, then binary-tree
+    depth and left-depth triples, each keyed in first-seen order."""
+
+    def lca(parent, dep, u, v):
+        while u != v:
+            if dep[u] >= dep[v]:
+                u = parent[u]
+            else:
+                v = parent[v]
+        return u
+
+    rrt, bst, left = {}, {}, {}
+    parent, dep = [0] * (n + 1), [0] * (n + 1)
+    nodes = range(0 if include_root else 1, n + 1)
+
+    def rec_rrt(k):
+        if k > n:
+            for u in nodes:
+                for v in nodes:
+                    o = (dep[u], dep[v], dep[lca(parent, dep, u, v)])
+                    rrt[o] = rrt.get(o, 0) + 1
+            return
+        for par in range(k):
+            parent[k], dep[k] = par, dep[par] + 1
+            rec_rrt(k + 1)
+
+    ldep = [0] * n
+
+    def rec_bst(k, free):
+        if k == n:
+            for u in range(n):
+                for v in range(n):
+                    m = lca(parent, dep, u, v)
+                    o, ol = (dep[u], dep[v], dep[m]), (ldep[u], ldep[v], ldep[m])
+                    bst[o] = bst.get(o, 0) + 1
+                    left[ol] = left.get(ol, 0) + 1
+            return
+        for i, (par, side) in enumerate(free):
+            parent[k], dep[k], ldep[k] = par, dep[par] + 1, ldep[par] + (side == 0)
+            rec_bst(k + 1, free[:i] + free[i + 1 :] + [(k, 0), (k, 1)])
+
+    rec_rrt(1)
+    rec_bst(1, [(0, 0), (0, 1)])
+    return rrt, bst, left
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 7])
+def test_joint_depth_laws_equal_the_pair_by_pair_count(n):
+    # key for key, bit for bit and in the same key order, so that every
+    # marginal sums its probabilities in the same order
+    rrt, bst, left = _pair_by_pair_counts(n)
+    rrt_inner = _pair_by_pair_counts(n, include_root=False)[0]
+    laws = (
+        oracle.exact_rrt_joint_depths(n),
+        oracle.exact_rrt_joint_depths(n, include_root=False),
+        *oracle.exact_bst_joint_depths(n),
+    )
+    for law, counts in zip(laws, (rrt, rrt_inner, bst, left)):
+        total = sum(counts.values())
+        ref = oracle.ExactLaw({o: c / total for o, c in counts.items()})
+        assert list(law.probs.items()) == list(ref.probs.items())
+        for key in (lambda o: o[0], lambda o: o[2], lambda o: (o[0], o[1])):
+            assert list(law.marginal(key).probs.items()) == list(ref.marginal(key).probs.items())
+
+
 def test_depth_budgets():
     with pytest.raises(oracle.BudgetError):
         oracle.exact_rrt_joint_depths(9)

@@ -396,6 +396,44 @@ def test_batch_kary_shift_depth_mean():
     assert 1.1 <= lab.mean() / math.log(200) <= 1.9
 
 
+def _kary_split_loop(n, reps, kappa, s):
+    """Split by split: one uniform slot per replica gains 1, and kappa-1 new
+    slots take its new label."""
+    labels = np.zeros((reps, 1 + n * (kappa - 1)), dtype=np.int32)
+    rows = np.arange(reps)
+    for k in range(n):
+        size = 1 + k * (kappa - 1)
+        idx = s.integers(0, size, reps)
+        v = labels[rows, idx] + 1
+        labels[rows, idx] = v
+        labels[:, size : size + kappa - 1] = v[:, None]
+    return labels
+
+
+@pytest.mark.parametrize(
+    "kappa, n, reps",
+    [(kappa, n, 5) for kappa in (2, 3, 5) for n in (0, 1, 2, 7, 1000)] + [(3, 100_000, 4)],
+)
+def test_kary_event_tree_equals_the_split_by_split_loop(kappa, n, reps):
+    s, ref_s = derive_stream(32, n + kappa), derive_stream(32, n + kappa)
+    lab = batch_kary_shift_leaf_labels(n, reps, kappa, s)
+    ref = _kary_split_loop(n, reps, kappa, ref_s)
+    assert lab.dtype == ref.dtype
+    assert np.array_equal(lab, ref)
+    assert np.array_equal(s.uniforms(4), ref_s.uniforms(4))  # the same draws consumed
+
+
+def test_batch_kary_labels_peak_memory_near_output():
+    s = derive_stream(32, 1)
+    tracemalloc.start()
+    try:
+        lab = batch_kary_shift_leaf_labels(100_000, 4, 3, s)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * lab.nbytes
+
+
 def test_batch_bmc_differs_from_coupling_at_root_children():
     inc = RademacherIncrement()
     s = derive_stream(30, 25)

@@ -104,6 +104,23 @@ def test_replay_across_sampler_kinds():
     assert drive(derive_stream(99, 3)) == drive(derive_stream(99, 3))
 
 
+@pytest.mark.parametrize(
+    "highs, reps",
+    [(1 + np.arange(20_000) * (kappa - 1), 4) for kappa in (2, 3, 5)]
+    + [(np.arange(1, 1001), 10_000)],
+    ids=["kary2", "kary3", "kary5", "uniform-attachment"],
+)
+def test_array_bound_integers_equal_successive_calls(highs, reps):
+    # batch_kary_shift_leaf_labels draws all its splits in one call on this
+    # property of numpy's Generator.integers; if an upgrade breaks it, this
+    # test names the cause of the moved report pin
+    a, b = derive_stream(9, highs.size), derive_stream(9, highs.size)
+    one_call = a.integers(0, highs[:, None], (highs.size, reps))
+    per_row = np.stack([b.integers(0, h, reps) for h in highs])
+    assert np.array_equal(one_call, per_row)
+    assert np.array_equal(a.uniforms(4), b.uniforms(4))
+
+
 def test_shuffled_is_permutation():
     s = derive_stream(7, 8)
     items = list(range(8))
