@@ -195,7 +195,8 @@ def _validate(obj, schema, path):
 # ---------------------------------------------------------------------------
 
 
-def svg_histogram(samples, path, title="rescaled samples", bins: int = 41, span: float = 4.0) -> None:
+def svg_histogram(samples, path, title="rescaled samples") -> None:
+    bins, span = 41, 4.0  # the histogram's bins over [-span, span]
     samples = np.asarray(samples, dtype=float)
     edges = np.linspace(-span, span, bins + 1)
     counts, _ = np.histogram(samples, bins=edges, density=True)
@@ -307,22 +308,26 @@ ORACLE_NAMES = (
 
 
 def run_oracle(name, n, kappa, out_path) -> int:
-    if name == "urn-identity":
-        kern = DColourKernel([[1.0, 0.0], [0.0, 1.0]])
-        law = oracle.exact_urn_law(AtomicMeasure([(0, 1.0), (1, 1.0)]), kern, n)
-    elif name == "rrt-joint-depths":
-        law = oracle.exact_rrt_joint_depths(n)
-    elif name == "bst-joint-depths":
-        law = oracle.exact_bst_joint_depths(n)[0]
-    elif name == "kary-subtree":
-        law = oracle.exact_kary_subtree_law(n, kappa)
-    elif name == "kary-closed-form":
-        law = oracle.closed_form_kary(n, kappa)
-    elif name == "coupling":
-        m0 = AtomicMeasure([(0, 0.5), (1, 0.5)])
-        law = oracle.exact_coupling_law(m0, DColourKernel([[0.5, 0.5], [0.25, 0.75]]), n)["direct"]
-    else:
-        print(f"unknown oracle {name!r}; choose from {ORACLE_NAMES}", file=sys.stderr)
+    try:
+        if name == "urn-identity":
+            kern = DColourKernel([[1.0, 0.0], [0.0, 1.0]])
+            law = oracle.exact_urn_law(AtomicMeasure([(0, 1.0), (1, 1.0)]), kern, n)
+        elif name == "rrt-joint-depths":
+            law = oracle.exact_rrt_joint_depths(n)
+        elif name == "bst-joint-depths":
+            law = oracle.exact_bst_joint_depths(n)[0]
+        elif name == "kary-subtree":
+            law = oracle.exact_kary_subtree_law(n, kappa)
+        elif name == "kary-closed-form":
+            law = oracle.closed_form_kary(n, kappa)
+        elif name == "coupling":
+            m0 = AtomicMeasure([(0, 0.5), (1, 0.5)])
+            law = oracle.exact_coupling_law(m0, DColourKernel([[0.5, 0.5], [0.25, 0.75]]), n)["direct"]
+        else:
+            print(f"unknown oracle {name!r}; choose from {ORACLE_NAMES}", file=sys.stderr)
+            return 2
+    except ValueError as e:  # a BudgetError too; nothing is written
+        print(f"error: oracle {name!r} at --n {n}: {e}", file=sys.stderr)
         return 2
     lines = ["outcome,probability"]
     for outcome, p in sorted(law.probs.items(), key=lambda kv: str(kv[0])):
@@ -336,6 +341,9 @@ def run_oracle(name, n, kappa, out_path) -> int:
 
 
 def run_profile(n, seed, out_dir, stream_id: int = 0) -> int:
+    if n < 1:  # the profile divides by the n growth steps
+        print(f"error: --n must be >= 1, got {n}", file=sys.stderr)
+        return 2
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     s = derive_stream(seed, stream_id)

@@ -227,13 +227,6 @@ class KDiscreteKernel(ReplacementKernel):
         return AtomicMeasure((y, 1.0 / self.kappa) for y in ys)
 
 
-def kernel_atoms(k: ReplacementKernel, x) -> AtomicMeasure:
-    out = k.atoms(x)
-    if out is None:
-        raise ValueError("kernel has no atomic form")
-    return out
-
-
 def sym_shuffle(atoms, s: RngStream, kappa: int | None = None) -> tuple:
     """A uniformly random ordering of the atom tuple."""
     atoms = tuple(atoms)
@@ -351,17 +344,17 @@ def plan_ergodic(gamma_law, claimed: bool = False) -> RenormalisationPlan:
     )
 
 
-def plan_stable(alpha: float, mean: float = 0.0, scale: float = 1.0) -> RenormalisationPlan:
-    """Heavy-tailed walk: a = n^(1/alpha); b = 0 below alpha=1, mean*n above."""
+def plan_stable(alpha: float) -> RenormalisationPlan:
+    """Heavy-tailed walk: a = n^(1/alpha), b = 0; the route scores the Hill
+    exponent of the rescaled samples, which no centring changes."""
     if not (0 < alpha < 2):
         raise ValueError("stable plan needs alpha in (0, 2)")
-    centred = alpha >= 1
     return RenormalisationPlan(
         name="stable",
         a=lambda n: n ** (1.0 / alpha),
-        b=(lambda n: mean * n) if centred else (lambda n: 0.0),
+        b=lambda n: 0.0,
         f=lambda x: 0.0,
-        gamma_reference=stats.StableLaw(alpha, 0.0, scale),
+        gamma_reference=stats.StableLaw(alpha),
     )
 
 

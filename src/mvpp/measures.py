@@ -1,10 +1,11 @@
 """Finite atomic measures on colour spaces and the complex-analytic series.
 
-Colours are plain Python values: an int in [0, d) for a finite palette, a
-signed int for the lattice, a float (or tuple of floats) for real colour
-spaces.  All colours inside one experiment share one variant and dimension.
-Continuous urn states are never materialised as atoms; only finitely-atomic
-objects and sample lists live here.
+Colours are plain Python scalars: an int in [0, d) for a finite palette, a
+signed int for the lattice, a float for the real line.  There are no vector
+colours; the one planar walk (verify's d = 2 projection check) is carried as
+complex numbers in arrays and never becomes a measure.  Continuous urn
+states are never materialised as atoms; only finitely-atomic objects and
+sample lists live here.
 """
 
 from __future__ import annotations
@@ -66,9 +67,6 @@ class AtomicMeasure:
             raise ValueError("scale factor must be positive")
         return AtomicMeasure((c, w * factor) for c, w in self._atoms.items())
 
-    def plus(self, other: "AtomicMeasure") -> "AtomicMeasure":
-        return AtomicMeasure(list(self._atoms.items()) + list(other._atoms.items()))
-
 
 def normalize(mu: AtomicMeasure) -> AtomicMeasure:
     """Probability measure proportional to mu."""
@@ -101,16 +99,13 @@ class Rescaling:
     """Affine rescaling x -> (x - b) / a pushed forward onto measures."""
 
     a: float
-    b: object = 0.0  # scalar or vector matching the colour dimension
+    b: float = 0.0
 
     def __post_init__(self):
         if self.a <= 0:
             raise ValueError("scale a must be positive")
 
     def apply(self, x):
-        if isinstance(x, tuple):
-            b = self.b if isinstance(self.b, tuple) else (self.b,) * len(x)
-            return tuple((xi - bi) / self.a for xi, bi in zip(x, b))
         return (x - self.b) / self.a
 
 
@@ -152,34 +147,19 @@ def z_n(n: int, x: complex) -> complex:
 
 
 def empirical_f_n(labels, theta, m) -> complex:
-    """Rescaled empirical Fourier transform of n+1 labels at theta.
-
-    Z_n(e^{-i m.theta}) times the average of e^{i theta . X_k}; labels are
-    scalars or d-vectors with theta and m of matching shape.
-    """
+    """Rescaled empirical Fourier transform of n+1 scalar labels at theta:
+    Z_n(e^{-i m theta}) times the average of e^{i theta X_k}."""
     arr = np.asarray(labels, dtype=float)
     if arr.size == 0:
         raise ValueError("labels must be nonempty")
-    if arr.ndim == 1:
-        dot = arr * float(theta)
-        mtheta = float(m) * float(theta)
-    else:
-        th = np.asarray(theta, dtype=float)
-        dot = arr @ th
-        mtheta = float(np.dot(np.asarray(m, dtype=float), th))
-    n = arr.shape[0] - 1
-    avg = complex(np.mean(np.exp(1j * dot)))
-    return z_n(n, cmath.exp(-1j * mtheta)) * avg
+    avg = complex(np.mean(np.exp(1j * (arr * float(theta)))))
+    return z_n(arr.size - 1, cmath.exp(-1j * (float(m) * float(theta)))) * avg
 
 
 def expected_f_n(n: int, theta, m, phi) -> complex:
     """Closed form for E[F_n] when the walk starts from a point mass at 0:
-    Z_n(e^{-i m.theta}) Z_n(Phi(theta) + 1) / (n + 1)."""
-    if np.ndim(theta) == 0:
-        mtheta = float(m) * float(theta)
-    else:
-        mtheta = float(np.dot(np.asarray(m, float), np.asarray(theta, float)))
-    return z_n(n, cmath.exp(-1j * mtheta)) * z_n(n, phi(theta) + 1.0) / (n + 1)
+    Z_n(e^{-i m theta}) Z_n(Phi(theta) + 1) / (n + 1)."""
+    return z_n(n, cmath.exp(-1j * (float(m) * float(theta)))) * z_n(n, phi(theta) + 1.0) / (n + 1)
 
 
 def t_n(labels, theta, m, phi) -> complex:
@@ -219,16 +199,5 @@ def pbar_recursion(n: int, z1: complex, z2: complex, phi, m0_cf=None) -> complex
 
 
 def measure_to_csv_lines(mu: AtomicMeasure) -> list:
-    """CSV lines colour_component_1,...,colour_component_d,weight."""
-    rows = []
-    dim = 1
-    for colour, _ in mu.atoms():
-        if isinstance(colour, tuple):
-            dim = len(colour)
-        break
-    header = ",".join(f"colour_component_{i + 1}" for i in range(dim)) + ",weight"
-    rows.append(header)
-    for colour, weight in mu.atoms():
-        comps = colour if isinstance(colour, tuple) else (colour,)
-        rows.append(",".join(repr(float(c)) for c in comps) + f",{weight!r}")
-    return rows
+    """CSV lines colour_component_1,weight, one row per atom."""
+    return ["colour_component_1,weight"] + [f"{float(c)!r},{w!r}" for c, w in mu.atoms()]

@@ -7,7 +7,9 @@ likely (the joint depth laws), outcomes are counted as integers and divided
 once at the end, so the mass is 1 to within a few ulps: adding 1.3 million
 equal double weights at n = 8 drifted 1.3e-12 from 1, past the 1e-12
 tolerance of ExactLaw.check.  The other laws accumulate probabilities in
-double precision.
+double precision.  Marginals are order-free: ExactLaw.marginal sums each
+value's probabilities exactly rounded (math.fsum), so two laws equal as
+dicts give equal marginals whatever their key order.
 """
 
 from __future__ import annotations
@@ -37,19 +39,20 @@ class ExactLaw:
     def total(self) -> float:
         return sum(self.probs.values())
 
-    def check(self, tol: float = 1e-12) -> "ExactLaw":
+    def check(self) -> "ExactLaw":
         t = self.total()
-        if abs(t - 1.0) > tol:
-            raise AssertionError(f"law mass {t} is off from 1 by more than {tol}")
-        if any(p < -tol for p in self.probs.values()):
+        if abs(t - 1.0) > 1e-12:
+            raise AssertionError(f"law mass {t} is off from 1 by more than 1e-12")
+        if any(p < -1e-12 for p in self.probs.values()):
             raise AssertionError("negative probability")
         return self
 
     def marginal(self, fn) -> "ExactLaw":
-        out = ExactLaw()
+        """Law of fn(outcome), each value's mass an fsum: free of key order."""
+        parts: dict = {}
         for outcome, p in self.probs.items():
-            out.add(fn(outcome), p)
-        return out
+            parts.setdefault(fn(outcome), []).append(p)
+        return ExactLaw({k: math.fsum(ps) for k, ps in parts.items()})
 
     def max_abs_diff(self, other: "ExactLaw") -> float:
         keys = set(self.probs) | set(other.probs)
@@ -157,19 +160,6 @@ def _exact_urn_law_kdiscrete(m0: AtomicMeasure, kernel: KDiscreteKernel, n: int)
 # ---------------------------------------------------------------------------
 
 
-def _first_seen_order(counts: Counter, seen: int, lab: list, pairs: list) -> int:
-    """Move the keys `counts` gained past its first `seen` into the order in
-    which the triples (lab[u], lab[v], lab[lca]) of `pairs` first list them;
-    return the new key count.  With `pairs` one history's node pairs in
-    row-major order, the keys keep the order of a pair-by-pair count, so sums
-    over the law (ExactLaw.marginal) round the same way."""
-    fresh = set(list(counts)[seen:])
-    for o in dict.fromkeys((lab[u], lab[v], lab[m]) for u, v, m in pairs):
-        if o in fresh:
-            counts[o] = counts.pop(o)
-    return len(counts)
-
-
 def _lca(parent: list, dep: list, u: int, v: int) -> int:
     while dep[u] > dep[v]:
         u = parent[u]
@@ -197,10 +187,8 @@ def exact_rrt_joint_depths(n: int, include_root: bool = True) -> ExactLaw:
     dep = [0] * (n + 1)
     lo = 0 if include_root else 1
     ways = [math.factorial(n) // math.factorial(k) for k in range(n + 1)]
-    seen = 0
 
     def rec(k: int):
-        nonlocal seen
         w = ways[k]
         for par in range(k):
             parent[k] = par
@@ -212,10 +200,6 @@ def exact_rrt_joint_depths(n: int, include_root: bool = True) -> ExactLaw:
                 counts[dk, du, dl] += w
             if k < n:
                 rec(k + 1)
-            elif len(counts) > seen:  # new keys in this history
-                nodes = range(lo, n + 1)
-                pairs = [(u, v, _lca(parent, dep, u, v)) for u in nodes for v in nodes]
-                seen = _first_seen_order(counts, seen, dep, pairs)
 
     if include_root:
         counts[0, 0, 0] += ways[0]
@@ -262,7 +246,6 @@ def exact_bst_joint_depths(n: int) -> tuple:
     dep = [0] * n
     ldep = [0] * n
     ways = [math.factorial(n) // math.factorial(k + 1) for k in range(n)]
-    seen = [0, 0]
 
     def add(k: int):
         dk, lk, w = dep[k], ldep[k], ways[k]
@@ -285,10 +268,6 @@ def exact_bst_joint_depths(n: int) -> tuple:
             add(k)
             if k < n - 1:
                 rec(k + 1, free[:i] + free[i + 1 :] + [(k, 0), (k, 1)])
-            elif [len(depth_counts), len(left_counts)] != seen:  # new keys in this history
-                pairs = [(u, v, _lca(parent, dep, u, v)) for u in range(n) for v in range(n)]
-                seen[0] = _first_seen_order(depth_counts, seen[0], dep, pairs)
-                seen[1] = _first_seen_order(left_counts, seen[1], ldep, pairs)
 
     add(0)
     if n > 1:

@@ -397,13 +397,12 @@ def batch_rrt_walk_labels(n, reps, increment, s, m0=None, dtype=float) -> np.nda
     return labels
 
 
-def batch_bmc_walk_labels(n, reps, increment, s, x0: float = 0.0) -> np.ndarray:
+def batch_bmc_walk_labels(n, reps, increment, s) -> np.ndarray:
     """Labels of the pure branching walk on the recursive tree: the root
-    carries x0 and every child is its parent's label plus an increment.
+    carries 0 and every child is its parent's label plus an increment.
     This is the tree-indexed walk behind the Fourier-martingale machinery;
     it differs from the urn coupling only at the root's children."""
     labels = np.zeros((reps, n + 1), dtype=float)
-    labels[:, 0] = x0
     _attach_path_sums(labels, s, increment)
     return labels
 
@@ -532,6 +531,7 @@ def composite_reference(plan: RenormalisationPlan) -> stats.Normal:
 
 
 HILL_BAND = 0.4  # criterion 11: a stable run passes when |hill - alpha| <= HILL_BAND
+KS_GATE, TV_GATE = 0.05, 0.05  # the walk plans' KS; the queue's TV and the palette's l1
 
 
 def verify_main_theorem(
@@ -542,8 +542,6 @@ def verify_main_theorem(
     replicas: int,
     s: RngStream,
     urns: int = 16,
-    ks_threshold: float = 0.05,
-    tv_threshold: float = 0.05,
 ) -> dict:
     """Rescaled-limit check: pooled pair marginals against the plan's limit.
 
@@ -552,15 +550,15 @@ def verify_main_theorem(
     by beta*log n for kappa-discrete kernels.  The stable plan is scored by the
     Hill exponent of the pooled samples (k = max(len/40, 10)), which must lie
     within HILL_BAND of alpha; the other walk plans by the KS distance to the
-    composite limit.  Both report the pooled pair correlation of a bounded
-    test function.  The queue is scored by the total variation of one urn's
-    pmf to the plan's reference law, finite palettes by the l1 distance of one
-    urn's composition to the Perron limit.  Per grid point, `samples` holds
-    the rescaled values that were scored (the pooled a's then b's, or the
-    scored urn's drawn colours) and `measures` the scored urn's measure (None
-    for pooled pairs).  A grid point with a(log n) = 0, which is n = 1 under
-    every growing scale, raises ValueError, and so does a walk or stable kernel
-    with an initial measure of mass other than 1.
+    composite limit (KS_GATE).  Both report the pooled pair correlation of a
+    bounded test function.  The queue is scored by the total variation of one
+    urn's pmf to the plan's reference law, finite palettes by the l1 distance
+    of one urn's composition to the Perron limit (both TV_GATE).  Per grid
+    point, `samples` holds the rescaled values that were scored (the pooled
+    a's then b's, or the scored urn's drawn colours) and `measures` the scored
+    urn's measure (None for pooled pairs).  A grid point with a(log n) = 0,
+    which is n = 1 under every growing scale, raises ValueError, and so does a
+    walk or stable kernel with an initial measure of mass other than 1.
     """
     if isinstance(kernel, RandomWalkKernel) and abs(m0.total_mass - 1.0) > 1e-12:
         raise ValueError(f"the walk route grows recursive trees, so m0 needs mass 1, not {m0.total_mass:g}")
@@ -590,20 +588,20 @@ def verify_main_theorem(
         if isinstance(kernel, MMInfQueueKernel):
             pmf = {int(c): w / urn.total_mass for c, w in urn.atoms()}
             entry["tv"] = stats.total_variation(pmf, plan.gamma_reference.pmf_dict(max(pmf) + 10))
-            entry["pass"] = entry["tv"] <= tv_threshold
+            entry["pass"] = entry["tv"] <= TV_GATE
             continue
         if isinstance(kernel, DColourKernel):
             lam, v1 = leading_eigenpair(kernel.rows)
             comp = np.array([urn.weight(j) for j in range(kernel.d)]) / n
             entry["l1"] = float(np.abs(comp - lam * v1).sum())
-            entry["pass"] = entry["l1"] <= tv_threshold
+            entry["pass"] = entry["l1"] <= TV_GATE
             continue
         if plan.name == "stable":
             entry["hill"] = stats.hill_tail_exponent(values, max(len(values) // 40, 10))
             entry["pass"] = abs(entry["hill"] - plan.gamma_reference.alpha) <= HILL_BAND
         else:
             entry["ks"] = stats.ks_statistic(values, composite_reference(plan))
-            entry["pass"] = entry["ks"] <= ks_threshold
+            entry["pass"] = entry["ks"] <= KS_GATE
         phi_a, phi_b = np.cos(np.split(values, 2))
         if np.std(phi_a) > 0 and np.std(phi_b) > 0:
             entry["decorrelation"] = float(np.corrcoef(phi_a, phi_b)[0, 1])

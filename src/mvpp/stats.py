@@ -90,60 +90,6 @@ def chi_square_sf(x: float, dof: int) -> float:
     return gamma_q(dof / 2.0, x / 2.0)
 
 
-def _beta_contfrac(a: float, b: float, x: float) -> float:
-    tiny = 1e-300
-    qab, qap, qam = a + b, a + 1.0, a - 1.0
-    c = 1.0
-    d = 1.0 - qab * x / qap
-    if abs(d) < tiny:
-        d = tiny
-    d = 1.0 / d
-    h = d
-    for m in range(1, 10_000):
-        m2 = 2 * m
-        aa = m * (b - m) * x / ((qam + m2) * (a + m2))
-        d = 1.0 + aa * d
-        if abs(d) < tiny:
-            d = tiny
-        c = 1.0 + aa / c
-        if abs(c) < tiny:
-            c = tiny
-        d = 1.0 / d
-        h *= d * c
-        aa = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
-        d = 1.0 + aa * d
-        if abs(d) < tiny:
-            d = tiny
-        c = 1.0 + aa / c
-        if abs(c) < tiny:
-            c = tiny
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
-        if abs(delta - 1.0) < 1e-16:
-            break
-    return h
-
-
-def beta_inc(a: float, b: float, x: float) -> float:
-    """Regularized incomplete beta I_x(a, b)."""
-    if x <= 0:
-        return 0.0
-    if x >= 1:
-        return 1.0
-    ln = (
-        math.lgamma(a + b)
-        - math.lgamma(a)
-        - math.lgamma(b)
-        + a * math.log(x)
-        + b * math.log(1.0 - x)
-    )
-    front = math.exp(ln)
-    if x < (a + 1.0) / (a + b + 2.0):
-        return front * _beta_contfrac(a, b, x) / a
-    return 1.0 - front * _beta_contfrac(b, a, 1.0 - x) / b
-
-
 # ---------------------------------------------------------------------------
 # reference laws
 # ---------------------------------------------------------------------------
@@ -214,34 +160,6 @@ class MMInfJumpChain:
 
 
 @dataclass(frozen=True)
-class Geometric:
-    """Geometric law with success probability p.
-
-    support_start 0 counts failures before the first success
-    (pmf p (1-p)^k on {0, 1, ...}); support_start 1 counts trials
-    (pmf p (1-p)^(k-1) on {1, 2, ...}).
-    """
-
-    p: float
-    support_start: int = 0
-
-    def __post_init__(self):
-        if not (0 < self.p <= 1):
-            raise ValueError("p must be in (0, 1]")
-        if self.support_start not in (0, 1):
-            raise ValueError("support_start must be 0 or 1")
-
-    def pmf(self, k: int) -> float:
-        j = k - self.support_start
-        if j < 0:
-            return 0.0
-        return self.p * (1.0 - self.p) ** j
-
-    def pmf_dict(self, upto: int) -> dict:
-        return {k: self.pmf(k) for k in range(self.support_start, upto + 1)}
-
-
-@dataclass(frozen=True)
 class PointMass:
     value: float = 0.0
 
@@ -251,12 +169,10 @@ class PointMass:
 
 @dataclass(frozen=True)
 class StableLaw:
-    """Alpha-stable law by its parameters only (no closed-form CDF shipped);
-    the stable route scores the Hill exponent against alpha."""
+    """Alpha-stable law by its index alone (no CDF shipped); the
+    stable route scores the Hill exponent against alpha."""
 
     alpha: float
-    skew: float = 0.0
-    scale: float = 1.0
 
 
 # ---------------------------------------------------------------------------

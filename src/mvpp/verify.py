@@ -109,8 +109,9 @@ def _gaussian_ks(values, t: float) -> float:
     return stats.ks_statistic((vals - t) / math.sqrt(t), stats.STD_NORMAL, weights=cnts)
 
 
-def check_rrt_profile(root_seed: int, seeds: int = 20, n_top: int = 100_000) -> dict:
+def check_rrt_profile(root_seed: int) -> dict:
     """Rescaled-profile KS at nested sizes for `seeds` independent runs."""
+    seeds, n_top = 20, 100_000
     s = derive_stream(root_seed, 301)
     dep = batch_rrt_depths(n_top, seeds, s)
     grid = [n_top // 100, n_top // 10, n_top]
@@ -136,14 +137,16 @@ def _depth_clt(name: str, depths, t: float) -> dict:
     return _result(name, round(ks, 4), 0.1, ks <= 0.1)
 
 
-def check_rrt_depth_clt(root_seed: int, n: int = 100_000) -> dict:
+def check_rrt_depth_clt(root_seed: int) -> dict:
+    n = 100_000
     s = derive_stream(root_seed, 302)
     dep = batch_rrt_depths(n, 10, s)
     pool = [dep[i, s.integers(0, n + 1, 1000)] for i in range(10)]
     return _depth_clt("rrt_depth_clt", np.concatenate(pool), math.log(n))
 
 
-def check_bst_depth_clt(root_seed: int, n: int = 100_000) -> dict:
+def check_bst_depth_clt(root_seed: int) -> dict:
+    n = 100_000
     pool = []
     for i in range(10):  # one tree at a time bounds the peak memory
         s = derive_stream(root_seed, 310 + i)
@@ -169,15 +172,17 @@ def _lca_pmf(name: str, ref: dict, n: int, par, lo: int, s) -> dict:
     return _result(name, round(tv, 5), round(thr, 5), tv <= thr, n=n)
 
 
-def check_rrt_lca_pmf(root_seed: int, n: int = 6, replicas: int = 100_000) -> dict:
+def check_rrt_lca_pmf(root_seed: int) -> dict:
+    n, replicas = 6, 100_000
     ref = oracle.exact_rrt_joint_depths(n).marginal(lambda o: o[2]).probs
     s = derive_stream(root_seed, 303)
     return _lca_pmf("rrt_lca_pmf_vs_oracle", ref, n, rrt_parents(n, replicas, s), 0, s)
 
 
-def check_bst_lca_pmf(root_seed: int, n: int = 6, replicas: int = 100_000) -> dict:
+def check_bst_lca_pmf(root_seed: int) -> dict:
     """The n-node free-slot binary tree is the rotation image of the recursive
     tree with n+1 nodes."""
+    n, replicas = 6, 100_000
     ref = oracle.exact_bst_joint_depths(n)[0].marginal(lambda o: o[2]).probs
     s = derive_stream(root_seed, 304)
     return _lca_pmf("bst_lca_pmf_vs_oracle", ref, n, rotation_parents(rrt_parents(n, replicas, s)), 1, s)
@@ -203,9 +208,10 @@ def check_coupling_exact(root_seed: int) -> dict:
     return _result("coupling_exact_law_n3", worst, 1e-12, worst <= 1e-12)
 
 
-def check_coupling_two_sample(root_seed: int, n: int = 1000, reps: int = 10_000) -> dict:
+def check_coupling_two_sample(root_seed: int) -> dict:
     """Exact colour samples from direct / recursive-tree / binary-tree urns
     must be indistinguishable (two-sample KS below the 1% critical value)."""
+    n, reps = 1000, 10_000
     inc = RademacherIncrement()
     s = derive_stream(root_seed, 401)
 
@@ -272,8 +278,9 @@ def _bmc_rows(n: int, replicas: int, chunk: int, s, row_stat) -> np.ndarray:
     return np.concatenate(out)
 
 
-def check_tn_martingale_mean(root_seed: int, replicas: int = 10_000) -> dict:
+def check_tn_martingale_mean(root_seed: int) -> dict:
     """Monte Carlo mean of T_n(theta) within 3 standard errors of 1."""
+    replicas = 10_000
     phi = lambda t: complex(np.cos(t))
     entries = []
     ok = True
@@ -292,8 +299,9 @@ def check_tn_martingale_mean(root_seed: int, replicas: int = 10_000) -> dict:
     return _result("tn_martingale_mean", entries, "3 standard errors", ok, replicas=replicas)
 
 
-def check_pbar_recursion(root_seed: int, n: int = 100, replicas: int = 100_000) -> dict:
+def check_pbar_recursion(root_seed: int) -> dict:
     """Second-moment recursion against Monte Carlo E[fbar(z1) fbar(z2)]."""
+    n, replicas = 100, 100_000
     z1, z2 = 0.2j, -0.2j
     pb = pbar_recursion(n, z1, z2, lambda z: np.cos(z)).real
     vals = _bmc_rows(
@@ -312,8 +320,9 @@ def check_pbar_recursion(root_seed: int, n: int = 100, replicas: int = 100_000) 
 # ---------------------------------------------------------------------------
 
 
-def check_dcolour_limit(root_seed: int, n: int = 100_000) -> dict:
+def check_dcolour_limit(root_seed: int) -> dict:
     """Single-run composition against the Perron eigenpair."""
+    n = 100_000
     kern = DColourKernel([[0.6, 0.4], [0.3, 0.7]])
     s = derive_stream(root_seed, 601)
     entry = verify_main_theorem(kern, plan_ergodic(None), M0_POINT, [n], 1, s)["results"][0]
@@ -323,16 +332,18 @@ def check_dcolour_limit(root_seed: int, n: int = 100_000) -> dict:
     )
 
 
-def check_brw_normal(root_seed: int, n: int = 100_000, pairs: int = 10_000) -> dict:
+def check_brw_normal(root_seed: int) -> dict:
+    n, pairs = 100_000, 10_000
     s = derive_stream(root_seed, 602)
     entry = verify_main_theorem(walk_kernel_normal(), plan_brw(), M0_POINT, [n], pairs, s)["results"][0]
     return _result("brw_normal_increment_ks", round(entry["ks"], 4), 0.05, entry["pass"], n=n, pairs=pairs)
 
 
-def check_brw_rademacher(root_seed: int, n: int = 100_000, pairs: int = 10_000) -> dict:
+def check_brw_rademacher(root_seed: int) -> dict:
     """Fair-coin increments; the rescaled samples live on a unit lattice, so
     the sup distance to the Gaussian is floored near phi(0)/(2 sqrt(log n))
     (~0.059 at n = 1e5) regardless of the pair budget."""
+    n, pairs = 100_000, 10_000
     s = derive_stream(root_seed, 603)
     entry = verify_main_theorem(walk_kernel_rademacher(), plan_brw(), M0_POINT, [n], pairs, s)["results"][0]
     floor = stats.normal_pdf(0.0) / (2 * math.sqrt(math.log(n)))
@@ -347,10 +358,11 @@ def check_brw_rademacher(root_seed: int, n: int = 100_000, pairs: int = 10_000) 
     )
 
 
-def check_brw_pathwise_monotone(root_seed: int, seeds: int = 20) -> dict:
+def check_brw_pathwise_monotone(root_seed: int) -> dict:
     """Single-path proxy for almost-sure convergence: the KS of the rescaled
     label measure is non-increasing in at least 2 of 3 comparisons across
     nested n, for at least 18 of 20 paths."""
+    seeds = 20
     s = derive_stream(root_seed, 604)
     lab = batch_rrt_walk_labels(100_000, seeds, NormalIncrement(0.0, 1.0), s, m0=M0_POINT)
     good = 0
@@ -374,8 +386,9 @@ class _ComplexNormalIncrement:
         return out
 
 
-def check_brw_d2_projections(root_seed: int, n: int = 100_000, pairs: int = 10_000) -> dict:
+def check_brw_d2_projections(root_seed: int) -> dict:
     """Two fixed 1-d projections of the planar walk urn, same bounds."""
+    n, pairs = 100_000, 10_000
     s = derive_stream(root_seed, 605)
     inc = _ComplexNormalIncrement()
     pool = batch_walk_pairs(n, 16, pairs, inc, s, dtype=complex) / math.sqrt(math.log(n))
@@ -403,26 +416,29 @@ def _forest_sizes(weights, n: int, reps: int, s) -> np.ndarray:
     return w
 
 
-def check_forest_mass2(root_seed: int, n: int = 1000, reps: int = 2000) -> dict:
+def check_forest_mass2(root_seed: int) -> dict:
     """Mass-2 forest: the leading tree-size fraction is asymptotically
     uniform (flat Dirichlet marginal)."""
+    n, reps = 1000, 2000
     sizes = _forest_sizes([1.0, 1.0], n, reps, derive_stream(root_seed, 606))
     ks = stats.ks_statistic(sizes[:, 0] / n, stats.Uniform01())
     return _result("forest_mass2_uniform", round(ks, 4), 0.05, ks <= 0.05, n=n, replicas=reps)
 
 
-def check_forest_fractional(root_seed: int, n: int = 10_000, reps: int = 50) -> dict:
+def check_forest_fractional(root_seed: int) -> dict:
     """Mass-2.5 forest: every tree keeps a positive size fraction."""
+    n, reps = 10_000, 50
     w = _forest_sizes([1.0, 1.0, 0.5], n, reps, derive_stream(root_seed, 607))
     nodes = np.column_stack([w[:, 0], w[:, 1], w[:, 2] + 0.5])
     min_frac = float((nodes.min(axis=1) / n).min())
     return _result("forest_fractional_liminf", round(min_frac, 6), 0.001, min_frac > 0.001, replicas=reps, n=n)
 
 
-def check_mminf_poisson(root_seed: int, n: int = 100_000) -> dict:
+def check_mminf_poisson(root_seed: int) -> dict:
     """Queue example: urn pmf against Poisson(1) as stated; the total
     variation of the same urn to the jump chain's true stationary law
     (x+1)/(2e x!) is reported alongside."""
+    n = 100_000
     s = derive_stream(root_seed, 608)
     kern = MMInfQueueKernel(1.0, 1.0)
     out = verify_main_theorem(kern, plan_ergodic(stats.Poisson(1.0)), M0_POINT, [n], 1, s)
@@ -440,10 +456,11 @@ def check_mminf_poisson(root_seed: int, n: int = 100_000) -> dict:
     )
 
 
-def check_stable_hill(root_seed: int, n: int = 100_000, pairs: int = 10_000, alpha: float = 1.5) -> dict:
+def check_stable_hill(root_seed: int) -> dict:
     """Heavy-tail sanity only: Hill exponent of the rescaled samples within
     alpha +- HILL_BAND, plus quantile-quantile data against simulated stable
     draws for visual inspection (not asserted)."""
+    n, pairs, alpha = 100_000, 10_000, 1.5
     s = derive_stream(root_seed, 609)
     out = verify_main_theorem(walk_kernel_stable(alpha), plan_stable(alpha), M0_POINT, [n], pairs, s)
     entry, pool = out["results"][0], out["samples"][0]
@@ -489,11 +506,12 @@ def check_kary_closed_form(root_seed: int) -> dict:
     return _result("kary_subtree_closed_form", worst, 1e-10, passed, tree_count_2_2=k2)
 
 
-def check_kappa3_depth(root_seed: int, n: int = 100_000) -> dict:
+def check_kappa3_depth(root_seed: int) -> dict:
     """Shift kernel at kappa = 3: mean label / log n near beta = 1.5, and the
     rescaled leaf labels near the standard Gaussian.  One run fluctuates by
     about 0.05 in the mean ratio (the root's splits persist), so four
     independent runs are pooled."""
+    n = 100_000
     s = derive_stream(root_seed, 702)
     lab = batch_kary_shift_leaf_labels(n, 4, 3, s)
     beta = 1.5

@@ -12,6 +12,7 @@ numbers.  Everything else must be green.
 """
 
 import hashlib
+import inspect
 import json
 
 import pytest
@@ -222,3 +223,11 @@ def test_verify_all_report_is_pinned(suite_all):
         f"the seed-1 verify_all.json now hashes to {digest}: record each check's "
         "old and new statistic in CHANGES.md before moving this pin"
     )
+
+
+def test_every_check_takes_only_the_root_seed():
+    # budgets and gates are constants in each check's body, so a caller can
+    # neither resize nor loosen a check
+    for checks in verify.SUITES.values():
+        for fn in checks:
+            assert list(inspect.signature(fn).parameters) == ["root_seed"], fn.__name__

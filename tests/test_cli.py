@@ -256,6 +256,22 @@ def test_oracle_unknown_name(capsys):
     assert cli.run_oracle("nope", 2, 2, None) == 2
 
 
+@pytest.mark.parametrize("name,n", [("rrt-joint-depths", 9), ("kary-subtree", 0)])
+def test_oracle_rejects_an_n_outside_its_range(tmp_path, capsys, name, n):
+    out = tmp_path / "law.csv"
+    assert cli.main(["oracle", "--name", name, "--n", str(n), "--out", str(out)]) == 2
+    assert "--n" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("n", [0, -3])
+def test_profile_rejects_an_n_below_one(tmp_path, capsys, n):
+    out = tmp_path / "out"
+    assert cli.main(["profile", "--n", str(n), "--out", str(out)]) == 2
+    assert "--n" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_profile_subcommand(tmp_path):
     assert cli.run_profile(10, 3, tmp_path) == 0
     tree_rows = (tmp_path / "rrt_n10_tree.csv").read_text().strip().splitlines()

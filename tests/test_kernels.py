@@ -14,7 +14,6 @@ from mvpp.kernels import (
     RandomWalkKernel,
     StableIncrement,
     companion_chain,
-    kernel_atoms,
     leading_eigenpair,
     plan_brw,
     plan_ergodic,
@@ -49,7 +48,7 @@ def test_dcolour_sampling_and_atoms():
     s = derive_stream(20, 0)
     hits = sum(k.sample(0, s) == 1 for _ in range(50_000))
     assert abs(hits / 50_000 - 0.4) < 0.01
-    atoms = kernel_atoms(k, 1)
+    atoms = k.atoms(1)
     assert atoms.weight(0) == pytest.approx(0.3)
     assert atoms.total_mass == pytest.approx(1.0, abs=1e-12)
     with pytest.raises(ValueError):
@@ -80,7 +79,7 @@ def test_random_walk_deterministic_increment():
 
 def test_kdiscrete_atoms_merge_and_mass():
     k = KDiscreteKernel(3, lambda x: (x, x + 1, x + 1))
-    atoms = kernel_atoms(k, 5)
+    atoms = k.atoms(5)
     assert atoms.weight(5) == pytest.approx(1 / 3)
     assert atoms.weight(6) == pytest.approx(2 / 3)
     assert atoms.total_mass == pytest.approx(1.0, abs=1e-12)
@@ -103,8 +102,7 @@ def test_kdiscrete_sampling_is_uniform_over_atoms():
 
 
 def test_kernel_atoms_requires_atomic():
-    with pytest.raises(ValueError):
-        kernel_atoms(walk_kernel_normal(), 0.0)
+    assert walk_kernel_normal().atoms(0.0) is None
 
 
 def test_stable_increment_validation():

@@ -302,7 +302,3 @@ def test_measure_csv_round_shape():
     lines = measure_to_csv_lines(mu)
     assert lines[0] == "colour_component_1,weight"
     assert len(lines) == 3
-
-    mu2 = AtomicMeasure([((0.0, 1.0), 2.0)])
-    lines2 = measure_to_csv_lines(mu2)
-    assert lines2[0] == "colour_component_1,colour_component_2,weight"

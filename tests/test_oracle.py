@@ -122,6 +122,15 @@ def test_joint_depth_laws_hold_their_mass_up_to_the_budget(joint_depth_laws):
         law.check()
 
 
+def test_marginals_do_not_depend_on_the_key_order(joint_depth_laws):
+    # a law rebuilt with its keys reversed gives bit-equal marginals
+    _, rrt, (depth_law, left_law) = joint_depth_laws
+    for law in (rrt, depth_law, left_law):
+        reversed_law = oracle.ExactLaw(dict(reversed(list(law.probs.items()))))
+        for key in (lambda o: o[0], lambda o: o[1], lambda o: o[2], lambda o: (o[0], o[1])):
+            assert reversed_law.marginal(key).probs == law.marginal(key).probs
+
+
 def test_batched_tree_paths_match_the_joint_depth_laws(joint_depth_laws):
     # the one-node binary-tree depth and both LCA depths of the parent-array
     # path, scored as verify scores its LCA checks
@@ -189,8 +198,7 @@ def _pair_by_pair_counts(n, include_root=True):
 
 @pytest.mark.parametrize("n", [1, 2, 3, 5, 7])
 def test_joint_depth_laws_equal_the_pair_by_pair_count(n):
-    # key for key, bit for bit and in the same key order, so that every
-    # marginal sums its probabilities in the same order
+    # key for key and bit for bit, laws and marginals alike
     rrt, bst, left = _pair_by_pair_counts(n)
     rrt_inner = _pair_by_pair_counts(n, include_root=False)[0]
     laws = (
@@ -201,9 +209,9 @@ def test_joint_depth_laws_equal_the_pair_by_pair_count(n):
     for law, counts in zip(laws, (rrt, rrt_inner, bst, left)):
         total = sum(counts.values())
         ref = oracle.ExactLaw({o: c / total for o, c in counts.items()})
-        assert list(law.probs.items()) == list(ref.probs.items())
+        assert law.probs == ref.probs
         for key in (lambda o: o[0], lambda o: o[2], lambda o: (o[0], o[1])):
-            assert list(law.marginal(key).probs.items()) == list(ref.marginal(key).probs.items())
+            assert law.marginal(key).probs == ref.marginal(key).probs
 
 
 def test_depth_budgets():

@@ -24,6 +24,8 @@ from mvpp.kernels import (
 )
 from mvpp.measures import AtomicMeasure
 from mvpp.process import (
+    KS_GATE,
+    TV_GATE,
     WINDOW_RATIO,
     _attach_path_sums,
     batch_bmc_walk_labels,
@@ -599,13 +601,12 @@ def test_verify_main_theorem_walk_smoke():
     s = derive_stream(30, 26)
     rep = verify_main_theorem(
         walk_kernel_rademacher(), plan_brw(0.0, 1.0), DELTA0, [2000], 800, s, urns=8,
-        ks_threshold=0.2,
     )
     entry = rep["results"][0]
     assert entry["n"] == 2000
     assert entry["ks"] is not None and entry["ks"] < 0.2
     assert abs(entry["decorrelation"]) < 0.2
-    assert rep["pass"]
+    assert entry["pass"] == (entry["ks"] <= KS_GATE)
 
 
 def test_verify_main_theorem_mminf_branch():
@@ -617,9 +618,10 @@ def test_verify_main_theorem_mminf_branch():
         [500],
         100,
         s,
-        tv_threshold=0.5,
     )
-    assert rep["results"][0]["tv"] is not None
+    entry = rep["results"][0]
+    assert entry["tv"] is not None and entry["tv"] <= 0.5
+    assert entry["pass"] == (entry["tv"] <= TV_GATE)
 
 
 def test_verify_main_theorem_kdiscrete_branch():
@@ -631,10 +633,10 @@ def test_verify_main_theorem_kdiscrete_branch():
         [500],
         400,
         s,
-        ks_threshold=0.25,
     )
-    assert rep["results"][0]["ks"] is not None
-    assert rep["pass"]
+    entry = rep["results"][0]
+    assert entry["ks"] is not None and entry["ks"] <= 0.25
+    assert entry["pass"] == (entry["ks"] <= KS_GATE)
 
 
 def test_verify_main_theorem_rejects_a_zero_scale():

@@ -178,10 +178,6 @@ def test_chi_square_sf_known_quantiles():
     assert stats.chi_square_sf(124.34, 99) == pytest.approx(0.043, abs=5e-3)
 
 
-def test_beta_inc_uniform_case():
-    assert stats.beta_inc(1, 1, 0.3) == pytest.approx(0.3)
-
-
 def test_poisson_pmf_values():
     law = stats.Poisson(1.0)
     e = math.exp(-1.0)
@@ -189,12 +185,6 @@ def test_poisson_pmf_values():
     assert law.pmf(1) == pytest.approx(e)
     assert law.pmf(2) == pytest.approx(e / 2)
     assert law.cdf(2) == pytest.approx(e * 2.5)
-
-
-def test_geometric_conventions():
-    g0 = stats.Geometric(0.5, support_start=0)
-    g1 = stats.Geometric(0.5, support_start=1)
-    assert g0.pmf(0) == 0.5 and g1.pmf(0) == 0.0 and g1.pmf(1) == 0.5
 
 
 @pytest.mark.parametrize("lam,mu", [(2.0, 1.0), (1.0, 1.0), (0.5, 2.0)])

@@ -134,12 +134,8 @@ def test_bst_subtree_split_is_binomial():
                 stack.extend(t.children[v])
         p = 1.0 - u1
 
-        def binom_cdf(k):
-            if k < 0:
-                return 0.0
-            if k >= n - 1:
-                return 1.0
-            return stats.beta_inc(n - 1 - k, k + 1, 1.0 - p)
+        def binom_cdf(k):  # Binomial(n-1, p), summed term by term
+            return math.fsum(math.comb(n - 1, j) * p**j * (1.0 - p) ** (n - 1 - j) for j in range(k + 1))
 
         pit.append(binom_cdf(size0 - 1) + s.next_uniform() * (binom_cdf(size0) - binom_cdf(size0 - 1)))
     assert stats.ks_statistic(np.array(pit), stats.Uniform01()) < 1.63 / math.sqrt(reps)
@@ -510,5 +506,5 @@ def test_rrt_lca_depth_approaches_geometric_half():
         u = np.where(m, parents[rows, u], u)
         v = np.where(m, parents[rows, v], v)
     pmf = stats.counts_to_pmf(Counter(depths[rows, u].tolist()))
-    tv_half = stats.total_variation(pmf, stats.Geometric(0.5, 0).pmf_dict(40))
+    tv_half = stats.total_variation(pmf, {k: 0.5 ** (k + 1) for k in range(41)})
     assert tv_half < 0.05
