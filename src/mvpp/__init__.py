@@ -12,7 +12,6 @@ from .kernels import (
     leading_eigenpair,
     plan_brw,
     plan_ergodic,
-    plan_kdiscrete_shift,
     plan_stable,
     walk_kernel_stable,
 )
@@ -54,7 +53,6 @@ __all__ = [
     "normalize",
     "plan_brw",
     "plan_ergodic",
-    "plan_kdiscrete_shift",
     "plan_stable",
     "profile",
     "rotation",

@@ -30,7 +30,6 @@ from .kernels import (
     StableIncrement,
     plan_brw,
     plan_ergodic,
-    plan_kdiscrete_shift,
     plan_stable,
     walk_kernel_constant,
     walk_kernel_normal,
@@ -79,10 +78,21 @@ def load_config(path) -> dict:
         raise ConfigError("n_grid values must be >= 1")
     if any(b <= a for a, b in zip(cfg["n_grid"], cfg["n_grid"][1:])):
         raise ConfigError("n_grid must be strictly increasing")
-    cfg["kernel"] = _parse_kernel(cp["kernel"])
+    cfg["kernel"] = _built("kernel", _parse_kernel, cp["kernel"])
     cfg["m0"] = _parse_m0(cp["m0"])
-    cfg["plan"] = _parse_plan(cp["plan"], cfg["kernel"])
+    cfg["plan"] = _built("plan", _parse_plan, cp["plan"], cfg["kernel"])
     return cfg
+
+
+def _built(section, parse, *args):
+    """parse(*args), with a ValueError raised by a value or by the kernel or
+    plan it builds reported as a ConfigError naming [section]."""
+    try:
+        return parse(*args)
+    except ConfigError:
+        raise
+    except ValueError as e:
+        raise ConfigError(f"bad [{section}] value: {e}")
 
 
 def _parse_kernel(sec):
@@ -101,17 +111,9 @@ def _parse_kernel(sec):
     if variant == "mminf":
         return MMInfQueueKernel(sec.getfloat("lam", fallback=1.0), sec.getfloat("mu", fallback=1.0))
     if variant == "dcolour":
-        try:
-            rows = [
-                [float(v) for v in row.split()]
-                for row in sec.get("rows", "").split(";")
-            ]
-            return DColourKernel(rows)
-        except (ValueError, TypeError) as e:
-            raise ConfigError(f"bad dcolour rows in [kernel]: {e}")
+        return DColourKernel([[float(v) for v in row.split()] for row in sec.get("rows", "").split(";")])
     if variant == "kdiscrete":
-        offs = [int(v) for v in sec.get("offsets", "1,1").split(",")]
-        return KDiscreteKernel.from_offsets(offs)
+        return KDiscreteKernel(int(v) for v in sec.get("offsets", "1,1").split(","))
     raise ConfigError(f"unknown kernel variant {variant!r} in [kernel]")
 
 
@@ -136,7 +138,8 @@ def _parse_plan(sec, kernel):
     preset = sec.get("preset", "")
     walk = isinstance(kernel, RandomWalkKernel)
     stable = walk and isinstance(kernel.increment, StableIncrement)
-    if preset == "brw" and walk and not stable:
+    kdiscrete = isinstance(kernel, KDiscreteKernel)  # a walk whose steps are its offsets
+    if (preset == "brw" and walk and not stable) or (preset == "kdiscrete-shift" and kdiscrete):
         return plan_brw(mean=kernel.mean, var=kernel.cov)
     if preset == "ergodic" and isinstance(kernel, MMInfQueueKernel):
         return plan_ergodic(stats.MMInfJumpChain(kernel.lam, kernel.mu), claimed=True)
@@ -144,8 +147,6 @@ def _parse_plan(sec, kernel):
         return plan_ergodic(None, claimed=True)  # the palette route scores the Perron limit
     if preset == "stable" and stable:
         return plan_stable(kernel.increment.alpha)
-    if preset == "kdiscrete-shift" and isinstance(kernel, KDiscreteKernel):
-        return plan_kdiscrete_shift()
     if preset in ("brw", "ergodic", "stable", "kdiscrete-shift"):
         raise ConfigError(f"plan preset {preset!r} does not fit the {type(kernel).__name__} in [kernel]")
     raise ConfigError(f"unknown plan preset {preset!r} in [plan]")
@@ -308,6 +309,9 @@ ORACLE_NAMES = (
 
 
 def run_oracle(name, n, kappa, out_path) -> int:
+    if name.startswith("kary-") and kappa < 2:  # a split must leave at least two leaves
+        print(f"error: oracle {name!r} needs --kappa >= 2, got {kappa}", file=sys.stderr)
+        return 2
     try:
         if name == "urn-identity":
             kern = DColourKernel([[1.0, 0.0], [0.0, 1.0]])

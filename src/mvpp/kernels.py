@@ -196,43 +196,31 @@ class MMInfQueueKernel(ReplacementKernel):
 
 
 class KDiscreteKernel(ReplacementKernel):
-    """Without-replacement urns: drawing x contributes kappa atoms
-    y_1(x), ..., y_kappa(x), each a ball of weight 1/kappa."""
+    """Without-replacement urns: drawing x contributes kappa balls of weight
+    1/kappa, at x + o for each offset o.  A uniform ball's colour is a walk
+    step, so the kernel declares the offsets' population mean and variance,
+    the fields a RandomWalkKernel declares."""
 
-    def __init__(self, kappa: int, atom_fn):
-        if kappa < 2:
-            raise ValueError("kappa must be >= 2")
-        self.kappa = kappa
-        self.atom_fn = atom_fn
-
-    @classmethod
-    def from_offsets(cls, offsets) -> "KDiscreteKernel":
-        offs = tuple(int(o) for o in offsets)
-        return cls(len(offs), lambda x: tuple(x + o for o in offs))
+    def __init__(self, offsets):
+        self.offsets = tuple(int(o) for o in offsets)
+        self.kappa = len(self.offsets)
+        if self.kappa < 2:
+            raise ValueError(f"a kappa-discrete kernel needs at least 2 offsets, got {self.kappa}")
+        self.mean = float(np.mean(self.offsets))
+        self.cov = float(np.var(self.offsets))
 
     def atom_tuple(self, x) -> tuple:
-        ys = tuple(self.atom_fn(x))
-        if len(ys) != self.kappa:
-            raise ValueError(
-                f"atom function returned {len(ys)} colours, expected {self.kappa}"
-            )
-        return ys
+        return tuple(x + o for o in self.offsets)
 
     def sample(self, x, s: RngStream):
-        ys = self.atom_tuple(x)
-        return ys[int(s.next_uniform() * self.kappa)]
+        return x + self.offsets[int(s.next_uniform() * self.kappa)]
+
+    def draw_many(self, s: RngStream, n: int) -> np.ndarray:
+        """The steps of n kernel draws: one uniform offset each."""
+        return np.array(self.offsets)[(s.uniforms(n) * self.kappa).astype(np.intp)]
 
     def atoms(self, x) -> AtomicMeasure:
-        ys = self.atom_tuple(x)
-        return AtomicMeasure((y, 1.0 / self.kappa) for y in ys)
-
-
-def sym_shuffle(atoms, s: RngStream, kappa: int | None = None) -> tuple:
-    """A uniformly random ordering of the atom tuple."""
-    atoms = tuple(atoms)
-    if kappa is not None and len(atoms) != kappa:
-        raise ValueError(f"expected {kappa} atoms, got {len(atoms)}")
-    return tuple(s.shuffled(list(atoms)))
+        return AtomicMeasure((y, 1.0 / self.kappa) for y in self.atom_tuple(x))
 
 
 def companion_chain(k: ReplacementKernel, x0, n: int, s: RngStream) -> list:
@@ -356,13 +344,3 @@ def plan_stable(alpha: float) -> RenormalisationPlan:
         f=lambda x: 0.0,
         gamma_reference=stats.StableLaw(alpha),
     )
-
-
-def plan_kdiscrete_shift() -> RenormalisationPlan:
-    """Deterministic +1 shift under without-replacement dynamics; the
-    companion walk is degenerate and the urn limit is standard normal."""
-    plan = plan_brw(mean=1.0, var=0.0)
-    plan.name = "kdiscrete-shift"
-    plan.gamma_reference = stats.PointMass(0.0)
-    return plan
-

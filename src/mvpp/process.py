@@ -33,7 +33,6 @@ from .kernels import (
     ReplacementKernel,
     RenormalisationPlan,
     leading_eigenpair,
-    sym_shuffle,
 )
 from .measures import AtomicMeasure, normalize, sample_atom
 from .randomness import RngStream
@@ -252,6 +251,14 @@ def mvpp_forest(m0: AtomicMeasure, kernel: ReplacementKernel, n: int, s: RngStre
     return ForestUrn(trees=trees, labels=labels, root_weights=roots, m0=m0, kernel=kernel)
 
 
+def _one_ball(m0: AtomicMeasure, kappa: int):
+    """Colour of m0's one ball of weight 1/kappa, which a kappa-discrete urn grows from."""
+    (colour, w), *rest = m0.atoms()
+    if rest or abs(w * kappa - 1.0) > 1e-9:
+        raise ValueError(f"a kappa-discrete urn grows from one ball: one atom of weight 1/{kappa}, not {m0.atoms()}")
+    return colour
+
+
 def mvpp_kdiscrete(m0: AtomicMeasure, kernel: KDiscreteKernel, n: int, s: RngStream) -> LabelledTree:
     """Without-replacement urn on a kappa-ary tree.
 
@@ -259,25 +266,19 @@ def mvpp_kdiscrete(m0: AtomicMeasure, kernel: KDiscreteKernel, n: int, s: RngStr
     drawn, removed (it becomes internal) and its kappa children receive the
     atoms of the replacement measure in a uniformly shuffled order, so that
     labels along any branch form a Markov chain under the kernel.  The tree
-    starts from the single ball whose colour is drawn from the normalized
-    initial measure.
+    starts from the single ball of m0, which must be one atom of weight
+    1/kappa.
     """
     if not isinstance(kernel, KDiscreteKernel):
         raise ValueError("mvpp_kdiscrete needs a kappa-discrete kernel")
     if n < 0:
         raise ValueError("n must be >= 0")
-    kappa = kernel.kappa
-    for _, w in m0.atoms():
-        balls = w * kappa
-        if abs(balls - round(balls)) > 1e-9:
-            raise ValueError(f"atom weight {w} is not a multiple of 1/{kappa}")
-    t = GrowingTree(KARY, kappa)
-    labels = [sample_atom(normalize(m0), s)]
+    t = GrowingTree(KARY, kernel.kappa)
+    labels = [_one_ball(m0, kernel.kappa)]
     for _ in range(n):
         u = t.leaf_list[int(s.next_uniform() * len(t.leaf_list))]
-        atoms = sym_shuffle(kernel.atom_tuple(labels[u]), s, kappa)
         t.split_leaf(u)
-        labels.extend(atoms)
+        labels.extend(s.shuffled(kernel.atom_tuple(labels[u])))
     return LabelledTree(kind="kary", tree=t, labels=labels, m0=m0, kernel=kernel)
 
 
@@ -414,15 +415,16 @@ def batch_rrt_depths(n, reps, s) -> np.ndarray:
     return depths
 
 
-def batch_walk_pairs(n, urns, pairs, increment, s, m0=None, dtype=float) -> np.ndarray:
-    """Pairs (a, b) of kernel draws at two independent uniform packets,
-    max(pairs // urns, 1) from each of `urns` independent walk urns, pooled
-    as all a's then all b's."""
-    labels = batch_rrt_walk_labels(n, urns, increment, s, m0=m0, dtype=dtype)
+def batch_walk_pairs(labels, pairs, increment, s) -> np.ndarray:
+    """Pairs (a, b) of kernel draws at two independent uniform packets of
+    each urn, a row of `labels` (one label per packet): max(pairs // urns, 1)
+    per urn, each packet's label plus one increment, pooled as all a's then
+    all b's."""
+    urns, size = labels.shape
     per = max(pairs // urns, 1)
     rows = np.repeat(np.arange(urns), per)
-    iu = s.integers(0, n + 1, urns * per)
-    iv = s.integers(0, n + 1, urns * per)
+    iu = s.integers(0, size, urns * per)
+    iv = s.integers(0, size, urns * per)
     a = labels[rows, iu] + increment.draw_many(s, urns * per)
     b = labels[rows, iv] + increment.draw_many(s, urns * per)
     return np.concatenate([a, b])
@@ -463,26 +465,27 @@ def batch_bst_walk_leaf_colours(n, reps, increment, s) -> tuple:
     return colours, flags
 
 
-def batch_kary_shift_leaf_labels(n, reps, kappa, s) -> np.ndarray:
-    """(reps, 1+n*(kappa-1)) leaf labels under the +1 shift kernel, in slot
-    order: split k picks a uniform slot of the 1+k*(kappa-1) present, adds 1
-    to its label and appends kappa-1 slots with the new label, so a label is
-    its leaf's depth in the kappa-ary tree.
+def batch_kary_leaf_labels(n, reps, offsets, s) -> np.ndarray:
+    """(reps, 1+n*(kappa-1)) leaf labels of kappa-ary urns grown from one ball
+    at 0 by kernel steps `offsets`, in slot order: split k picks a uniform slot
+    of the 1+k*(kappa-1) present, adds offsets[0] to it and appends kappa-1
+    slots at its old label plus offsets[1:].  Which child takes which offset
+    does not change the leaf multiset's law, so no shuffle is drawn.
 
     One call draws every split position, the values of n successive per-split
-    calls.  Labels are then depths in an event tree, one replica at a time:
-    split k is node k+1 below a virtual root 0, and its value is 1 + its
-    slot's value just before.  So its parent is the previous split of that
-    slot, else the split that created the slot, node (slot-1)//(kappa-1) + 1
-    (node 0 for slot 0).  A slot ends with the depth of its last split, else
-    of its creator: the step-by-step recursion's labels, bit for bit."""
-    k1 = kappa - 1
+    calls.  Labels are then path sums in an event tree, one replica at a time:
+    split k is node k+1 below a virtual root 0 and holds its slot's new label.
+    Its parent is the previous split of that slot (step offsets[0]), else the
+    split that created the slot, node (slot-1)//(kappa-1) + 1, with the slot's
+    own offset offsets[(slot-1) % (kappa-1) + 1] (node 0, offsets[0] for slot
+    0).  A slot ends at its last split's value, else at its creator's minus
+    offsets[0] plus its own offset.  For offsets (1,)*kappa labels are depths,
+    bit for bit the step-by-step recursion's."""
+    k1 = len(offsets) - 1
+    offs = np.array(offsets, dtype=np.int64)
     pos = s.integers(0, 1 + np.arange(n)[:, None] * k1, (n, reps)).T.astype(np.int32)
-    labels = np.empty((reps, 1 + n * k1), dtype=np.int32)
-
-    def creator(slot):  # node that created each slot; 0 for slot 0
-        return (slot + k1 - 1) // k1
-
+    wide = n * int(np.abs(offs).max()) >= 2**31  # labels that int32 would wrap
+    labels = np.empty((reps, 1 + n * k1), dtype=np.int64 if wide else np.int32)
     for row, p in zip(labels, pos):  # per replica, to bound the working arrays
         node = np.argsort(p, kind="stable")  # each slot's splits adjacent, in time order
         slot = p[node]
@@ -490,10 +493,13 @@ def batch_kary_shift_leaf_labels(n, reps, kappa, s) -> np.ndarray:
         first = np.diff(slot, prepend=-1) != 0
         last = np.diff(slot, append=-1) != 0
         par = np.zeros(n + 1, dtype=np.int32)
-        par[node] = np.where(first, creator(slot), np.roll(node, 1))
-        dep = parent_depths(par[None])[0]
-        row[:] = dep[creator(np.arange(row.size, dtype=np.int32))]
-        row[slot[last]] = dep[node[last]]
+        par[node] = np.where(first, (slot + k1 - 1) // k1, np.roll(node, 1))
+        step = np.zeros(n + 1, dtype=np.int64)
+        step[node] = np.where(first & (slot > 0), offs[(slot - 1) % k1 + 1], offs[0])
+        val = parent_depths(par[None], step)[0]
+        row[0] = 0
+        row[1:] = (val[1:, None] + (offs[1:] - offs[0])).ravel()
+        row[slot[last]] = val[node[last]]
     return labels
 
 
@@ -523,11 +529,9 @@ def _rescale(x, plan: RenormalisationPlan, t: float):
 
 def composite_reference(plan: RenormalisationPlan) -> stats.Normal:
     """Law of G + f(L), G ~ gamma_reference and L ~ N(0,1) independent: the
-    limit of the walk plans (brw, kdiscrete-shift), whose f(x) = m x makes it
-    Normal(0, var(G) + m^2); a point-mass G has variance 0."""
-    gamma = plan.gamma_reference
-    var = gamma.var if isinstance(gamma, stats.Normal) else 0.0
-    return stats.Normal(0.0, var + plan.f(1.0) ** 2)
+    limit of a brw plan, whose Normal G and f(x) = m x make it
+    Normal(0, var(G) + m^2)."""
+    return stats.Normal(0.0, plan.gamma_reference.var + plan.f(1.0) ** 2)
 
 
 HILL_BAND = 0.4  # criterion 11: a stable run passes when |hill - alpha| <= HILL_BAND
@@ -545,23 +549,27 @@ def verify_main_theorem(
 ) -> dict:
     """Rescaled-limit check: pooled pair marginals against the plan's limit.
 
-    For each n, grows several independent urns, draws `replicas` pair samples
-    in total and rescales them by (a(log n), b(log n)) -- with log n replaced
-    by beta*log n for kappa-discrete kernels.  The stable plan is scored by the
-    Hill exponent of the pooled samples (k = max(len/40, 10)), which must lie
-    within HILL_BAND of alpha; the other walk plans by the KS distance to the
-    composite limit (KS_GATE).  Both report the pooled pair correlation of a
-    bounded test function.  The queue is scored by the total variation of one
-    urn's pmf to the plan's reference law, finite palettes by the l1 distance
-    of one urn's composition to the Perron limit (both TV_GATE).  Per grid
-    point, `samples` holds the rescaled values that were scored (the pooled
-    a's then b's, or the scored urn's drawn colours) and `measures` the scored
-    urn's measure (None for pooled pairs).  A grid point with a(log n) = 0,
-    which is n = 1 under every growing scale, raises ValueError, and so does a
-    walk or stable kernel with an initial measure of mass other than 1.
+    For each n, grows `urns` independent batched urns (walk and kappa-discrete
+    kernels), draws `replicas` pair samples in total and rescales them by
+    (a(log n), b(log n)) -- with log n replaced by beta*log n, beta =
+    kappa/(kappa-1), for kappa-discrete kernels.  The stable plan is scored by
+    the Hill exponent of the pooled samples (k = max(len/40, 10)), which must
+    lie within HILL_BAND of alpha; the other walk plans by the KS distance to
+    the composite limit (KS_GATE).  Both report the pooled pair correlation of
+    a bounded test function.  The queue is scored by the total variation of
+    one urn's pmf to the plan's reference law, finite palettes by the l1
+    distance of one urn's composition to the Perron limit (both TV_GATE).  Per
+    grid point, `samples` holds the rescaled values that were scored (the
+    pooled a's then b's, or the scored urn's drawn colours) and `measures` the
+    scored urn's measure (None for pooled pairs).  A grid point with a(log n)
+    = 0, which is n = 1 under every growing scale, raises ValueError, and so
+    does a walk or stable kernel with an initial measure of mass other than 1,
+    and a kappa-discrete kernel with one other than a single ball.
     """
     if isinstance(kernel, RandomWalkKernel) and abs(m0.total_mass - 1.0) > 1e-12:
         raise ValueError(f"the walk route grows recursive trees, so m0 needs mass 1, not {m0.total_mass:g}")
+    if isinstance(kernel, KDiscreteKernel):
+        x0 = _one_ball(m0, kernel.kappa)
     results, samples, measures = [], [], []
     for n in n_grid:
         t_arg = math.log(n)
@@ -573,10 +581,11 @@ def verify_main_theorem(
         results.append(entry)
         urn = None
         if isinstance(kernel, RandomWalkKernel):
-            values = batch_walk_pairs(n, urns, replicas, kernel.increment, s, m0=m0)
+            labels = batch_rrt_walk_labels(n, urns, kernel.increment, s, m0=m0)
+            values = batch_walk_pairs(labels, replicas, kernel.increment, s)
         elif isinstance(kernel, KDiscreteKernel):
-            rep = mvpp_kdiscrete(m0, kernel, n, s)
-            values = np.array([sample_pair(rep, s) for _ in range(replicas)], dtype=float).T.ravel()
+            labels = batch_kary_leaf_labels(n, urns, kernel.offsets, s)
+            values = batch_walk_pairs(labels, replicas, kernel, s) + x0
         elif isinstance(kernel, (MMInfQueueKernel, DColourKernel)):
             trace = mvpp_direct(m0, kernel, n, s)
             values, urn = trace.drawn, trace.materialize()

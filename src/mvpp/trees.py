@@ -504,12 +504,13 @@ def rotation_parents(par: np.ndarray) -> np.ndarray:
     return out
 
 
-def parent_depths(par: np.ndarray) -> np.ndarray:
-    """Node depths along (reps, m) parent arrays whose roots are their own
-    parents, by pointer doubling: each round doubles every node's jump."""
+def parent_depths(par: np.ndarray, steps=1) -> np.ndarray:
+    """Path sums of each node's step (1 by default: depths) along (reps, m)
+    parent arrays whose roots are their own parents and add nothing, by
+    pointer doubling: each round doubles every node's jump."""
     reps, m = par.shape
     jump = (par + m * np.arange(reps)[:, None]).ravel()  # flat ids
-    dep = (jump != np.arange(jump.size)).astype(np.int64)  # length of each jump
+    dep = (jump != np.arange(jump.size)) * np.broadcast_to(steps, par.shape).ravel()  # sum over each jump
     while not np.array_equal(nxt := jump[jump], jump):
         dep += dep[jump]
         jump = nxt

@@ -36,7 +36,7 @@ from .process import (
     batch_bst_walk_leaf_colours,
     batch_direct_walk_colours,
     batch_exact_colour_samples,
-    batch_kary_shift_leaf_labels,
+    batch_kary_leaf_labels,
     batch_rrt_depths,
     batch_rrt_walk_labels,
     batch_walk_pairs,
@@ -391,7 +391,8 @@ def check_brw_d2_projections(root_seed: int) -> dict:
     n, pairs = 100_000, 10_000
     s = derive_stream(root_seed, 605)
     inc = _ComplexNormalIncrement()
-    pool = batch_walk_pairs(n, 16, pairs, inc, s, dtype=complex) / math.sqrt(math.log(n))
+    labels = batch_rrt_walk_labels(n, 16, inc, s, dtype=complex)
+    pool = batch_walk_pairs(labels, pairs, inc, s) / math.sqrt(math.log(n))
     out = {}
     ok = True
     for name, u in (("e1", (1.0, 0.0)), ("diag", (1 / math.sqrt(2), 1 / math.sqrt(2)))):
@@ -487,7 +488,7 @@ def check_kdiscrete_leaf_counts(root_seed: int) -> dict:
     seen = []
     s = derive_stream(root_seed, 701)
     for kappa in (2, 3, 5):
-        kern = KDiscreteKernel.from_offsets((1,) * kappa)
+        kern = KDiscreteKernel((1,) * kappa)
         for n in (0, 1, 2, 7):
             rep = mvpp_kdiscrete(AtomicMeasure([(0, 1.0 / kappa)]), kern, n, s)
             leaves = len(rep.tree.leaf_list)
@@ -513,7 +514,7 @@ def check_kappa3_depth(root_seed: int) -> dict:
     independent runs are pooled."""
     n = 100_000
     s = derive_stream(root_seed, 702)
-    lab = batch_kary_shift_leaf_labels(n, 4, 3, s)
+    lab = batch_kary_leaf_labels(n, 4, (1, 1, 1), s)
     beta = 1.5
     mean_ratio = float(lab.mean()) / math.log(n)
     ks = _gaussian_ks(lab, beta * math.log(n))

@@ -204,6 +204,49 @@ def test_simulate_rejects_a_walk_m0_without_unit_mass(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize(
+    "kernel,preset,section",
+    [
+        ("variant = kdiscrete\noffsets = 1", "kdiscrete-shift", "kernel"),
+        ("variant = kdiscrete\noffsets = a,b", "kdiscrete-shift", "kernel"),
+        ("variant = mminf\nlam = -1", "ergodic", "kernel"),
+        ("variant = stable\nalpha = 3", "stable", "kernel"),
+        ("variant = random_walk\nincrement = normal\nvar = -1", "brw", "plan"),
+    ],
+)
+def test_simulate_rejects_a_kernel_value_the_kernel_rejects(tmp_path, capsys, kernel, preset, section):
+    path = variant_config(tmp_path, kernel, preset)
+    assert cli.run_simulate(path, tmp_path / "out") == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error") and f"[{section}]" in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_simulate_rejects_a_kdiscrete_m0_of_several_balls(tmp_path, capsys):
+    # 0:1 is two balls of weight 1/2; the urn grows from one
+    path = variant_config(tmp_path, "variant = kdiscrete\noffsets = 1,1", "kdiscrete-shift")
+    assert cli.run_simulate(path, tmp_path / "out") == 2
+    assert "one ball" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("offsets", ["-1,0,1", "2,2,2"])
+def test_simulate_scores_a_kdiscrete_run_against_its_own_offsets(tmp_path, offsets):
+    # the all-+1 plan the preset used to build read KS 0.962 and 0.966 for
+    # -1,0,1 and 0.869 and 0.905 for 2,2,2 here
+    path = variant_config(tmp_path, f"variant = kdiscrete\noffsets = {offsets}", "kdiscrete-shift", "1000,10000")
+    text = path.read_text().replace("replicas = 200", "replicas = 2000")
+    path.write_text(text.replace("atoms = 0:1", "atoms = 0:0.3333333333"))  # one ball of weight 1/3
+    out = tmp_path / "run"
+    assert cli.run_simulate(path, out, seed=7) == 0
+    report = json.loads((out / "demo_report.json").read_text())
+    assert report["plan"] == "brw"
+    ref = composite_reference(cli.load_config(path)["plan"])
+    for entry in report["results"]:
+        assert entry["ks"] <= 0.25
+        assert stats.ks_statistic(read_samples(out / f"demo_n{entry['n']}_samples.csv"), ref) == entry["ks"]
+
+
 def test_simulate_gates_a_stable_run_by_the_hill_band(tmp_path):
     path = variant_config(tmp_path, "variant = stable\nalpha = 1.3", "stable", grid="50,400,1000")
     path.write_text(path.read_text().replace("replicas = 200", "replicas = 300"))
@@ -261,6 +304,15 @@ def test_oracle_rejects_an_n_outside_its_range(tmp_path, capsys, name, n):
     out = tmp_path / "law.csv"
     assert cli.main(["oracle", "--name", name, "--n", str(n), "--out", str(out)]) == 2
     assert "--n" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("kappa", [0, 1, -2])
+@pytest.mark.parametrize("name", ["kary-closed-form", "kary-subtree"])
+def test_oracle_rejects_a_kappa_below_two(tmp_path, capsys, name, kappa):
+    out = tmp_path / "law.csv"
+    assert cli.main(["oracle", "--name", name, "--n", "3", "--kappa", str(kappa), "--out", str(out)]) == 2
+    assert "--kappa" in capsys.readouterr().err
     assert not out.exists()
 
 

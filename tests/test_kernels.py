@@ -17,9 +17,7 @@ from mvpp.kernels import (
     leading_eigenpair,
     plan_brw,
     plan_ergodic,
-    plan_kdiscrete_shift,
     plan_stable,
-    sym_shuffle,
     validate_declared_moments,
     walk_kernel_constant,
     walk_kernel_normal,
@@ -78,7 +76,7 @@ def test_random_walk_deterministic_increment():
 
 
 def test_kdiscrete_atoms_merge_and_mass():
-    k = KDiscreteKernel(3, lambda x: (x, x + 1, x + 1))
+    k = KDiscreteKernel((0, 1, 1))
     atoms = k.atoms(5)
     assert atoms.weight(5) == pytest.approx(1 / 3)
     assert atoms.weight(6) == pytest.approx(2 / 3)
@@ -89,16 +87,25 @@ def test_kdiscrete_atoms_merge_and_mass():
 
 
 def test_kdiscrete_sampling_is_uniform_over_atoms():
-    k = KDiscreteKernel.from_offsets((0, 1))
+    k = KDiscreteKernel((0, 1))
     s = derive_stream(20, 3)
     counts = Counter(k.sample(0, s) for _ in range(40_000))
     ref = {0: 0.5, 1: 0.5}
     assert stats.chi_square_pvalue(counts, ref) > 0.01
-    bad = KDiscreteKernel(2, lambda x: (x,))
+    assert stats.chi_square_pvalue(Counter(k.draw_many(s, 40_000).tolist()), ref) > 0.01
     with pytest.raises(ValueError):
-        bad.sample(0, s)
-    with pytest.raises(ValueError):
-        KDiscreteKernel(1, lambda x: (x,))
+        KDiscreteKernel((0,))
+
+
+@pytest.mark.parametrize(
+    "offsets, mean, var", [((1, 1, 1), 1.0, 0.0), ((-1, 0, 1), 0.0, 2 / 3), ((2, 0), 1.0, 1.0)]
+)
+def test_kdiscrete_declares_the_offsets_moments(offsets, mean, var):
+    # a uniform ball's step is a uniform offset: the moments a walk kernel declares
+    k = KDiscreteKernel(offsets)
+    assert k.offsets == offsets and k.kappa == len(offsets)
+    assert k.mean == pytest.approx(mean) and k.cov == pytest.approx(var)
+    assert k.atom_tuple(5) == tuple(5 + o for o in offsets)
 
 
 def test_kernel_atoms_requires_atomic():
@@ -196,27 +203,25 @@ def test_companion_chain_markov_restart():
 
 
 # ---------------------------------------------------------------------------
-# shuffles
+# shuffles (mvpp_kdiscrete orders a split's atoms with RngStream.shuffled)
 # ---------------------------------------------------------------------------
 
 
 def test_sym_shuffle_first_coordinate_frequency():
     s = derive_stream(20, 9)
-    hits = sum(sym_shuffle(("a", "a", "b"), s, 3)[0] == "a" for _ in range(100_000))
+    hits = sum(s.shuffled(("a", "a", "b"))[0] == "a" for _ in range(100_000))
     assert abs(hits / 100_000 - 2 / 3) < 0.01
 
 
-def test_sym_shuffle_identity_and_arity():
+def test_sym_shuffle_identity():
     s = derive_stream(20, 10)
-    assert sym_shuffle(("x",), s, 1) == ("x",)
-    with pytest.raises(ValueError):
-        sym_shuffle(("a", "b"), s, 3)
+    assert s.shuffled(("x",)) == ["x"]
 
 
 def test_sym_shuffle_uniform_over_orderings():
     s = derive_stream(20, 11)
     reps = 100_000
-    counts = Counter(sym_shuffle((1, 2, 3), s) for _ in range(reps))
+    counts = Counter(tuple(s.shuffled((1, 2, 3))) for _ in range(reps))
     assert len(counts) == 6
     sigma = math.sqrt((1 / 6) * (5 / 6) / reps)
     for c in counts.values():
@@ -226,7 +231,7 @@ def test_sym_shuffle_uniform_over_orderings():
 def test_sym_shuffle_preserves_multiset():
     s = derive_stream(20, 12)
     for _ in range(50):
-        out = sym_shuffle((1, 1, 2, 5), s, 4)
+        out = s.shuffled((1, 1, 2, 5))
         assert sorted(out) == [1, 1, 2, 5]
 
 
@@ -284,7 +289,5 @@ def test_plan_presets():
     ps_low = plan_stable(0.7)
     assert ps_low.b(10.0) == 0.0  # below alpha = 1, no centring
 
-    pk = plan_kdiscrete_shift()
-    assert isinstance(pk.gamma_reference, stats.PointMass)
     with pytest.raises(ValueError):
         plan_stable(2.0)

@@ -55,7 +55,7 @@ def test_urn_law_budgets():
 
 
 def test_urn_law_kdiscrete_states():
-    kern = KDiscreteKernel.from_offsets((0, 1))
+    kern = KDiscreteKernel((0, 1))
     m0 = AtomicMeasure([(0, 0.5)])  # one ball of colour 0
     law = oracle.exact_urn_law(m0, kern, 1)
     # drawing the single ball yields balls at 0 and 1
@@ -288,7 +288,7 @@ def test_coupling_point_mass_start():
 
 
 def test_kdiscrete_leaf_law_example():
-    kern = KDiscreteKernel.from_offsets((0, 1))
+    kern = KDiscreteKernel((0, 1))
     law = oracle.exact_kdiscrete_leaf_law(kern, 2, 0)
     assert law.probs[(0, 1, 1)] == pytest.approx(0.5)
     assert law.probs[(0, 1, 2)] == pytest.approx(0.5)
@@ -299,7 +299,7 @@ def test_kdiscrete_leaf_law_example():
 def test_kdiscrete_leaf_law_matches_measure_dynamics():
     # the sorted leaf multiset determines the urn state: compare with the
     # direct without-replacement enumeration started from one ball
-    kern = KDiscreteKernel.from_offsets((0, 1))
+    kern = KDiscreteKernel((0, 1))
     leaf_law = oracle.exact_kdiscrete_leaf_law(kern, 2, 0)
     urn_law = oracle.exact_urn_law(AtomicMeasure([(0, 0.5)]), kern, 2)
     derived = oracle.ExactLaw()

@@ -15,7 +15,6 @@ from mvpp.kernels import (
     RademacherIncrement,
     plan_brw,
     plan_ergodic,
-    plan_kdiscrete_shift,
     plan_stable,
     walk_kernel_constant,
     walk_kernel_normal,
@@ -32,9 +31,10 @@ from mvpp.process import (
     batch_bst_walk_leaf_colours,
     batch_direct_walk_colours,
     batch_exact_colour_samples,
-    batch_kary_shift_leaf_labels,
+    batch_kary_leaf_labels,
     batch_rrt_depths,
     batch_rrt_walk_labels,
+    batch_walk_pairs,
     composite_reference,
     mvpp_direct,
     mvpp_forest,
@@ -209,7 +209,7 @@ def test_forest_zero_mass_rejected():
 
 
 def test_kdiscrete_leaf_counts_and_mass():
-    kern = KDiscreteKernel.from_offsets((0, 1, 1))
+    kern = KDiscreteKernel((0, 1, 1))
     s = derive_stream(30, 12)
     for n in (0, 1, 5):
         rep = mvpp_kdiscrete(AtomicMeasure([(0, 1 / 3)]), kern, n, s)
@@ -220,7 +220,7 @@ def test_kdiscrete_leaf_counts_and_mass():
 
 
 def test_kdiscrete_exact_law_n2():
-    kern = KDiscreteKernel.from_offsets((0, 1))
+    kern = KDiscreteKernel((0, 1))
     ref = oracle.exact_kdiscrete_leaf_law(kern, 2, 0).probs
     s = derive_stream(30, 13)
     reps = 40_000
@@ -233,15 +233,26 @@ def test_kdiscrete_exact_law_n2():
 
 
 def test_kdiscrete_weight_granularity():
-    kern = KDiscreteKernel.from_offsets((0, 1))
+    kern = KDiscreteKernel((0, 1))
     s = derive_stream(30, 14)
-    with pytest.raises(ValueError, match="multiple"):
+    with pytest.raises(ValueError, match="one atom of weight 1/2"):
         mvpp_kdiscrete(AtomicMeasure([(0, 0.3)]), kern, 1, s)
+
+
+@pytest.mark.parametrize("atoms", [[(0, 1.0)], [(0, 0.5), (5, 0.5)]])
+def test_kdiscrete_urn_grows_from_one_ball(atoms):
+    # the urn grows one tree from one ball; from 0:1 it used to return leaves
+    # [1, 1] where exact_urn_law keeps both balls: {(0, 1), (1, 2)}
+    kern, m0, s = KDiscreteKernel((1, 1)), AtomicMeasure(atoms), derive_stream(30, 31)
+    with pytest.raises(ValueError, match="one ball"):
+        mvpp_kdiscrete(m0, kern, 1, s)
+    with pytest.raises(ValueError, match="one ball"):
+        verify_main_theorem(kern, plan_brw(kern.mean, kern.cov), m0, [10], 100, s)
 
 
 def test_kdiscrete_branch_labels_are_markov():
     # along any branch the labels follow the kernel: label jumps by an atom
-    kern = KDiscreteKernel.from_offsets((1, 1, 2))
+    kern = KDiscreteKernel((1, 1, 2))
     s = derive_stream(30, 15)
     rep = mvpp_kdiscrete(AtomicMeasure([(0, 1 / 3)]), kern, 50, s)
     t = rep.tree
@@ -330,7 +341,7 @@ def test_sample_colour_trace_and_kary():
     trace = mvpp_direct(M0_HALF, KERN2, 20, s)
     draws = Counter(sample_colour(trace, s) for _ in range(2000))
     assert set(draws) <= {0, 1}
-    kern = KDiscreteKernel.from_offsets((0, 1))
+    kern = KDiscreteKernel((0, 1))
     rep = mvpp_kdiscrete(AtomicMeasure([(0, 0.5)]), kern, 10, s)
     leaf_labels = {rep.labels[u] for u in rep.tree.leaf_list}
     assert all(sample_colour(rep, s) in leaf_labels for _ in range(50))
@@ -393,7 +404,7 @@ def test_batch_bst_matches_scalar_bst():
 
 def test_batch_kary_shift_depth_mean():
     s = derive_stream(30, 24)
-    lab = batch_kary_shift_leaf_labels(200, 50, 3, s)
+    lab = batch_kary_leaf_labels(200, 50, (1, 1, 1), s)
     # mean leaf depth grows like beta log n with beta = 1.5
     assert 1.1 <= lab.mean() / math.log(200) <= 1.9
 
@@ -418,7 +429,7 @@ def _kary_split_loop(n, reps, kappa, s):
 )
 def test_kary_event_tree_equals_the_split_by_split_loop(kappa, n, reps):
     s, ref_s = derive_stream(32, n + kappa), derive_stream(32, n + kappa)
-    lab = batch_kary_shift_leaf_labels(n, reps, kappa, s)
+    lab = batch_kary_leaf_labels(n, reps, (1,) * kappa, s)
     ref = _kary_split_loop(n, reps, kappa, ref_s)
     assert lab.dtype == ref.dtype
     assert np.array_equal(lab, ref)
@@ -429,11 +440,56 @@ def test_batch_kary_labels_peak_memory_near_output():
     s = derive_stream(32, 1)
     tracemalloc.start()
     try:
-        lab = batch_kary_shift_leaf_labels(100_000, 4, 3, s)
+        lab = batch_kary_leaf_labels(100_000, 4, (1, 1, 1), s)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert peak < 4 * lab.nbytes
+
+
+@pytest.mark.parametrize("offsets", [(0, 1, 2), (-1, 0, 1)])
+def test_batch_kary_leaf_multisets_follow_the_exact_law(offsets):
+    n, reps = 4, 10_000
+    s = derive_stream(32, 50 + offsets[0])
+    leaves = np.sort(batch_kary_leaf_labels(n, reps, offsets, s), axis=1)  # one sorted multiset per urn
+    rows, cnt = np.unique(leaves, axis=0, return_counts=True)
+    emp = {tuple(r.tolist()): c / reps for r, c in zip(rows, cnt)}
+    ref = oracle.exact_kdiscrete_leaf_law(KDiscreteKernel(offsets), n, 0).probs
+    assert stats.total_variation(emp, ref) <= _tv_threshold(ref, reps)
+
+
+def test_batch_kary_labels_beyond_int32_are_exact():
+    # labels are linear in the offsets for the same draws; 3e9 would wrap in int32
+    big = batch_kary_leaf_labels(3, 4, (3 * 10**9, 0), derive_stream(32, 62))
+    unit = batch_kary_leaf_labels(3, 4, (1, 0), derive_stream(32, 62))
+    assert np.array_equal(big, 3 * 10**9 * unit.astype(np.int64)) and big.max() > 2**31
+
+
+def test_batch_kary_uniform_leaf_matches_the_scalar_urn():
+    # one uniform leaf per urn, batched against mvpp_kdiscrete
+    offsets, n, reps = (-1, 0, 2), 50, 2000
+    kern, s = KDiscreteKernel(offsets), derive_stream(32, 60)
+    scalar = []
+    for _ in range(reps):
+        rep = mvpp_kdiscrete(AtomicMeasure([(0, 1 / 3)]), kern, n, s)
+        leaves = rep.tree.leaf_list
+        scalar.append(rep.labels[leaves[int(s.next_uniform() * len(leaves))]])
+    lab = batch_kary_leaf_labels(n, reps, offsets, s)
+    batch = lab[np.arange(reps), s.integers(0, lab.shape[1], reps)]
+    crit = stats.ks_two_sample_critical(0.01, reps, reps)
+    assert stats.ks_two_sample(np.array(scalar, dtype=float), batch.astype(float)) < crit
+
+
+def test_batch_walk_pairs_reads_one_packet_per_draw_plus_a_step():
+    # each value is a uniform packet's label plus one increment: with a
+    # constant increment and labels equal to their packet index, every value
+    # is an index plus the step, and the a's and b's come from their own rows
+    labels = np.tile(np.arange(7.0), (3, 1)) + 100 * np.arange(3)[:, None]
+    values = batch_walk_pairs(labels, 30, ConstantIncrement(0.5), derive_stream(32, 61))
+    a, b = np.split(values, 2)
+    for half in (a, b):
+        assert half.size == 30 and np.all(np.isin(half - 0.5, labels))
+        assert np.array_equal((half // 100).astype(int), np.repeat(np.arange(3), 10))
 
 
 def test_batch_bmc_differs_from_coupling_at_root_children():
@@ -627,8 +683,8 @@ def test_verify_main_theorem_mminf_branch():
 def test_verify_main_theorem_kdiscrete_branch():
     s = derive_stream(30, 28)
     rep = verify_main_theorem(
-        KDiscreteKernel.from_offsets((1, 1)),
-        plan_kdiscrete_shift(),
+        KDiscreteKernel((1, 1)),
+        plan_brw(1.0, 0.0),
         AtomicMeasure([(0, 0.5)]),
         [500],
         400,
@@ -639,12 +695,22 @@ def test_verify_main_theorem_kdiscrete_branch():
     assert entry["pass"] == (entry["ks"] <= KS_GATE)
 
 
+@pytest.mark.parametrize("offsets", [(-1, 0, 1), (2, 2, 2)])
+def test_verify_main_theorem_kdiscrete_scores_its_own_offsets(offsets):
+    # the brw plan of the offsets' mean and variance; an all-+1 plan read
+    # these at KS 0.966 and 0.905
+    kern = KDiscreteKernel(offsets)
+    m0 = AtomicMeasure([(0, 1 / 3)])
+    rep = verify_main_theorem(kern, plan_brw(kern.mean, kern.cov), m0, [10_000], 2000, derive_stream(7, 0))
+    assert rep["results"][0]["ks"] <= 0.25
+
+
 def test_verify_main_theorem_rejects_a_zero_scale():
     s = derive_stream(30, 29)
     walks = (
         (walk_kernel_rademacher(), plan_brw(0.0, 1.0), DELTA0),
         (walk_kernel_stable(1.5), plan_stable(1.5), DELTA0),
-        (KDiscreteKernel.from_offsets((1, 1)), plan_kdiscrete_shift(), AtomicMeasure([(0, 0.5)])),
+        (KDiscreteKernel((1, 1)), plan_brw(1.0, 0.0), AtomicMeasure([(0, 0.5)])),
     )
     for kernel, plan, m0 in walks:  # a(log 1) = 0: every rescaled sample would be infinite
         with pytest.raises(ValueError, match="n_grid point n=1"):

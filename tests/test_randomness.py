@@ -111,7 +111,7 @@ def test_replay_across_sampler_kinds():
     ids=["kary2", "kary3", "kary5", "uniform-attachment"],
 )
 def test_array_bound_integers_equal_successive_calls(highs, reps):
-    # batch_kary_shift_leaf_labels draws all its splits in one call on this
+    # batch_kary_leaf_labels draws all its splits in one call on this
     # property of numpy's Generator.integers; if an upgrade breaks it, this
     # test names the cause of the moved report pin
     a, b = derive_stream(9, highs.size), derive_stream(9, highs.size)

@@ -346,6 +346,18 @@ def test_rotation_parents_equal_the_rotation_image():
         assert got.tolist() == [b.depth[lca(b, mp[a], mp[c])] for a, c in zip(u[inner], v[inner])]
 
 
+def test_parent_depths_sums_each_nodes_step_along_its_path():
+    par = rrt_parents(30, 4, derive_stream(11, 500))
+    steps = derive_stream(11, 501).integers(-3, 4, par.shape)
+    got = parent_depths(par, steps)
+    for r in range(par.shape[0]):
+        for u in range(par.shape[1]):
+            want, v = 0, u
+            while v:  # the root adds nothing
+                want, v = want + steps[r, v], par[r, v]
+            assert got[r, u] == want
+
+
 def test_batched_bst_depth_matches_grow_bst_leaf():
     # one uniform node per tree: the depths of one tree's nodes are dependent
     n, reps = 100, 8000
@@ -470,12 +482,12 @@ def test_bst_uniform_node_letters_are_fair_bits():
 def test_kary_mean_leaf_depth_scaling():
     # mean leaf depth / log n approaches 1 + 1/(kappa-1); a single run
     # fluctuates by ~0.05 (the root splits persist), so average 8 runs
-    from mvpp.process import batch_kary_shift_leaf_labels
+    from mvpp.process import batch_kary_leaf_labels
 
     n = 100_000
     for kappa, beta in ((2, 2.0), (3, 1.5), (5, 1.25)):
         s = derive_stream(10, 40 + kappa)
-        lab = batch_kary_shift_leaf_labels(n, 8, kappa, s)  # labels = depths
+        lab = batch_kary_leaf_labels(n, 8, (1,) * kappa, s)  # labels = depths
         ratio = float(lab.mean()) / math.log(n)
         assert abs(ratio - beta) <= 0.1, (kappa, ratio)
 
