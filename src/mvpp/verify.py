@@ -208,27 +208,21 @@ def check_coupling_exact(root_seed: int) -> dict:
     return _result("coupling_exact_law_n3", worst, 1e-12, worst <= 1e-12)
 
 
+def _coupling_samples(n, reps, s) -> tuple:
+    """One exact colour per urn from `reps` direct, recursive-tree and binary-tree
+    urns; each leg is sampled and dropped before the next one is grown."""
+    inc = RademacherIncrement()
+    rrt = batch_exact_colour_samples(batch_rrt_walk_labels(n, reps, inc, s).T, inc, s)
+    direct = batch_exact_colour_samples(batch_direct_walk_colours(n, reps, inc, s), inc, s)
+    bst = batch_exact_colour_samples(batch_bst_walk_leaf_colours(n, reps, inc, s), inc, s)
+    return direct, rrt, bst
+
+
 def check_coupling_two_sample(root_seed: int) -> dict:
     """Exact colour samples from direct / recursive-tree / binary-tree urns
     must be indistinguishable (two-sample KS below the 1% critical value)."""
     n, reps = 1000, 10_000
-    inc = RademacherIncrement()
-    s = derive_stream(root_seed, 401)
-
-    lab = batch_rrt_walk_labels(n, reps, inc, s)
-    flags = np.zeros(lab.shape, dtype=bool)
-    flags[:, 0] = True
-    rrt = batch_exact_colour_samples(lab, flags, inc, s)
-
-    col = batch_direct_walk_colours(n, reps, inc, s)
-    col2 = np.concatenate([np.zeros((reps, 1)), col], axis=1)
-    flags2 = np.zeros(col2.shape, dtype=bool)
-    flags2[:, 0] = True
-    direct = batch_exact_colour_samples(col2, flags2, inc, s)
-
-    bcol, bflags = batch_bst_walk_leaf_colours(n, reps, inc, s)
-    bst = batch_exact_colour_samples(bcol, bflags, inc, s)
-
+    direct, rrt, bst = _coupling_samples(n, reps, derive_stream(root_seed, 401))
     crit = stats.ks_two_sample_critical(0.01, reps, reps)
     pairs = {
         "direct_vs_rrt": stats.ks_two_sample(direct, rrt),
@@ -278,6 +272,13 @@ def _bmc_rows(n: int, replicas: int, chunk: int, s, row_stat) -> np.ndarray:
     return np.concatenate(out)
 
 
+def _exp_table(c: complex, n: int):
+    """lab -> exp(c * lab) on n-node Rademacher walk labels, read from a table
+    over their integer values [-n, n] built by np.exp of the same expression."""
+    table = np.exp(c * np.arange(-n, n + 1, dtype=float))
+    return lambda lab: table[(lab + n).astype(np.intp)]
+
+
 def check_tn_martingale_mean(root_seed: int) -> dict:
     """Monte Carlo mean of T_n(theta) within 3 standard errors of 1."""
     replicas = 10_000
@@ -286,7 +287,8 @@ def check_tn_martingale_mean(root_seed: int) -> dict:
     ok = True
     for i, n in enumerate((10, 100, 1000)):
         theta = 0.3 / math.sqrt(math.log(n))
-        rows = lambda lab: np.exp(1j * theta * lab).mean(axis=1)
+        exp = _exp_table(1j * theta, n)
+        rows = lambda lab: exp(lab).mean(axis=1)
         f = _bmc_rows(n, replicas, 2000, derive_stream(root_seed, 501 + i), rows)
         t_vals = f / expected_f_n(n, theta, 0.0, phi)
         se_r = float(t_vals.real.std(ddof=1)) / math.sqrt(replicas)
@@ -304,9 +306,10 @@ def check_pbar_recursion(root_seed: int) -> dict:
     n, replicas = 100, 100_000
     z1, z2 = 0.2j, -0.2j
     pb = pbar_recursion(n, z1, z2, lambda z: np.cos(z)).real
+    exp1, exp2 = _exp_table(1j * z1, n), _exp_table(1j * z2, n)
     vals = _bmc_rows(
         n, replicas, 10_000, derive_stream(root_seed, 510),
-        lambda lab: (np.exp(1j * z1 * lab).sum(axis=1) * np.exp(1j * z2 * lab).sum(axis=1)).real,
+        lambda lab: (exp1(lab).sum(axis=1) * exp2(lab).sum(axis=1)).real,
     )
     se = float(vals.std(ddof=1)) / math.sqrt(replicas)
     dev = abs(pb - float(vals.mean()))

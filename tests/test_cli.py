@@ -185,7 +185,7 @@ def test_simulate_rejects_bad_grid(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
-@pytest.mark.parametrize("atoms", ["0:0", "inf:1", "0:nan"])
+@pytest.mark.parametrize("atoms", ["0:0", "inf:1", "0:nan", "0:1/0", "0:a/b"])
 def test_simulate_rejects_a_bad_atom(tmp_path, capsys, atoms):
     path = tmp_path / "bad.ini"
     path.write_text(CONFIG.format(svg="false").replace("atoms = 0:1", f"atoms = {atoms}"))
@@ -228,6 +228,18 @@ def test_simulate_rejects_a_kdiscrete_m0_of_several_balls(tmp_path, capsys):
     assert cli.run_simulate(path, tmp_path / "out") == 2
     assert "one ball" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+def test_simulate_reads_an_exact_fraction_weight(tmp_path):
+    # one ball of weight 1/3, written exactly rather than to ten decimal digits
+    path = variant_config(tmp_path, "variant = kdiscrete\noffsets = -1,0,1", "kdiscrete-shift")
+    path.write_text(path.read_text().replace("atoms = 0:1", "atoms = 0:1/3"))
+    assert cli.load_config(path)["m0"].atoms() == [(0, 1 / 3)]
+    out = tmp_path / "run"
+    assert cli.run_simulate(path, out, seed=7) == 0
+    report = json.loads((out / "demo_report.json").read_text())
+    assert [entry["n"] for entry in report["results"]] == [200, 400]
+    assert all(0.0 <= entry["ks"] <= 1.0 for entry in report["results"])
 
 
 @pytest.mark.parametrize("offsets", ["-1,0,1", "2,2,2"])

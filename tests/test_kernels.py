@@ -262,6 +262,15 @@ def test_leading_eigenpair_periodic_rejected():
         leading_eigenpair([[0.0, 1.0], [1.0, 0.0]], max_iter=5000)
 
 
+def test_rademacher_draw_many_equals_the_where_form():
+    s, ref_s = derive_stream(20, 16), derive_stream(20, 16)
+    got = RademacherIncrement().draw_many(s, 10_001)
+    ref = np.where(ref_s.uniforms(10_001) < 0.5, 1.0, -1.0)
+    assert got.dtype == ref.dtype
+    assert np.array_equal(got.view(np.int64), ref.view(np.int64))  # bit for bit, signs of zero too
+    assert np.array_equal(s.uniforms(4), ref_s.uniforms(4))
+
+
 def test_validate_declared_moments():
     s = derive_stream(20, 13)
     ok = validate_declared_moments(walk_kernel_rademacher(), s, n=200_000)

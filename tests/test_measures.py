@@ -23,6 +23,7 @@ from mvpp.measures import (
 from mvpp.kernels import RademacherIncrement
 from mvpp.process import batch_bmc_walk_labels
 from mvpp.randomness import derive_stream
+from mvpp.verify import _exp_table
 
 PHI_COIN = lambda z: np.cos(z)  # characteristic function of a fair +-1 coin
 
@@ -232,6 +233,24 @@ def test_expected_fn_matches_monte_carlo():
     assert abs(f.real.mean() - closed.real) <= 3 * se
     se_i = f.imag.std(ddof=1) / math.sqrt(reps)
     assert abs(f.imag.mean() - closed.imag) <= 3 * se_i
+
+
+@pytest.mark.parametrize(
+    "c, n",
+    [
+        (1j * (0.3 / math.sqrt(math.log(10))), 10),  # tn_martingale_mean's theta at n = 10, 100
+        (1j * (0.3 / math.sqrt(math.log(100))), 100),
+        (1j * 0.2j, 100),  # pbar_recursion's z1 and z2
+        (1j * -0.2j, 100),
+    ],
+)
+def test_exp_table_rows_equal_np_exp_bit_for_bit(c, n):
+    lab = batch_bmc_walk_labels(n, 400, RademacherIncrement(), derive_stream(3, 3 + n))
+    got, ref = _exp_table(c, n)(lab), np.exp(c * lab)
+    assert got.dtype == ref.dtype
+    assert np.array_equal(got.view(np.int64), ref.view(np.int64))
+    assert np.array_equal(got.mean(axis=1), ref.mean(axis=1))
+    assert np.array_equal(got.sum(axis=1), ref.sum(axis=1))
 
 
 def test_tn_base_cases():

@@ -46,7 +46,7 @@ from mvpp.process import (
     verify_main_theorem,
 )
 from mvpp.randomness import derive_stream
-from mvpp.verify import _ComplexNormalIncrement, _tv_threshold
+from mvpp.verify import _ComplexNormalIncrement, _coupling_samples, _tv_threshold
 
 M0_HALF = AtomicMeasure([(0, 0.5), (1, 0.5)])
 KERN2 = DColourKernel([[0.5, 0.5], [0.25, 0.75]])
@@ -329,9 +329,7 @@ def test_sample_colour_matches_direct_law():
         rep = mvpp_via_rrt(DELTA0, walk_kernel_rademacher(), n, s)
         scalar.append(sample_colour(rep, s))
     lab = batch_rrt_walk_labels(n, reps, inc, s)
-    flags = np.zeros(lab.shape, dtype=bool)
-    flags[:, 0] = True
-    batch = batch_exact_colour_samples(lab, flags, inc, s)
+    batch = batch_exact_colour_samples(lab.T, inc, s)  # packet-major; node 0 is the initial packet
     crit = stats.ks_two_sample_critical(0.01, reps, reps)
     assert stats.ks_two_sample(np.array(scalar), batch) < crit
 
@@ -381,7 +379,7 @@ def test_batch_direct_matches_scalar_direct():
     scalar = np.array(
         [mvpp_direct(DELTA0, walk_kernel_rademacher(), n, s).drawn[-1] for _ in range(reps)]
     )
-    batch = batch_direct_walk_colours(n, reps, inc, s)[:, -1]
+    batch = batch_direct_walk_colours(n, reps, inc, s)[-1]
     crit = stats.ks_two_sample_critical(0.01, reps, reps)
     assert stats.ks_two_sample(scalar, batch) < crit
 
@@ -395,9 +393,9 @@ def test_batch_bst_matches_scalar_bst():
         rep = mvpp_via_bst(DELTA0, walk_kernel_rademacher(), n, s)
         colours = sorted(rep.labels[u] for u in rep.tree.leaf_list if not rep.m0_flags[u])
         scalar.append(colours[len(colours) // 2])
-    bcol, bflags = batch_bst_walk_leaf_colours(n, reps, inc, s)
-    batch = np.sort(np.where(bflags, np.nan, bcol), axis=1)  # m0 leaf sorts last
-    batch_med = batch[:, n // 2]
+    bcol = batch_bst_walk_leaf_colours(n, reps, inc, s)
+    bcol[0] = np.nan  # the initial packet, the one m0 leaf, sorts last
+    batch_med = np.sort(bcol, axis=0)[n // 2]
     crit = stats.ks_two_sample_critical(0.01, reps, reps)
     assert stats.ks_two_sample(np.array(scalar), batch_med) < crit
 
@@ -407,6 +405,64 @@ def test_batch_kary_shift_depth_mean():
     lab = batch_kary_leaf_labels(200, 50, (1, 1, 1), s)
     # mean leaf depth grows like beta log n with beta = 1.5
     assert 1.1 <= lab.mean() / math.log(200) <= 1.9
+
+
+def _direct_colour_loop(n, reps, increment, s):
+    """Row-major direct leg: (reps, n) drawn colours, colour k in column k."""
+    colours = np.zeros((reps, n), dtype=float)
+    rows = np.arange(reps)
+    for k in range(n):
+        from_m0 = s.uniforms(reps) < 1.0 / (1.0 + k)
+        if k == 0:
+            continue
+        idx = s.integers(0, k, reps)
+        new = colours[rows, idx] + increment.draw_many(s, reps)
+        new[from_m0] = 0.0
+        colours[:, k] = new
+    return colours
+
+
+def _bst_leaf_loop(n, reps, increment, s):
+    """Row-major binary leg: (reps, n+1) leaf colours and initial-packet flags."""
+    colours = np.zeros((reps, n + 1), dtype=float)
+    flags = np.zeros((reps, n + 1), dtype=bool)
+    flags[:, 0] = True
+    rows = np.arange(reps)
+    for k in range(n):
+        idx = s.integers(0, k + 1, reps)
+        new = colours[rows, idx] + increment.draw_many(s, reps)
+        new[flags[rows, idx]] = 0.0
+        colours[:, k + 1] = new
+    return colours, flags
+
+
+@pytest.mark.parametrize("n, reps", [(0, 3), (1, 3), (50, 300)])
+def test_packet_major_legs_equal_the_row_major_loops(n, reps):
+    inc = RademacherIncrement()
+    s, ref_s = derive_stream(33, n), derive_stream(33, n)
+    direct = batch_direct_walk_colours(n, reps, inc, s)
+    ref = _direct_colour_loop(n, reps, inc, ref_s)
+    assert direct.shape == (n + 1, reps)
+    assert np.array_equal(direct[0], np.zeros(reps))  # the initial packet
+    assert np.array_equal(direct[1:].T, ref)
+    assert np.array_equal(s.uniforms(4), ref_s.uniforms(4))  # the same draws consumed
+    bst = batch_bst_walk_leaf_colours(n, reps, inc, s)
+    ref, _ = _bst_leaf_loop(n, reps, inc, ref_s)
+    assert np.array_equal(bst.T, ref)
+    assert np.array_equal(s.uniforms(4), ref_s.uniforms(4))
+
+
+def test_exact_colour_samples_of_packet_major_legs_equal_the_flagged_form():
+    inc = RademacherIncrement()
+    n, reps = 50, 300
+    s, ref_s = derive_stream(33, 99), derive_stream(33, 99)
+    lab = batch_rrt_walk_labels(n, reps, inc, s)
+    ref_lab = batch_rrt_walk_labels(n, reps, inc, ref_s)
+    ref_idx = ref_s.integers(0, n + 1, reps)
+    ref = ref_lab[np.arange(reps), ref_idx] + inc.draw_many(ref_s, reps)
+    ref[ref_idx == 0] = 0.0
+    assert np.array_equal(batch_exact_colour_samples(lab.T, inc, s), ref)
+    assert np.array_equal(s.uniforms(4), ref_s.uniforms(4))
 
 
 def _kary_split_loop(n, reps, kappa, s):
@@ -637,6 +693,22 @@ def test_batch_walk_labels_peak_memory_near_output():
     finally:
         tracemalloc.stop()
     assert peak < 1.5 * lab.nbytes
+
+
+def test_coupling_legs_are_freed_as_they_are_sampled():
+    # each leg is sampled, then dropped before the next one is grown; with all
+    # three alive at once (plus flags and a concatenated copy) it read 4.4x; now 1.26x
+    n, reps = 200, 2000
+    leg = np.zeros((n + 1, reps)).nbytes
+    s = derive_stream(31, 301)
+    tracemalloc.start()
+    try:
+        samples = _coupling_samples(n, reps, s)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert [x.shape for x in samples] == [(reps,)] * 3
+    assert peak <= 1.5 * leg
 
 
 # ---------------------------------------------------------------------------
