@@ -42,20 +42,22 @@ class DColourKernel(ReplacementKernel):
             if abs(sum(row) - 1.0) > 1e-12:
                 raise ValueError(f"row {i} does not sum to 1")
         self.d = d
+        self._cum = np.cumsum(self.rows, axis=1)  # adds in row order, as a running sum does
 
     def _check(self, x):
         if not (isinstance(x, int) and 0 <= x < self.d):
             raise ValueError(f"colour {x!r} outside palette of size {self.d}")
 
+    def step(self, x, u):
+        """Colours drawn from rows x at uniforms u, elementwise: the first j
+        whose cumulated row entry exceeds u, else d-1 (a row whose float sum
+        ends below 1)."""
+        u = np.asarray(u)
+        return np.minimum((self._cum[x] <= u[..., None]).sum(axis=-1), self.d - 1)
+
     def sample(self, x, s: RngStream) -> int:
         self._check(x)
-        u = s.next_uniform()
-        acc = 0.0
-        for j, w in enumerate(self.rows[x]):
-            acc += w
-            if u < acc:
-                return j
-        return self.d - 1
+        return int(self.step(x, s.next_uniform()))
 
     def atoms(self, x) -> AtomicMeasure:
         self._check(x)
@@ -184,9 +186,15 @@ class MMInfQueueKernel(ReplacementKernel):
             return 1.0
         return self.lam / (self.lam + x * self.mu)
 
+    def step(self, x, u):
+        """Queue lengths after one move from x at uniforms u, elementwise: up
+        when u < p_up(x), always at 0.  Plain arithmetic, so a Python int x
+        stays one."""
+        return x - 1 + 2 * ((x == 0) | (u < self.lam / (self.lam + x * self.mu)))
+
     def sample(self, x, s: RngStream) -> int:
-        up = self.p_up(x)
-        return x + 1 if s.next_uniform() < up else x - 1
+        self._check(x)
+        return int(self.step(x, s.next_uniform()))
 
     def atoms(self, x) -> AtomicMeasure:
         up = self.p_up(x)

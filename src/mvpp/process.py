@@ -62,13 +62,18 @@ class UrnTrace:
         return self.m0.total_mass + self.n
 
     def materialize(self) -> AtomicMeasure:
-        """Exact atomic composition; requires an atomic kernel."""
+        """Exact atomic composition; requires an atomic kernel.  Each distinct
+        colour's atoms are fetched once; the pairs merge in drawing order."""
         pairs = list(self.m0.atoms())
+        cache: dict = {}
         for c in self.drawn:
-            add = self.kernel.atoms(c)
+            add = cache.get(c)
             if add is None:
-                raise ValueError("cannot materialize a non-atomic kernel")
-            pairs.extend(add.atoms())
+                add = self.kernel.atoms(c)
+                if add is None:
+                    raise ValueError("cannot materialize a non-atomic kernel")
+                add = cache[c] = add.atoms()
+            pairs.extend(add)
         return AtomicMeasure(pairs)
 
 
@@ -157,6 +162,79 @@ def mvpp_direct(m0: AtomicMeasure, kernel: ReplacementKernel, n: int, s: RngStre
             c = kernel.sample(trace.drawn[int(u - m)], s)
         trace.drawn.append(c)
     return trace
+
+
+def _direct_pick_positions(m: float, n: int, s: RngStream) -> tuple:
+    """(u, picks): the uniforms a direct run of n steps from a one-atom m0 of
+    mass m draws, and the positions of its n pick uniforms in them.  A step
+    takes its pick u and, unless u*(m+k) < m sends it to the initial packet,
+    one more uniform.
+
+    Parsed in windows that start at a pick of known step index k: a pick t
+    places further on has index in [k + ceil(t/2), k + t], and since
+    u*(m+k) < m is monotone in k, the window is sure up to its first place
+    where the two ends disagree.  Every draw is no longer than the steps
+    left (plus a pending second uniform), so the stream is never over-drawn."""
+    u = np.empty(2 * n)
+    is_pick = np.zeros(2 * n, dtype=bool)
+    have = pos = k = 0
+    window = 64
+    while True:
+        if pos >= have:  # each step left takes one uniform or more
+            more = pos + n - k - have
+            u[have:have + more] = s.uniforms(more)
+            have += more
+        if k == n:
+            return u[:have], np.flatnonzero(is_pick[:have])
+        b = u[pos:pos + window][: have - pos]
+        t = np.arange(b.size)
+        initial = b * (m + (k + t)) < m  # as a pick at the latest index it can have
+        sure = initial == (b * (m + (k + (t + 1) // 2)) < m)  # and at the earliest
+        j = b.size if sure.all() else int(sure.argmin())  # >= 1: place 0 is sure
+        # a place after an initial pick is a pick; after a second-case pick, not
+        restart = np.concatenate(([True], initial[: j - 1]))
+        at_pick = (t[:j] - np.maximum.accumulate(np.where(restart, t[:j], 0))) % 2 == 0
+        is_pick[pos:pos + j] = at_pick
+        k += int(at_pick.sum())
+        last = j - 1 if at_pick[-1] else j - 2
+        pos += last + (1 if initial[last] else 2)
+        window = 2 * window if j == b.size else max(64, 2 * j)
+
+
+def batch_direct_trace(m0: AtomicMeasure, kernel, n: int, s: RngStream) -> UrnTrace:
+    """mvpp_direct for a kernel that takes one uniform per step through a
+    vectorised `step(x, u)` (finite palettes and the queue): the same draws in
+    the same order, the same trace.  Every m0 colour passes the kernel's
+    check before the first draw.  Colours are filled generation by
+    generation from the parent indices int(u*(m+k) - m)."""
+    if m0.total_mass <= 0:
+        raise ValueError("initial measure must have positive mass")
+    if n < 0:
+        raise ValueError("n must be >= 0")
+    for c, _ in m0.atoms():
+        kernel._check(c)
+    m = m0.total_mass
+    colours0, weights0 = zip(*normalize(m0).atoms())
+    if len(colours0) == 1:
+        u, picks = _direct_pick_positions(m, n, s)
+    else:  # a pick and one more uniform at every step
+        u = s.uniforms(2 * n)
+        picks = np.arange(0, 2 * n, 2)
+    x = u[picks] * (m + np.arange(n))
+    initial = x < m
+    second = u[np.minimum(picks + 1, u.size - 1)]  # each step's second uniform, unread where it takes none
+    par = np.where(initial, np.arange(n), (x - m).astype(np.intp))  # initial draws are roots
+    colours = np.empty(n, dtype=np.int64)
+    cum = np.cumsum(weights0)  # sample_atom on the normalized m0; one atom needs no uniform
+    at = np.searchsorted(cum, second[initial] * cum[-1], side="right")
+    colours[initial] = np.array(colours0)[np.minimum(at, len(cum) - 1)]
+    depth = parent_depths(par[None])[0]
+    order = np.argsort(depth.astype(np.min_scalar_type(depth.max(initial=0))), kind="stable")  # small ints: radix
+    ends = np.cumsum(np.bincount(depth))
+    for lo, hi in zip(ends[:-1], ends[1:]):  # one generation at a time
+        idx = order[lo:hi]
+        colours[idx] = kernel.step(colours[par[idx]], second[idx])
+    return UrnTrace(m0=m0, kernel=kernel, drawn=colours.tolist())
 
 
 def mvpp_via_rrt(m0: AtomicMeasure, kernel: ReplacementKernel, n: int, s: RngStream) -> LabelledTree:
@@ -582,7 +660,7 @@ def verify_main_theorem(
             labels = batch_kary_leaf_labels(n, urns, kernel.offsets, s)
             values = batch_walk_pairs(labels, replicas, kernel, s) + x0
         elif isinstance(kernel, (MMInfQueueKernel, DColourKernel)):
-            trace = mvpp_direct(m0, kernel, n, s)
+            trace = batch_direct_trace(m0, kernel, n, s)
             values, urn = trace.drawn, trace.materialize()
         else:
             raise ValueError(f"no verification route for kernel {type(kernel).__name__}")

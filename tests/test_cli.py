@@ -222,6 +222,23 @@ def test_simulate_rejects_a_kernel_value_the_kernel_rejects(tmp_path, capsys, ke
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize(
+    "kernel,atoms,message",
+    [
+        ("variant = dcolour\nrows = 0.6 0.4; 0.3 0.7", "5:1", "colour 5 outside palette of size 2"),
+        ("variant = dcolour\nrows = 0.6 0.4; 0.3 0.7", "0.5:1", "colour 0.5 outside palette of size 2"),
+        ("variant = mminf", "-1:1", "queue length must be a non-negative integer, got -1"),
+        ("variant = mminf", "0.5:1", "queue length must be a non-negative integer, got 0.5"),
+    ],
+)
+def test_simulate_rejects_an_m0_colour_the_kernel_rejects(tmp_path, capsys, kernel, atoms, message):
+    path = variant_config(tmp_path, kernel, "ergodic")
+    path.write_text(path.read_text().replace("atoms = 0:1", f"atoms = {atoms}"))
+    assert cli.run_simulate(path, tmp_path / "out") == 2
+    assert capsys.readouterr().err == f"config error: {message}\n"
+    assert not (tmp_path / "out").exists()
+
+
 def test_simulate_rejects_a_kdiscrete_m0_of_several_balls(tmp_path, capsys):
     # 0:1 is two balls of weight 1/2; the urn grows from one
     path = variant_config(tmp_path, "variant = kdiscrete\noffsets = 1,1", "kdiscrete-shift")

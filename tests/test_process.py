@@ -4,6 +4,8 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mvpp import oracle, stats
 from mvpp.kernels import (
@@ -28,6 +30,7 @@ from mvpp.process import (
     WINDOW_RATIO,
     _attach_path_sums,
     batch_bmc_walk_labels,
+    batch_direct_trace,
     batch_bst_walk_leaf_colours,
     batch_direct_walk_colours,
     batch_exact_colour_samples,
@@ -45,7 +48,7 @@ from mvpp.process import (
     sample_pair,
     verify_main_theorem,
 )
-from mvpp.randomness import derive_stream
+from mvpp.randomness import RngStream, derive_stream
 from mvpp.verify import _ComplexNormalIncrement, _coupling_samples, _tv_threshold
 
 M0_HALF = AtomicMeasure([(0, 0.5), (1, 0.5)])
@@ -735,6 +738,101 @@ def test_verify_main_theorem_walk_smoke():
     assert entry["ks"] is not None and entry["ks"] < 0.2
     assert abs(entry["decorrelation"]) < 0.2
     assert entry["pass"] == (entry["ks"] <= KS_GATE)
+
+
+class _FixedUniform:
+    """A stream whose every uniform is u."""
+
+    def __init__(self, u):
+        self.u = u
+
+    def next_uniform(self):
+        return self.u
+
+
+def _stream_state(s):
+    return repr(s._gen.bit_generator.state)
+
+
+def _palette_reference(rows, x, u):
+    """The palette draw as a running sum over row x."""
+    acc = 0.0
+    for j, w in enumerate(rows[x]):
+        acc += w
+        if u < acc:
+            return j
+    return len(rows) - 1
+
+
+TENTHS = DColourKernel([[0.1] * 10] + [[0.5 if j in (i - 1, i) else 0.0 for j in range(10)] for i in range(1, 10)])
+
+
+@st.composite
+def _direct_cases(draw):
+    if draw(st.booleans()):
+        if draw(st.booleans()):
+            kernel = TENTHS  # row 0's float cumsum ends below 1
+        else:
+            d = draw(st.integers(2, 4))
+            rows = [draw(st.lists(st.integers(0, 5), min_size=d, max_size=d).filter(any)) for _ in range(d)]
+            kernel = DColourKernel([[v / sum(row) for v in row] for row in rows])
+        colours = st.integers(0, kernel.d - 1)
+    else:
+        kernel = MMInfQueueKernel(draw(st.floats(0.1, 10.0)), draw(st.floats(0.1, 10.0)))
+        colours = st.integers(0, 5)
+    mass = draw(st.floats(0.1, 50.0))
+    parts = draw(st.lists(st.tuples(colours, st.integers(1, 4)), min_size=1, max_size=3))
+    total = sum(p for _, p in parts)
+    m0 = AtomicMeasure((c, mass * p / total) for c, p in parts)
+    return kernel, m0, draw(st.integers(0, 300)), draw(st.integers(0, 2**32))
+
+
+def _assert_same_trace(m0, kernel, n, seed):
+    s_loop, s_batch = derive_stream(seed, 0), derive_stream(seed, 0)
+    loop = mvpp_direct(m0, kernel, n, s_loop)
+    batch = batch_direct_trace(m0, kernel, n, s_batch)
+    assert batch.drawn == loop.drawn and all(type(c) is int for c in batch.drawn)
+    assert _stream_state(s_batch) == _stream_state(s_loop)
+    a, b = loop.materialize(), batch.materialize()
+    assert b.atoms() == a.atoms() and b.total_mass == a.total_mass and batch.total_mass == loop.total_mass
+
+
+@given(_direct_cases())
+@settings(max_examples=80, deadline=None)
+def test_batch_direct_trace_is_mvpp_direct_bit_for_bit(case):
+    kernel, m0, n, seed = case
+    _assert_same_trace(m0, kernel, n, seed)
+    # one vectorised law: step is sample, and the running-sum draw, at both ends of [0, 1)
+    for u in (0.0, np.nextafter(1.0, 0.0)):
+        for x in range(kernel.d if isinstance(kernel, DColourKernel) else 6):
+            got = kernel.sample(x, _FixedUniform(u))
+            assert got == int(kernel.step(x, u)) == int(kernel.step(np.array([x]), np.array([u]))[0])
+            if isinstance(kernel, DColourKernel):
+                assert got == _palette_reference(kernel.rows, x, u)
+            else:
+                assert got == (x + 1 if x == 0 or u < kernel.lam / (kernel.lam + x * kernel.mu) else x - 1)
+
+
+@pytest.mark.parametrize("mass", [1.0, 1000.0])
+@pytest.mark.parametrize("kernel", [DColourKernel([[0.6, 0.4], [0.3, 0.7]]), MMInfQueueKernel(2.0, 1.0)])
+def test_batch_direct_trace_is_mvpp_direct_at_large_n(kernel, mass):
+    _assert_same_trace(AtomicMeasure([(0, mass)]), kernel, 100_000, 13)
+
+
+def test_palette_and_queue_routes_draw_no_uniform_one_at_a_time(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a per-step draw")
+
+    monkeypatch.setattr(RngStream, "next_uniform", refuse)
+    monkeypatch.setattr(DColourKernel, "sample", refuse)
+    monkeypatch.setattr(MMInfQueueKernel, "sample", refuse)
+    routes = (
+        (DColourKernel([[0.6, 0.4], [0.3, 0.7]]), plan_ergodic(None)),
+        (MMInfQueueKernel(1.0, 1.0), plan_ergodic(stats.MMInfJumpChain(1.0, 1.0))),
+    )
+    for kernel, plan in routes:
+        rep = verify_main_theorem(kernel, plan, AtomicMeasure([(0, 1.0)]), [1000], 1, derive_stream(31, 0))
+        assert len(rep["samples"][0]) == 1000 and rep["measures"][0].total_mass == pytest.approx(1001.0)
 
 
 def test_verify_main_theorem_mminf_branch():
