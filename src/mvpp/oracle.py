@@ -1,15 +1,18 @@
-"""Exact ground truth at tiny n, by exhaustive enumeration.
+"""Exact ground truth at tiny n.
 
 Every closed form and every simulator in the package is checked against the
-enumerations here on small instances.  Budgets are hard caps with explicit
-errors, never silent truncation.  Where every enumerated case is equally
-likely (the joint depth laws), outcomes are counted as integers and divided
-once at the end, so the mass is 1 to within a few ulps: adding 1.3 million
-equal double weights at n = 8 drifted 1.3e-12 from 1, past the 1e-12
-tolerance of ExactLaw.check.  The other laws accumulate probabilities in
-double precision.  Marginals are order-free: ExactLaw.marginal sums each
-value's probabilities exactly rounded (math.fsum), so two laws equal as
-dicts give equal marginals whatever their key order.
+laws here on small instances.  Budgets are hard caps with explicit errors,
+never silent truncation.  The Markov-chain laws (urn compositions, the
+coupling legs, the recursive-tree depth, the kappa-ary subtree and leaf
+laws) are carried state by state by one engine, _evolve, which merges equal
+states, so each state's mass is summed once per step instead of once per
+history: adding millions of equal history weights had drifted past the 1e-12
+tolerance of ExactLaw.check inside the budgets.  The joint depth laws count
+every equally likely (history, pair) case as an integer and divide once at
+the end, so their mass is 1 to within a few ulps.  Marginals are order-free:
+ExactLaw.marginal sums each value's probabilities exactly rounded
+(math.fsum), so two laws equal as dicts give equal marginals whatever their
+key order.
 """
 
 from __future__ import annotations
@@ -66,12 +69,36 @@ def _equal_weight_law(counts: Counter) -> ExactLaw:
 
 
 # ---------------------------------------------------------------------------
+# one engine for the Markov-chain laws
+# ---------------------------------------------------------------------------
+
+
+def _evolve(start, moves, steps: int) -> dict:
+    """Law of a Markov chain after `steps` steps from `start`: moves(state, p)
+    yields (next state, the part of the mass p it carries there), and equal
+    next states merge, so each state's mass is summed once per step."""
+    law = {start: 1.0}
+    for _ in range(steps):
+        nxt: dict = {}
+        for state, p in law.items():
+            for new, q in moves(state, p):
+                nxt[new] = nxt.get(new, 0.0) + q
+        law = nxt
+    return law
+
+
+def _bump(counts: tuple, j: int) -> tuple:
+    """counts with entry j one higher."""
+    return counts[:j] + (counts[j] + 1,) + counts[j + 1 :]
+
+
+# ---------------------------------------------------------------------------
 # urn composition laws
 # ---------------------------------------------------------------------------
 
 
 def exact_urn_law(m0: AtomicMeasure, kernel, n: int) -> ExactLaw:
-    """Law of the draw-count vector after n steps, enumerated exactly.
+    """Exact law of the draw-count vector after n steps.
 
     For a finite-palette kernel the outcome is the tuple of per-colour draw
     counts; for a kappa-discrete kernel it is the sorted tuple of
@@ -82,77 +109,46 @@ def exact_urn_law(m0: AtomicMeasure, kernel, n: int) -> ExactLaw:
     if n < 0:
         raise ValueError("n must be >= 0")
     if isinstance(kernel, DColourKernel):
-        return _exact_urn_law_dcolour(m0, kernel, n)
-    if isinstance(kernel, KDiscreteKernel):
-        return _exact_urn_law_kdiscrete(m0, kernel, n)
-    raise ValueError("exact urn law needs a finite-palette or kappa-discrete kernel")
+        if len(m0.atoms()) > 4:
+            raise BudgetError("initial measure over more than 4 colours")
 
+        def moves(counts, p):
+            mass = m0.total_mass + sum(counts)
+            for j, c in enumerate(dcolour_composition(m0, kernel, counts)):
+                if c > 0:
+                    yield _bump(counts, j), p * c / mass
 
-def _exact_urn_law_dcolour(m0: AtomicMeasure, kernel: DColourKernel, n: int) -> ExactLaw:
-    d = kernel.d
-    if len(m0.atoms()) > 4:
+        return ExactLaw(_evolve((0,) * kernel.d, moves, n)).check()
+    if not isinstance(kernel, KDiscreteKernel):
+        raise ValueError("exact urn law needs a finite-palette or kappa-discrete kernel")
+    balls0 = {}
+    for colour, w in m0.atoms():
+        b = w * kernel.kappa
+        if abs(b - round(b)) > 1e-9:
+            raise ValueError(f"atom weight {w} is not a multiple of 1/{kernel.kappa}")
+        balls0[colour] = int(round(b))
+    if len(balls0) > 4:
         raise BudgetError("initial measure over more than 4 colours")
-    w0 = [m0.weight(j) for j in range(d)]
-    mass0 = m0.total_mass
-    states = {tuple([0] * d): 1.0}
-    for k in range(n):
-        nxt: dict = {}
-        mass = mass0 + k
-        for counts, p in states.items():
-            comp = [
-                w0[j] + sum(counts[i] * kernel.rows[i][j] for i in range(d))
-                for j in range(d)
-            ]
-            for j in range(d):
-                if comp[j] <= 0:
-                    continue
-                nc = list(counts)
-                nc[j] += 1
-                key = tuple(nc)
-                nxt[key] = nxt.get(key, 0.0) + p * comp[j] / mass
-        states = nxt
-    return ExactLaw(states).check()
+
+    def draw_a_ball(state, p):
+        total = sum(b for _, b in state)
+        for x, bx in state:
+            if bx <= 0:
+                continue
+            balls = dict(state)
+            balls[x] -= 1
+            if balls[x] == 0:
+                del balls[x]
+            for y in kernel.atom_tuple(x):
+                balls[y] = balls.get(y, 0) + 1
+            yield tuple(sorted(balls.items())), p * bx / total
+
+    return ExactLaw(_evolve(tuple(sorted(balls0.items())), draw_a_ball, n)).check()
 
 
 def dcolour_composition(m0: AtomicMeasure, kernel: DColourKernel, counts) -> tuple:
     """Urn composition vector determined by a draw-count outcome."""
-    d = kernel.d
-    return tuple(
-        m0.weight(j) + sum(counts[i] * kernel.rows[i][j] for i in range(d))
-        for j in range(d)
-    )
-
-
-def _exact_urn_law_kdiscrete(m0: AtomicMeasure, kernel: KDiscreteKernel, n: int) -> ExactLaw:
-    kappa = kernel.kappa
-    balls0 = {}
-    for colour, w in m0.atoms():
-        b = w * kappa
-        if abs(b - round(b)) > 1e-9:
-            raise ValueError(f"atom weight {w} is not a multiple of 1/{kappa}")
-        balls0[colour] = int(round(b))
-    if len(balls0) > 4:
-        raise BudgetError("initial measure over more than 4 colours")
-    start = tuple(sorted(balls0.items()))
-    states = {start: 1.0}
-    for _ in range(n):
-        nxt: dict = {}
-        for state, p in states.items():
-            balls = dict(state)
-            total = sum(balls.values())
-            for x, bx in list(balls.items()):
-                if bx <= 0:
-                    continue
-                newb = dict(balls)
-                newb[x] -= 1
-                if newb[x] == 0:
-                    del newb[x]
-                for y in kernel.atom_tuple(x):
-                    newb[y] = newb.get(y, 0) + 1
-                key = tuple(sorted(newb.items()))
-                nxt[key] = nxt.get(key, 0.0) + p * bx / total
-        states = nxt
-    return ExactLaw(states).check()
+    return tuple(m0.weight(j) + sum(c * row[j] for c, row in zip(counts, kernel.rows)) for j in range(kernel.d))
 
 
 # ---------------------------------------------------------------------------
@@ -208,25 +204,21 @@ def exact_rrt_joint_depths(n: int, include_root: bool = True) -> ExactLaw:
 
 
 def exact_rrt_depth(n: int) -> ExactLaw:
-    """Marginal depth law of one uniform node (independent enumeration)."""
+    """Marginal depth law of one uniform node, carried over the sorted depth
+    multiset of the tree: an implementation-independent oracle."""
     if n > 8:
         raise BudgetError(f"n={n} exceeds the enumeration budget of 8")
-    # depth of node k is a sum of independent record indicators; enumerate
-    # directly over histories for an implementation-independent oracle
+    if n < 0:
+        raise ValueError("n must be >= 0")
+
+    def attach(depths, p):  # a uniform node of the k-node tree takes a child
+        for dep, m in Counter(depths).items():
+            yield tuple(sorted(depths + (dep + 1,))), p * m / len(depths)
+
     law = ExactLaw()
-    dep = [0] * (n + 1)
-    hist_p = 1.0 / math.factorial(n)
-
-    def rec(k: int):
-        if k > n:
-            for u in range(n + 1):
-                law.add(dep[u], hist_p / (n + 1))
-            return
-        for par in range(k):
-            dep[k] = dep[par] + 1
-            rec(k + 1)
-
-    rec(1)
+    for depths, p in _evolve((0,), attach, n).items():
+        for dep, m in Counter(depths).items():
+            law.add(dep, p * m / (n + 1))
     return law.check()
 
 
@@ -290,32 +282,20 @@ def kary_tree_count(m: int, kappa: int) -> int:
 
 def exact_kary_subtree_law(n: int, kappa: int) -> ExactLaw:
     """Law of the internal-node counts of the root's kappa subtrees after n
-    uniform leaf splits, enumerated over all histories."""
+    uniform leaf splits.  The first split founds the subtrees; after it a
+    subtree with c internal nodes holds 1 + c (kappa-1) of the leaves, so
+    the counts alone are the state."""
     if n < 1:
         raise ValueError("n must be >= 1")
     if n * (kappa - 1) > 12:
         raise BudgetError("n*(kappa-1) exceeds the enumeration budget of 12")
-    law = ExactLaw()
 
-    # leaves carry the index of the root subtree they live in
-    def rec(step: int, leaves: tuple, counts: tuple, p: float):
-        if step == n:
-            law.add(counts, p)
-            return
-        q = p / len(leaves)
-        for i, sub in enumerate(leaves):
-            if sub < 0:
-                # splitting the root: children found the kappa subtrees
-                new_leaves = leaves[:i] + leaves[i + 1 :] + tuple(range(kappa))
-                rec(step + 1, new_leaves, counts, q)
-            else:
-                nc = list(counts)
-                nc[sub] += 1
-                new_leaves = leaves[:i] + leaves[i + 1 :] + (sub,) * kappa
-                rec(step + 1, new_leaves, tuple(nc), q)
+    def split(counts, p):
+        leaves = 1 + (kappa - 1) * (1 + sum(counts))
+        for i, c in enumerate(counts):
+            yield _bump(counts, i), p * (1 + (kappa - 1) * c) / leaves
 
-    rec(0, (-1,), tuple([0] * kappa), 1.0)
-    return law.check()
+    return ExactLaw(_evolve((0,) * kappa, split, n - 1)).check()
 
 
 def closed_form_kary(n: int, kappa: int) -> ExactLaw:
@@ -370,79 +350,53 @@ def exact_coupling_law(m0: AtomicMeasure, kernel: DColourKernel, n: int) -> dict
     tree.  All three must agree to within accumulated rounding."""
     if n > 3:
         raise BudgetError("coupling enumeration is budgeted to n <= 3")
+    if n < 0:
+        raise ValueError("n must be >= 0")
     d = kernel.d
     if abs(m0.total_mass - 1.0) > 1e-12:
         raise ValueError("coupling laws assume unit initial mass")
     nor0 = [m0.weight(j) for j in range(d)]
 
-    direct = _exact_urn_law_dcolour(m0, kernel, n)
+    def offspring(tag):  # (colour, probability) of a child of what carries `tag`
+        return [(c, w) for c, w in enumerate(nor0 if tag is None else kernel.rows[tag]) if w > 0]
 
-    rrt = ExactLaw()
+    def node_takes_a_child(nodes, p):
+        # nodes[t]: the nodes of colour t; the root is the uncoloured node
+        k = 1 + sum(nodes)
+        for tag, m in ((None, 1), *enumerate(nodes)):
+            if m:
+                for c, w in offspring(tag):
+                    yield _bump(nodes, c), p * m / k * w
 
-    def rec_rrt(labels: tuple, p: float):
-        k = len(labels)  # labels[0] is the initial packet (no colour)
-        if k == n + 1:
-            counts = [0] * d
-            for c in labels[1:]:
-                counts[c] += 1
-            rrt.add(tuple(counts), p)
-            return
-        for parent in range(k):
-            q = p / k
-            if parent == 0:
-                for c in range(d):
-                    if nor0[c] > 0:
-                        rec_rrt(labels + (c,), q * nor0[c])
-            else:
-                row = kernel.rows[labels[parent]]
-                for c in range(d):
-                    if row[c] > 0:
-                        rec_rrt(labels + (c,), q * row[c])
+    def leaf_splits(leaves, p):
+        # leaves[0]: the initial packet, leaves[1 + t]: the packets of colour t;
+        # a leaf keeps its packet and adds a fresh one of the drawn colour
+        for t, m in enumerate(leaves):
+            if m:
+                for c, w in offspring(t - 1 if t else None):
+                    yield _bump(leaves, 1 + c), p * m / sum(leaves) * w
 
-    rec_rrt((None,), 1.0)
-
-    bst = ExactLaw()
-
-    def rec_bst(leaves: tuple, counts: tuple, p: float):
-        # leaves: packet tags, None for the initial packet; coin flips
-        # permute leaf positions only, so they are integrated out
-        if sum(counts) == n:
-            bst.add(counts, p)
-            return
-        q = p / len(leaves)
-        for i, tag in enumerate(leaves):
-            dist = nor0 if tag is None else kernel.rows[tag]
-            for c in range(d):
-                if dist[c] > 0:
-                    nc = list(counts)
-                    nc[c] += 1
-                    rec_bst(
-                        leaves[:i] + (tag, c) + leaves[i + 1 :],
-                        tuple(nc),
-                        q * dist[c],
-                    )
-
-    rec_bst((None,), tuple([0] * d), 1.0)
-
-    return {"direct": direct.check(), "rrt": rrt.check(), "bst": bst.check()}
+    bst = _evolve((1,) + (0,) * d, leaf_splits, n)
+    return {
+        "direct": exact_urn_law(m0, kernel, n),
+        "rrt": ExactLaw(_evolve((0,) * d, node_takes_a_child, n)).check(),
+        "bst": ExactLaw({leaves[1:]: p for leaves, p in bst.items()}).check(),
+    }
 
 
 def exact_kdiscrete_leaf_law(kernel: KDiscreteKernel, n: int, root_colour) -> ExactLaw:
     """Law of the sorted leaf-label multiset of the kappa-ary coupling after
     n steps, started from a single ball of the given colour.  Sibling
-    shuffles permute labels without changing the multiset, so only leaf
-    choices are enumerated."""
+    shuffles permute labels without changing the multiset, so the multiset
+    is the state."""
+    if n < 0:
+        raise ValueError("n must be >= 0")
     if (kernel.kappa - 1) * n > 12:
         raise BudgetError("n*(kappa-1) exceeds the enumeration budget of 12")
-    law = ExactLaw()
 
-    def rec(leaves: tuple, steps: int, p: float):
-        if steps == n:
-            law.add(tuple(sorted(leaves)), p)
-            return
-        q = p / len(leaves)
-        for i, x in enumerate(leaves):
-            rec(leaves[:i] + leaves[i + 1 :] + kernel.atom_tuple(x), steps + 1, q)
+    def split(leaves, p):
+        for x, m in Counter(leaves).items():
+            i = leaves.index(x)
+            yield tuple(sorted(leaves[:i] + leaves[i + 1 :] + kernel.atom_tuple(x))), p * m / len(leaves)
 
-    rec((root_colour,), 0, 1.0)
-    return law.check()
+    return ExactLaw(_evolve((root_colour,), split, n)).check()

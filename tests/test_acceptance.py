@@ -22,7 +22,7 @@ from mvpp import verify
 ROOT_SEED = 1
 
 # sha256 of `mvpp verify --suite all --seed 1`'s verify_all.json
-VERIFY_ALL_SHA256 = "7068a278f498e08117acd66e635e51452cdf8ccfcaad2239fc32486b757e07d1"
+VERIFY_ALL_SHA256 = "67a4bf44923a0b4fd541fdb0591e7376fa5b3d3cd13f12acc65131086ed60904"
 
 
 @pytest.fixture(scope="module")

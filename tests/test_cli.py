@@ -318,17 +318,18 @@ def test_oracle_subcommand_kary(tmp_path):
 
 
 def test_oracle_subcommand_at_the_budget(tmp_path):
-    out = tmp_path / "bst8.csv"
-    assert cli.main(["oracle", "--name", "bst-joint-depths", "--n", "8", "--out", str(out)]) == 0
-    probs = [float(row.rsplit(",", 1)[1]) for row in out.read_text().strip().splitlines()[1:]]
-    assert abs(sum(probs) - 1.0) <= 1e-12
+    out = tmp_path / "law.csv"
+    for args in (["bst-joint-depths", "--n", "8"], ["kary-subtree", "--n", "12", "--kappa", "2"]):
+        assert cli.main(["oracle", "--name", *args, "--out", str(out)]) == 0
+        probs = [float(row.rsplit(",", 1)[1]) for row in out.read_text().strip().splitlines()[1:]]
+        assert abs(sum(probs) - 1.0) <= 1e-12
 
 
 def test_oracle_unknown_name(capsys):
     assert cli.run_oracle("nope", 2, 2, None) == 2
 
 
-@pytest.mark.parametrize("name,n", [("rrt-joint-depths", 9), ("kary-subtree", 0)])
+@pytest.mark.parametrize("name,n", [("rrt-joint-depths", 9), ("kary-subtree", 0), ("coupling", -1)])
 def test_oracle_rejects_an_n_outside_its_range(tmp_path, capsys, name, n):
     out = tmp_path / "law.csv"
     assert cli.main(["oracle", "--name", name, "--n", str(n), "--out", str(out)]) == 2

@@ -1,3 +1,5 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -240,7 +242,8 @@ def test_kary_subtree_law_small():
 
 
 def test_kary_enumerated_vs_closed_form():
-    for n, kappa in ((4, 2), (3, 3), (2, 4)):
+    # up to every budget edge n(kappa-1) = 12
+    for n, kappa in ((4, 2), (3, 3), (2, 4), (12, 2), (6, 3), (4, 4), (3, 5), (2, 7), (1, 13)):
         enum = oracle.exact_kary_subtree_law(n, kappa)
         closed = oracle.closed_form_kary(n, kappa)
         assert enum.max_abs_diff(closed) <= 1e-10, (n, kappa)
@@ -298,14 +301,31 @@ def test_kdiscrete_leaf_law_example():
 
 def test_kdiscrete_leaf_law_matches_measure_dynamics():
     # the sorted leaf multiset determines the urn state: compare with the
-    # direct without-replacement enumeration started from one ball
-    kern = KDiscreteKernel((0, 1))
-    leaf_law = oracle.exact_kdiscrete_leaf_law(kern, 2, 0)
-    urn_law = oracle.exact_urn_law(AtomicMeasure([(0, 0.5)]), kern, 2)
-    derived = oracle.ExactLaw()
-    for leaves, p in leaf_law.probs.items():
-        balls = {}
-        for c in leaves:
-            balls[c] = balls.get(c, 0) + 1
-        derived.add(tuple(sorted(balls.items())), p)
-    assert derived.max_abs_diff(urn_law) < 1e-12
+    # direct without-replacement enumeration started from one ball, up to
+    # the urn law's budget of 8 steps
+    for offsets in ((0, 1), (1, 1), (-1, 0, 1), (0, 1, 2)):
+        kern = KDiscreteKernel(offsets)
+        for n in range(min(8, 12 // (kern.kappa - 1)) + 1):
+            leaf_law = oracle.exact_kdiscrete_leaf_law(kern, n, 0)
+            urn_law = oracle.exact_urn_law(AtomicMeasure([(0, 1 / kern.kappa)]), kern, n)
+            derived = oracle.ExactLaw()
+            for leaves, p in leaf_law.probs.items():
+                derived.add(tuple(sorted(Counter(leaves).items())), p)
+            assert derived.max_abs_diff(urn_law) < 1e-12, (offsets, n)
+
+
+@pytest.mark.parametrize("offsets", [(0, 1), (1, 1), (0, 1, 2)])
+def test_kdiscrete_leaf_law_holds_its_mass_at_the_budget(offsets):
+    kern = KDiscreteKernel(offsets)
+    law = oracle.exact_kdiscrete_leaf_law(kern, 12 // (kern.kappa - 1), 0)
+    assert abs(law.total() - 1.0) <= 1e-12
+
+
+@pytest.mark.parametrize(
+    "law",
+    [lambda: oracle.exact_kdiscrete_leaf_law(KDiscreteKernel((0, 1)), -1, 0), lambda: oracle.exact_rrt_depth(-1)],
+    ids=["kdiscrete-leaf", "rrt-depth"],
+)
+def test_laws_reject_a_negative_n(law):
+    with pytest.raises(ValueError, match="n must be >= 0"):
+        law()

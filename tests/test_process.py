@@ -49,7 +49,7 @@ from mvpp.process import (
     verify_main_theorem,
 )
 from mvpp.randomness import RngStream, derive_stream
-from mvpp.verify import _ComplexNormalIncrement, _coupling_samples, _tv_threshold
+from mvpp.verify import _ComplexNormalIncrement, _coupling_samples, _forest_sizes, _tv_threshold
 
 M0_HALF = AtomicMeasure([(0, 0.5), (1, 0.5)])
 KERN2 = DColourKernel([[0.5, 0.5], [0.25, 0.75]])
@@ -195,6 +195,21 @@ def test_forest_fractional_three_trees():
     assert len(f.trees) == 3
     assert f.root_weights == [1.0, 1.0, 0.5]
     assert sum(f.sizes()) == 203
+
+
+@pytest.mark.parametrize("weights", [[1.0, 1.0], [1.0, 1.0, 0.5]])
+def test_batched_forest_sizes_follow_the_forest_coupling(weights):
+    # criterion 9 scores the size-only model verify._forest_sizes: each
+    # tree's node count must follow the forest coupling's (the constant walk
+    # kernel draws nothing)
+    n, reps = 100, 1000
+    s = derive_stream(34, len(weights))
+    m0 = AtomicMeasure([(0.0, sum(weights))])
+    scalar = np.array([[t.n_nodes for t in mvpp_forest(m0, walk_kernel_constant(1.0), n, s).trees] for _ in range(reps)])
+    batched = _forest_sizes(weights, n, reps, s) - np.array(weights) + 1
+    crit = stats.ks_two_sample_critical(0.01, reps, reps)
+    for tree in range(len(weights)):
+        assert stats.ks_two_sample(scalar[:, tree], batched[:, tree]) < crit
 
 
 def test_forest_zero_mass_rejected():

@@ -11,7 +11,7 @@ from mvpp import stats
 from mvpp.kernels import MMInfQueueKernel
 from mvpp.randomness import derive_stream
 
-GOLDEN = Path(__file__).parent.parent / "src" / "mvpp" / "data" / "normal_cdf_table.csv"
+GOLDEN = Path(__file__).parent / "data" / "normal_cdf_table.csv"
 
 
 def test_normal_cdf_against_golden_table():
