@@ -124,8 +124,8 @@ def exact_urn_law(m0: AtomicMeasure, kernel, n: int) -> ExactLaw:
     balls0 = {}
     for colour, w in m0.atoms():
         b = w * kernel.kappa
-        if abs(b - round(b)) > 1e-9:
-            raise ValueError(f"atom weight {w} is not a multiple of 1/{kernel.kappa}")
+        if abs(b - round(b)) > 1e-9 or round(b) < 1:
+            raise ValueError(f"atom weight {w} is not a positive multiple of 1/{kernel.kappa}")
         balls0[colour] = int(round(b))
     if len(balls0) > 4:
         raise BudgetError("initial measure over more than 4 colours")
@@ -287,6 +287,8 @@ def exact_kary_subtree_law(n: int, kappa: int) -> ExactLaw:
     the counts alone are the state."""
     if n < 1:
         raise ValueError("n must be >= 1")
+    if kappa < 2:
+        raise ValueError("kappa must be >= 2")
     if n * (kappa - 1) > 12:
         raise BudgetError("n*(kappa-1) exceeds the enumeration budget of 12")
 
@@ -309,6 +311,8 @@ def closed_form_kary(n: int, kappa: int) -> ExactLaw:
     """
     if n < 1:
         raise ValueError("n must be >= 1")
+    if kappa < 2:
+        raise ValueError("kappa must be >= 2")
 
     def a_factor(m: int) -> float:
         out = 1.0

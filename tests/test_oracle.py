@@ -66,6 +66,13 @@ def test_urn_law_kdiscrete_states():
     assert law2.check().total() == pytest.approx(1.0)
 
 
+def test_urn_law_kdiscrete_rejects_an_atom_of_no_balls():
+    # 1e-10 is within 1e-9/kappa of zero balls, which is no colour at all
+    m0 = AtomicMeasure([(0, 1e-10), (1, 0.5)])
+    with pytest.raises(ValueError, match="positive multiple of 1/2"):
+        oracle.exact_urn_law(m0, KDiscreteKernel((0, 1)), 2)
+
+
 # ---------------------------------------------------------------------------
 # joint depth laws
 # ---------------------------------------------------------------------------
@@ -252,6 +259,13 @@ def test_kary_enumerated_vs_closed_form():
 def test_kary_budget():
     with pytest.raises(oracle.BudgetError):
         oracle.exact_kary_subtree_law(13, 2)
+
+
+@pytest.mark.parametrize("kappa", [0, 1])
+@pytest.mark.parametrize("law", [oracle.exact_kary_subtree_law, oracle.closed_form_kary])
+def test_kary_laws_reject_kappa_below_two(law, kappa):
+    with pytest.raises(ValueError, match="kappa must be >= 2"):
+        law(3, kappa)
 
 
 # ---------------------------------------------------------------------------

@@ -67,19 +67,83 @@ class _PointwiseLaw:
         return np.array([stats.normal_cdf((x - self.law.mean) / math.sqrt(self.law.var)) for x in xs])
 
 
+class _CountingLaw:
+    """A law that counts the points its CDF is asked for."""
+
+    def __init__(self, law):
+        self.law, self.points = law, 0
+
+    def cdf(self, xs):
+        self.points += np.size(xs)
+        return self.law.cdf(xs)
+
+
+def _ks_all_points(sample, law, weights=None):
+    # reference: both one-sided gaps at every distinct point, one law.cdf call
+    vals = np.asarray(sample, dtype=float)
+    wts = np.ones_like(vals) if weights is None else np.asarray(weights, dtype=float)
+    total = wts.sum()
+    order = np.argsort(vals, kind="stable")
+    vals, wts = vals[order], wts[order]
+    uniq, idx = np.unique(vals, return_index=True)
+    cum = np.cumsum(wts) / total
+    upper = cum[np.append(idx[1:] - 1, len(vals) - 1)]
+    lower = np.concatenate(([0.0], upper[:-1]))
+    ref = np.asarray(law.cdf(uniq), dtype=float)
+    return float(np.max(np.maximum(np.abs(ref - lower), np.abs(upper - ref))))
+
+
 @pytest.mark.parametrize("law", [stats.STD_NORMAL, stats.Normal(1.3, 2.7), stats.Normal(-4, 1)])
 def test_ks_normal_fast_path_equals_pointwise_path(law):
     # the array Normal.cdf is normal_cdf's arithmetic, point by point, bit for bit
     s = derive_stream(77, 0)
-    x = 1.3 + 1.7 * s.standard_normals(20_000)
-    tied = np.round(x, 1)  # about 200 distinct values
+    x = 1.3 + 1.7 * s.standard_normals(100_000)
+    tied = np.round(x[:20_000], 1)  # about 200 distinct values
     far = np.array([-40.0, -9.0, 0.0, 9.0, 40.0])  # CDF saturates at 0 and 1
-    for sample in (x, tied, far, np.array([2.5])):
+    sized = [x[:size] for size in (1, 2, 64, 65)]
+    for sample in (x, tied, far, np.array([2.5]), *sized):
         assert np.array_equal(law.cdf(sample), _PointwiseLaw(law).cdf(sample))
-        assert stats.ks_statistic(sample, law) == stats.ks_statistic(sample, _PointwiseLaw(law))
+        ks = stats.ks_statistic(sample, law)
+        assert ks == stats.ks_statistic(sample, _PointwiseLaw(law)) == _ks_all_points(sample, law)
     weights = s.uniforms(500) + 0.1
     fast = stats.ks_statistic(tied[:500], law, weights=weights)
     assert fast == stats.ks_statistic(tied[:500], _PointwiseLaw(law), weights=weights)
+    assert fast == _ks_all_points(tied[:500], law, weights=weights)
+    # the block bounds spare law.cdf most of a large sample
+    counted = _CountingLaw(law)
+    stats.ks_statistic(x, counted)
+    assert counted.points < x.size / 2
+
+
+@pytest.mark.parametrize(
+    "law,draw",
+    [
+        (stats.Normal(0.25, 0.0), lambda s, n: np.round(s.standard_normals(n), 1)),
+        (stats.Uniform01(), lambda s, n: 1.2 * s.uniforms(n) - 0.1),
+        (stats.Uniform01(), lambda s, n: np.round(s.uniforms(n), 2)),
+        (stats.PointMass(0.5), lambda s, n: np.round(s.uniforms(n), 1)),
+        (stats.Poisson(3.0), lambda s, n: np.floor(6 * s.uniforms(n))),
+        (stats.Poisson(40.0), lambda s, n: np.round(40 + 6.3 * s.standard_normals(n))),
+    ],
+    ids=["normal-var0", "uniform", "uniform-ties", "point-mass", "poisson", "poisson-wide"],
+)
+@pytest.mark.parametrize("n", [1, 2, 64, 65, 5000])
+def test_ks_equals_the_all_points_reference(law, draw, n):
+    s = derive_stream(79, n)
+    x = draw(s, n)
+    weights = s.uniforms(n) + 0.05
+    assert stats.ks_statistic(x, law) == _ks_all_points(x, law)
+    assert stats.ks_statistic(x, law, weights=weights) == _ks_all_points(x, law, weights=weights)
+
+
+def test_ks_finds_a_sup_inside_a_block():
+    # uniform quantiles, all gaps 0.5/n, except one point strictly inside a
+    # block pulled left so that its upper gap 0.8/n is the unique sup
+    n = 1000
+    x = (np.arange(n) + 0.5) / n
+    x[stats._KS_BLOCK + stats._KS_BLOCK // 2] -= 0.3 / n
+    assert stats.ks_statistic(x, stats.Uniform01()) == _ks_all_points(x, stats.Uniform01())
+    assert stats.ks_statistic(x, stats.Uniform01()) == pytest.approx(0.8 / n, rel=1e-9)
 
 
 def test_ks_errors():
@@ -89,18 +153,26 @@ def test_ks_errors():
         stats.ks_statistic([1.0], stats.STD_NORMAL, weights=[0.0])
     with pytest.raises(ValueError):
         stats.ks_statistic([1.0, 2.0], stats.STD_NORMAL, weights=[1.0])
+    with pytest.raises(ValueError):
+        stats.ks_statistic([1.0, 2.0], stats.STD_NORMAL, weights=[1.0, math.nan])
+    with pytest.raises(ValueError, match="NaN"):
+        stats.ks_statistic([0.0, math.nan, 1.0], stats.STD_NORMAL)
+    # infinities stay allowed: the CDF is 0 or 1 there
+    assert stats.ks_statistic([-math.inf, math.inf], stats.STD_NORMAL) == 0.5
 
 
 @pytest.mark.parametrize("ties", [False, True])
 @pytest.mark.parametrize("law,name", [(stats.STD_NORMAL, "norm"), (stats.Uniform01(), "uniform")])
 def test_ks_statistic_matches_scipy_kstest(law, name, ties):
     scipy_stats = pytest.importorskip("scipy.stats")
-    s = derive_stream(78, 0)
-    x = s.standard_normals(5000) if name == "norm" else s.uniforms(5000)
-    if ties:
-        x = np.round(x, 2)
-    want = scipy_stats.kstest(x, name).statistic
-    assert stats.ks_statistic(x, law) == pytest.approx(want, abs=1e-12)
+    for n in (1, 2, 64, 65, 5000):
+        s = derive_stream(78, 0)
+        x = s.standard_normals(n) if name == "norm" else s.uniforms(n)
+        if ties:
+            x = np.round(x, 2)
+        want = scipy_stats.kstest(x, name).statistic
+        assert stats.ks_statistic(x, law) == pytest.approx(want, abs=1e-12)
+        assert stats.ks_statistic(x, law) == _ks_all_points(x, law)
 
 
 def test_law_cdfs_take_arrays():
