@@ -7,12 +7,8 @@ from .kernels import (
     KDiscreteKernel,
     MMInfQueueKernel,
     RandomWalkKernel,
-    RenormalisationPlan,
     companion_chain,
     leading_eigenpair,
-    plan_brw,
-    plan_ergodic,
-    plan_stable,
     walk_kernel_stable,
 )
 from .measures import AtomicMeasure, Rescaling, normalize, sample_atom, theta_rescale, z_n
@@ -35,7 +31,6 @@ __all__ = [
     "KDiscreteKernel",
     "MMInfQueueKernel",
     "RandomWalkKernel",
-    "RenormalisationPlan",
     "Rescaling",
     "RngStream",
     "companion_chain",
@@ -51,9 +46,6 @@ __all__ = [
     "mvpp_via_bst",
     "mvpp_via_rrt",
     "normalize",
-    "plan_brw",
-    "plan_ergodic",
-    "plan_stable",
     "profile",
     "rotation",
     "sample_atom",

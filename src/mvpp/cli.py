@@ -25,11 +25,6 @@ from .kernels import (
     DColourKernel,
     KDiscreteKernel,
     MMInfQueueKernel,
-    RandomWalkKernel,
-    StableIncrement,
-    plan_brw,
-    plan_ergodic,
-    plan_stable,
     walk_kernel_constant,
     walk_kernel_normal,
     walk_kernel_rademacher,
@@ -57,7 +52,7 @@ def load_config(path) -> dict:
     read = cp.read(path)
     if not read:
         raise ConfigError(f"config file {path} not found or unreadable")
-    for section in ("experiment", "kernel", "m0", "plan"):
+    for section in ("experiment", "kernel", "m0"):
         if section not in cp:
             raise ConfigError(f"missing [{section}] section in {path}")
     exp = cp["experiment"]
@@ -77,21 +72,14 @@ def load_config(path) -> dict:
         raise ConfigError("n_grid values must be >= 1")
     if any(b <= a for a, b in zip(cfg["n_grid"], cfg["n_grid"][1:])):
         raise ConfigError("n_grid must be strictly increasing")
-    cfg["kernel"] = _built("kernel", _parse_kernel, cp["kernel"])
-    cfg["m0"] = _parse_m0(cp["m0"])
-    cfg["plan"] = _built("plan", _parse_plan, cp["plan"], cfg["kernel"])
-    return cfg
-
-
-def _built(section, parse, *args):
-    """parse(*args), with a ValueError raised by a value or by the kernel or
-    plan it builds reported as a ConfigError naming [section]."""
     try:
-        return parse(*args)
+        cfg["kernel"] = _parse_kernel(cp["kernel"])
     except ConfigError:
         raise
-    except ValueError as e:
-        raise ConfigError(f"bad [{section}] value: {e}")
+    except ValueError as e:  # raised by a value or by the kernel it builds
+        raise ConfigError(f"bad [kernel] value: {e}")
+    cfg["m0"] = _parse_m0(cp["m0"])
+    return cfg
 
 
 def _parse_kernel(sec):
@@ -131,25 +119,6 @@ def _parse_m0(sec) -> AtomicMeasure:
             raise ConfigError(f"bad atom {part!r} in [m0] atoms; expected finite colour:weight with weight > 0")
         atoms.append((int(c) if c == int(c) else c, w))
     return AtomicMeasure(atoms)
-
-
-def _parse_plan(sec, kernel):
-    """The plan preset, with its parameters read off the parsed kernel."""
-    preset = sec.get("preset", "")
-    walk = isinstance(kernel, RandomWalkKernel)
-    stable = walk and isinstance(kernel.increment, StableIncrement)
-    kdiscrete = isinstance(kernel, KDiscreteKernel)  # a walk whose steps are its offsets
-    if (preset == "brw" and walk and not stable) or (preset == "kdiscrete-shift" and kdiscrete):
-        return plan_brw(mean=kernel.mean, var=kernel.cov)
-    if preset == "ergodic" and isinstance(kernel, MMInfQueueKernel):
-        return plan_ergodic(stats.MMInfJumpChain(kernel.lam, kernel.mu), claimed=True)
-    if preset == "ergodic" and isinstance(kernel, DColourKernel):
-        return plan_ergodic(None, claimed=True)  # the palette route scores the Perron limit
-    if preset == "stable" and stable:
-        return plan_stable(kernel.increment.alpha)
-    if preset in ("brw", "ergodic", "stable", "kdiscrete-shift"):
-        raise ConfigError(f"plan preset {preset!r} does not fit the {type(kernel).__name__} in [kernel]")
-    raise ConfigError(f"unknown plan preset {preset!r} in [plan]")
 
 
 # ---------------------------------------------------------------------------
@@ -253,9 +222,7 @@ def run_simulate(config_path, out_dir, seed=None) -> int:
     t0 = time.monotonic()
     s = derive_stream(cfg["seed"], 0)
     try:
-        report = verify_main_theorem(
-            cfg["kernel"], cfg["plan"], cfg["m0"], cfg["n_grid"], cfg["replicas"], s
-        )
+        report = verify_main_theorem(cfg["kernel"], cfg["m0"], cfg["n_grid"], cfg["replicas"], s)
     except ValueError as e:
         print(f"config error: {e}", file=sys.stderr)
         return 2

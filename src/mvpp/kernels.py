@@ -10,13 +10,13 @@ atoms so small urns can be materialised exactly.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
 
 from .measures import AtomicMeasure
 from .randomness import RngStream
-from . import stats
 
 
 class ReplacementKernel:
@@ -43,6 +43,7 @@ class DColourKernel(ReplacementKernel):
                 raise ValueError(f"row {i} does not sum to 1")
         self.d = d
         self._cum = np.cumsum(self.rows, axis=1)  # adds in row order, as a running sum does
+        self._cum_rows = self._cum.tolist()
 
     def _check(self, x):
         if not (isinstance(x, int) and 0 <= x < self.d):
@@ -56,8 +57,9 @@ class DColourKernel(ReplacementKernel):
         return np.minimum((self._cum[x] <= u[..., None]).sum(axis=-1), self.d - 1)
 
     def sample(self, x, s: RngStream) -> int:
+        """step(x, u) for one uniform, read off the cumulated row as a list."""
         self._check(x)
-        return int(self.step(x, s.next_uniform()))
+        return min(bisect_right(self._cum_rows[x], s.next_uniform()), self.d - 1)
 
     def atoms(self, x) -> AtomicMeasure:
         self._check(x)
@@ -67,9 +69,10 @@ class DColourKernel(ReplacementKernel):
 class RandomWalkKernel(ReplacementKernel):
     """R_x = law of x + increment; the increment does not depend on x.
 
-    The declared mean and variance are trusted by the renormalisation plans
-    (stable increments declare cov = inf, and mean None where it does not
-    exist); validate_declared_moments cross-checks them against draws.
+    The declared mean and variance fix the walk's rescaled limit in
+    process.verify_main_theorem (stable increments declare cov = inf, and
+    mean None where it does not exist); validate_declared_moments
+    cross-checks them against draws.
     """
 
     def __init__(self, increment, mean, cov):
@@ -121,6 +124,10 @@ class RademacherIncrement:
 class NormalIncrement:
     mean: float = 0.0
     var: float = 1.0
+
+    def __post_init__(self):
+        if self.var < 0:
+            raise ValueError(f"variance must be non-negative, got {self.var}")
 
     def draw(self, s: RngStream) -> float:
         return self.mean + math.sqrt(self.var) * s.next_standard_normal()
@@ -291,64 +298,3 @@ def leading_eigenpair(R, tol: float = 1e-12, max_iter: int = 100_000) -> tuple:
             return lam, y
         x = y
     raise ValueError("power iteration did not converge (periodic matrix?)")
-
-
-# ---------------------------------------------------------------------------
-# renormalisation plans
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class RenormalisationPlan:
-    """Scaling recipe (a(n), b(n)) for the companion chain together with the
-    limit function f and the reference law G of the chain's rescaled limit;
-    the urn's rescaled limit is G + f(L), L ~ N(0,1) independent of G.
-
-    claimed=True marks user-supplied plans whose ergodicity hypothesis is
-    asserted, not verified; reports echo the flag.
-    """
-
-    name: str
-    a: object  # n -> positive float
-    b: object  # n -> float
-    f: object  # x -> float
-    gamma_reference: object
-    claimed: bool = False
-
-
-def plan_brw(mean: float = 0.0, var: float = 1.0) -> RenormalisationPlan:
-    """Walk with finite variance: a = sqrt(n), b = mean * n; the rescaled
-    urn converges to Normal(0, var + mean^2)."""
-    return RenormalisationPlan(
-        name="brw",
-        a=lambda n: math.sqrt(n),
-        b=lambda n: mean * n,
-        f=lambda x: mean * x,
-        gamma_reference=stats.Normal(0.0, var),
-    )
-
-
-def plan_ergodic(gamma_law, claimed: bool = False) -> RenormalisationPlan:
-    """No rescaling: an ergodic chain's stationary law is the urn limit."""
-    return RenormalisationPlan(
-        name="ergodic",
-        a=lambda n: 1.0,
-        b=lambda n: 0.0,
-        f=lambda x: 0.0,
-        gamma_reference=gamma_law,
-        claimed=claimed,
-    )
-
-
-def plan_stable(alpha: float) -> RenormalisationPlan:
-    """Heavy-tailed walk: a = n^(1/alpha), b = 0; the route scores the Hill
-    exponent of the rescaled samples, which no centring changes."""
-    if not (0 < alpha < 2):
-        raise ValueError("stable plan needs alpha in (0, 2)")
-    return RenormalisationPlan(
-        name="stable",
-        a=lambda n: n ** (1.0 / alpha),
-        b=lambda n: 0.0,
-        f=lambda x: 0.0,
-        gamma_reference=stats.StableLaw(alpha),
-    )

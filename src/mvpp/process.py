@@ -31,7 +31,7 @@ from .kernels import (
     MMInfQueueKernel,
     RandomWalkKernel,
     ReplacementKernel,
-    RenormalisationPlan,
+    StableIncrement,
     leading_eigenpair,
 )
 from .measures import AtomicMeasure, normalize, sample_atom
@@ -596,100 +596,104 @@ def batch_exact_colour_samples(colours, increment, s) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _rescale(x, plan: RenormalisationPlan, t: float):
-    return (np.asarray(x, dtype=float) - plan.b(t)) / plan.a(t)
-
-
-def composite_reference(plan: RenormalisationPlan) -> stats.Normal:
-    """Law of G + f(L), G ~ gamma_reference and L ~ N(0,1) independent: the
-    limit of a brw plan, whose Normal G and f(x) = m x make it
-    Normal(0, var(G) + m^2)."""
-    return stats.Normal(0.0, plan.gamma_reference.var + plan.f(1.0) ** 2)
-
-
 HILL_BAND = 0.4  # criterion 11: a stable run passes when |hill - alpha| <= HILL_BAND
-KS_GATE, TV_GATE = 0.05, 0.05  # the walk plans' KS; the queue's TV and the palette's l1
+KS_GATE, TV_GATE = 0.05, 0.05  # the walk routes' KS; the queue's TV and the palette's l1
 
 
 def verify_main_theorem(
     kernel: ReplacementKernel,
-    plan: RenormalisationPlan,
     m0: AtomicMeasure,
     n_grid,
     replicas: int,
     s: RngStream,
     urns: int = 16,
 ) -> dict:
-    """Rescaled-limit check: pooled pair marginals against the plan's limit.
+    """Rescaled-limit check: the urn at each n of n_grid against the limit
+    its kernel fixes.
 
-    For each n, grows `urns` independent batched urns (walk and kappa-discrete
-    kernels), draws `replicas` pair samples in total and rescales them by
-    (a(log n), b(log n)) -- with log n replaced by beta*log n, beta =
-    kappa/(kappa-1), for kappa-discrete kernels.  The stable plan is scored by
-    the Hill exponent of the pooled samples (k = max(len/40, 10)), which must
-    lie within HILL_BAND of alpha; the other walk plans by the KS distance to
-    the composite limit (KS_GATE).  Both report the pooled pair correlation of
-    a bounded test function.  The queue is scored by the total variation of
-    one urn's pmf to the plan's reference law, finite palettes by the l1
-    distance of one urn's composition to the Perron limit (both TV_GATE).  Per
-    grid point, `samples` holds the rescaled values that were scored (the
-    pooled a's then b's, or the scored urn's drawn colours) and `measures` the
-    scored urn's measure (None for pooled pairs).  A grid point with a(log n)
-    = 0, which is n = 1 under every growing scale, raises ValueError, and so
-    does a walk or stable kernel with an initial measure of mass other than 1,
-    and a kappa-discrete kernel with one other than a single ball.
+    The kernel fixes the route, named in the report's `plan`:
+
+    | kernel | t | rescaled sample | scored by |
+    |---|---|---|---|
+    | walk, mean m, variance v | log n | (x - m t) / sqrt(t) | KS to Normal(0, v + m^2), KS_GATE |
+    | kappa-discrete, offsets' m, v | beta log n | (x - m t) / sqrt(t) | the same |
+    | alpha-stable walk | log n | x / t^(1/alpha) | Hill exponent within HILL_BAND of alpha |
+    | M/M/infinity queue | -- | none | TV to MMInfJumpChain(lam, mu), TV_GATE |
+    | finite palette | -- | none | l1 to the Perron limit, TV_GATE |
+
+    beta = kappa/(kappa-1).  The walk routes (plans `brw` and `stable`) grow
+    `urns` independent batched urns, pool `replicas` pair samples in total
+    and report their pair correlation under cos; the Hill exponent uses k =
+    max(len/40, 10).  The queue and the palette (plan `ergodic`) grow one urn
+    by the direct scheme.  Per grid point, `samples` holds the values that
+    were scored (the pooled a's then b's, or the scored urn's drawn colours)
+    and `measures` the scored urn's measure (None for pooled pairs).
+
+    Raises ValueError for a grid point n = 1 on a rescaled route (t = 0), a
+    stable index outside (0, 2), a walk or stable kernel with an initial
+    measure of mass other than 1, and a kappa-discrete kernel with one other
+    than a single ball.
     """
-    if isinstance(kernel, RandomWalkKernel) and abs(m0.total_mass - 1.0) > 1e-12:
+    walk = isinstance(kernel, RandomWalkKernel)
+    if walk and abs(m0.total_mass - 1.0) > 1e-12:
         raise ValueError(f"the walk route grows recursive trees, so m0 needs mass 1, not {m0.total_mass:g}")
-    if isinstance(kernel, KDiscreteKernel):
-        x0 = _one_ball(m0, kernel.kappa)
+    if isinstance(kernel, (MMInfQueueKernel, DColourKernel)):
+        plan = "ergodic"
+    elif walk and isinstance(kernel.increment, StableIncrement):
+        plan, alpha = "stable", kernel.increment.alpha
+        if not 0 < alpha < 2:
+            raise ValueError(f"the stable route scores a tail exponent, so alpha must be in (0, 2), not {alpha:g}")
+    elif walk or isinstance(kernel, KDiscreteKernel):
+        plan = "brw"
+        if not walk:
+            x0 = _one_ball(m0, kernel.kappa)
+    else:
+        raise ValueError(f"no verification route for kernel {type(kernel).__name__}")
+    if plan != "ergodic" and 1 in n_grid:
+        raise ValueError(f"n_grid point n=1 has t = log n = 0, which the {plan} route cannot rescale by")
     results, samples, measures = [], [], []
     for n in n_grid:
-        t_arg = math.log(n)
-        if isinstance(kernel, KDiscreteKernel):
-            t_arg *= 1.0 + 1.0 / (kernel.kappa - 1)
-        if plan.a(t_arg) <= 0:
-            raise ValueError(f"n_grid point n={n} has scale a(log n) = 0 under the {plan.name} plan")
         entry = {"n": int(n), "ks": None, "tv": None, "decorrelation": None}
         results.append(entry)
-        urn = None
-        if isinstance(kernel, RandomWalkKernel):
+        if plan == "ergodic":
+            trace = batch_direct_trace(m0, kernel, n, s)
+            urn = trace.materialize()
+            samples.append(np.asarray(trace.drawn, dtype=float))
+            measures.append(urn)
+            if isinstance(kernel, MMInfQueueKernel):
+                pmf = {int(c): w / urn.total_mass for c, w in urn.atoms()}
+                law = stats.MMInfJumpChain(kernel.lam, kernel.mu).pmf_dict(max(pmf) + 10)
+                entry["tv"] = stats.total_variation(pmf, law)
+                entry["pass"] = entry["tv"] <= TV_GATE
+            else:
+                lam, v1 = leading_eigenpair(kernel.rows)
+                comp = np.array([urn.weight(j) for j in range(kernel.d)]) / n
+                entry["l1"] = float(np.abs(comp - lam * v1).sum())
+                entry["pass"] = entry["l1"] <= TV_GATE
+            continue
+        t = math.log(n)
+        if walk:
             labels = batch_rrt_walk_labels(n, urns, kernel.increment, s, m0=m0)
             values = batch_walk_pairs(labels, replicas, kernel.increment, s)
-        elif isinstance(kernel, KDiscreteKernel):
+        else:
+            t *= 1.0 + 1.0 / (kernel.kappa - 1)
             labels = batch_kary_leaf_labels(n, urns, kernel.offsets, s)
             values = batch_walk_pairs(labels, replicas, kernel, s) + x0
-        elif isinstance(kernel, (MMInfQueueKernel, DColourKernel)):
-            trace = batch_direct_trace(m0, kernel, n, s)
-            values, urn = trace.drawn, trace.materialize()
-        else:
-            raise ValueError(f"no verification route for kernel {type(kernel).__name__}")
-        values = _rescale(values, plan, t_arg)
-        samples.append(values)
-        measures.append(urn)
-        if isinstance(kernel, MMInfQueueKernel):
-            pmf = {int(c): w / urn.total_mass for c, w in urn.atoms()}
-            entry["tv"] = stats.total_variation(pmf, plan.gamma_reference.pmf_dict(max(pmf) + 10))
-            entry["pass"] = entry["tv"] <= TV_GATE
-            continue
-        if isinstance(kernel, DColourKernel):
-            lam, v1 = leading_eigenpair(kernel.rows)
-            comp = np.array([urn.weight(j) for j in range(kernel.d)]) / n
-            entry["l1"] = float(np.abs(comp - lam * v1).sum())
-            entry["pass"] = entry["l1"] <= TV_GATE
-            continue
-        if plan.name == "stable":
+        if plan == "stable":
+            values = values / t ** (1.0 / alpha)
             entry["hill"] = stats.hill_tail_exponent(values, max(len(values) // 40, 10))
-            entry["pass"] = abs(entry["hill"] - plan.gamma_reference.alpha) <= HILL_BAND
+            entry["pass"] = abs(entry["hill"] - alpha) <= HILL_BAND
         else:
-            entry["ks"] = stats.ks_statistic(values, composite_reference(plan))
+            values = (values - kernel.mean * t) / math.sqrt(t)
+            entry["ks"] = stats.ks_statistic(values, stats.Normal(0.0, kernel.cov + kernel.mean**2))
             entry["pass"] = entry["ks"] <= KS_GATE
+        samples.append(values)
+        measures.append(None)
         phi_a, phi_b = np.cos(np.split(values, 2))
         if np.std(phi_a) > 0 and np.std(phi_b) > 0:
             entry["decorrelation"] = float(np.corrcoef(phi_a, phi_b)[0, 1])
     return {
-        "plan": plan.name,
-        "claimed": bool(plan.claimed),
+        "plan": plan,
         "replicas": int(replicas),
         "results": results,
         "pass": all(r.get("pass", False) for r in results),

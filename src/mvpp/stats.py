@@ -135,7 +135,7 @@ class Poisson:
         return math.exp(-self.rate + k * math.log(self.rate) - math.lgamma(k + 1))
 
     def cdf(self, x):
-        point = lambda v: gamma_q(math.floor(v) + 1.0, self.rate) if v >= 0 else 0.0
+        point = lambda v: 0.0 if not v >= 0 else 1.0 if v == math.inf else gamma_q(math.floor(v) + 1.0, self.rate)
         return np.vectorize(point, otypes=[float])(x)
 
     def pmf_dict(self, upto: int) -> dict:
@@ -165,14 +165,6 @@ class PointMass:
 
     def cdf(self, x):
         return np.where(np.less(x, self.value), 0.0, 1.0)
-
-
-@dataclass(frozen=True)
-class StableLaw:
-    """Alpha-stable law by its index alone (no CDF shipped); the
-    stable route scores the Hill exponent against alpha."""
-
-    alpha: float
 
 
 # ---------------------------------------------------------------------------

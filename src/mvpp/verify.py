@@ -22,9 +22,6 @@ from .kernels import (
     NormalIncrement,
     RademacherIncrement,
     leading_eigenpair,
-    plan_brw,
-    plan_ergodic,
-    plan_stable,
     walk_kernel_normal,
     walk_kernel_rademacher,
     walk_kernel_stable,
@@ -32,6 +29,8 @@ from .kernels import (
 from .measures import AtomicMeasure, expected_f_n, pbar_recursion, z_n
 from .process import (
     HILL_BAND,
+    KS_GATE,
+    TV_GATE,
     batch_bmc_walk_labels,
     batch_bst_walk_leaf_colours,
     batch_direct_walk_colours,
@@ -328,18 +327,18 @@ def check_dcolour_limit(root_seed: int) -> dict:
     n = 100_000
     kern = DColourKernel([[0.6, 0.4], [0.3, 0.7]])
     s = derive_stream(root_seed, 601)
-    entry = verify_main_theorem(kern, plan_ergodic(None), M0_POINT, [n], 1, s)["results"][0]
+    entry = verify_main_theorem(kern, M0_POINT, [n], 1, s)["results"][0]
     v1 = leading_eigenpair(kern.rows)[1]
     return _result(
-        "dcolour_perron_limit", round(entry["l1"], 5), 0.05, entry["pass"], v1=[round(v, 6) for v in v1]
+        "dcolour_perron_limit", round(entry["l1"], 5), TV_GATE, entry["pass"], v1=[round(v, 6) for v in v1]
     )
 
 
 def check_brw_normal(root_seed: int) -> dict:
     n, pairs = 100_000, 10_000
     s = derive_stream(root_seed, 602)
-    entry = verify_main_theorem(walk_kernel_normal(), plan_brw(), M0_POINT, [n], pairs, s)["results"][0]
-    return _result("brw_normal_increment_ks", round(entry["ks"], 4), 0.05, entry["pass"], n=n, pairs=pairs)
+    entry = verify_main_theorem(walk_kernel_normal(), M0_POINT, [n], pairs, s)["results"][0]
+    return _result("brw_normal_increment_ks", round(entry["ks"], 4), KS_GATE, entry["pass"], n=n, pairs=pairs)
 
 
 def check_brw_rademacher(root_seed: int) -> dict:
@@ -348,12 +347,12 @@ def check_brw_rademacher(root_seed: int) -> dict:
     (~0.059 at n = 1e5) regardless of the pair budget."""
     n, pairs = 100_000, 10_000
     s = derive_stream(root_seed, 603)
-    entry = verify_main_theorem(walk_kernel_rademacher(), plan_brw(), M0_POINT, [n], pairs, s)["results"][0]
+    entry = verify_main_theorem(walk_kernel_rademacher(), M0_POINT, [n], pairs, s)["results"][0]
     floor = stats.normal_pdf(0.0) / (2 * math.sqrt(math.log(n)))
     return _result(
         "brw_rademacher_ks",
         round(entry["ks"], 4),
-        0.05,
+        KS_GATE,
         entry["pass"],
         n=n,
         pairs=pairs,
@@ -441,22 +440,20 @@ def check_forest_fractional(root_seed: int) -> dict:
 def check_mminf_poisson(root_seed: int) -> dict:
     """Queue example: urn pmf against Poisson(1) as stated; the total
     variation of the same urn to the jump chain's true stationary law
-    (x+1)/(2e x!) is reported alongside."""
+    (x+1)/(2e x!), which the queue route scores, is reported alongside."""
     n = 100_000
     s = derive_stream(root_seed, 608)
-    kern = MMInfQueueKernel(1.0, 1.0)
-    out = verify_main_theorem(kern, plan_ergodic(stats.Poisson(1.0)), M0_POINT, [n], 1, s)
+    out = verify_main_theorem(MMInfQueueKernel(1.0, 1.0), M0_POINT, [n], 1, s)
     entry, urn = out["results"][0], out["measures"][0]
     pmf = {int(c): w / urn.total_mass for c, w in urn.atoms()}
-    stationary = stats.MMInfJumpChain(kern.lam, kern.mu).pmf_dict(max(pmf) + 10)
-    tv_stationary = stats.total_variation(pmf, stationary)
+    tv = stats.total_variation(pmf, stats.Poisson(1.0).pmf_dict(max(pmf) + 10))
     return _result(
         "mminf_poisson_tv",
-        round(entry["tv"], 4),
-        0.05,
-        entry["pass"],
+        round(tv, 4),
+        TV_GATE,
+        tv <= TV_GATE,
         n=n,
-        tv_vs_jump_chain_stationary=round(tv_stationary, 4),
+        tv_vs_jump_chain_stationary=round(entry["tv"], 4),
     )
 
 
@@ -466,7 +463,7 @@ def check_stable_hill(root_seed: int) -> dict:
     draws for visual inspection (not asserted)."""
     n, pairs, alpha = 100_000, 10_000, 1.5
     s = derive_stream(root_seed, 609)
-    out = verify_main_theorem(walk_kernel_stable(alpha), plan_stable(alpha), M0_POINT, [n], pairs, s)
+    out = verify_main_theorem(walk_kernel_stable(alpha), M0_POINT, [n], pairs, s)
     entry, pool = out["results"][0], out["samples"][0]
     ref = np.sort(s.stables(alpha, len(pool)))
     emp = np.sort(pool)

@@ -9,7 +9,7 @@ import numpy as np
 
 from mvpp import cli, stats
 from mvpp.kernels import leading_eigenpair
-from mvpp.process import UrnTrace, composite_reference
+from mvpp.process import UrnTrace
 
 CONFIG = """\
 [experiment]
@@ -25,9 +25,6 @@ increment = rademacher
 
 [m0]
 atoms = 0:1
-
-[plan]
-preset = brw
 """
 
 
@@ -90,12 +87,11 @@ def read_samples(path):
         return [float(row[0]) for row in list(csv.reader(f))[1:]]
 
 
-def variant_config(tmp_path, kernel, preset, grid="200,400"):
+def variant_config(tmp_path, kernel, grid="200,400"):
     text = (
         CONFIG.format(svg="false")
         .replace("n_grid = 200,400", f"n_grid = {grid}")
         .replace("variant = random_walk\nincrement = rademacher", kernel)
-        .replace("preset = brw", f"preset = {preset}")
     )
     path = tmp_path / "variant.ini"
     path.write_text(text)
@@ -108,13 +104,12 @@ def test_sample_dump_is_what_was_scored(tmp_path, monkeypatch):
     assert cli.run_simulate(cfg, out) == 0
     report = json.loads((out / "demo_report.json").read_text())
     assert "samples" not in report
-    ref = composite_reference(cli.load_config(cfg)["plan"])
-    for entry in report["results"]:
+    for entry in report["results"]:  # a fair coin's walk: mean 0, variance 1
         values = read_samples(out / f"demo_n{entry['n']}_samples.csv")
-        assert stats.ks_statistic(values, ref) == entry["ks"]
+        assert stats.ks_statistic(values, stats.Normal(0.0, 1.0)) == entry["ks"]
 
     # the queue dumps the scored urn's drawn colours; one stream for the whole grid
-    path = variant_config(tmp_path, "variant = mminf", "ergodic", grid="1,997,1000,1997,2994")
+    path = variant_config(tmp_path, "variant = mminf", grid="1,997,1000,1997,2994")
     used = []
     real = cli.derive_stream
     monkeypatch.setattr(cli, "derive_stream", lambda seed, sid: used.append(sid) or real(seed, sid))
@@ -128,7 +123,7 @@ def test_sample_dump_is_what_was_scored(tmp_path, monkeypatch):
         assert len(drawn) == entry["n"]
         mat = UrnTrace(parsed["m0"], parsed["kernel"], drawn).materialize()
         pmf = {int(c): w / mat.total_mass for c, w in mat.atoms()}
-        law = parsed["plan"].gamma_reference.pmf_dict(max(pmf) + 10)
+        law = stats.MMInfJumpChain(parsed["kernel"].lam, parsed["kernel"].mu).pmf_dict(max(pmf) + 10)
         assert stats.total_variation(pmf, law) == entry["tv"]
     head_1000 = (out / "demo_n1000_samples.csv").read_text().splitlines()[1:1001]
     head_1997 = (out / "demo_n1997_samples.csv").read_text().splitlines()[1:1001]
@@ -136,11 +131,11 @@ def test_sample_dump_is_what_was_scored(tmp_path, monkeypatch):
 
 
 def test_simulate_dcolour_ergodic_scores_the_perron_limit(tmp_path):
-    path = variant_config(tmp_path, "variant = dcolour\nrows = 0.6 0.4; 0.3 0.7", "ergodic")
+    path = variant_config(tmp_path, "variant = dcolour\nrows = 0.6 0.4; 0.3 0.7")
     out = tmp_path / "run"
     assert cli.run_simulate(path, out) == 0
     report = json.loads((out / "demo_report.json").read_text())
-    assert report["plan"] == "ergodic" and report["claimed"] is True
+    assert report["plan"] == "ergodic" and "claimed" not in report
     parsed = cli.load_config(path)
     lam, v1 = leading_eigenpair(parsed["kernel"].rows)
     for entry in report["results"]:
@@ -151,22 +146,6 @@ def test_simulate_dcolour_ergodic_scores_the_perron_limit(tmp_path):
         assert float(np.abs(comp - lam * v1).sum()) == entry["l1"]
 
 
-@pytest.mark.parametrize(
-    "kernel,preset",
-    [
-        ("variant = mminf", "brw"),
-        ("variant = random_walk\nincrement = normal", "stable"),
-        ("variant = stable\nalpha = 1.5", "brw"),
-        ("variant = kdiscrete\noffsets = 1,1", "ergodic"),
-        ("variant = random_walk\nincrement = constant", "kdiscrete-shift"),
-    ],
-)
-def test_simulate_rejects_a_preset_that_does_not_fit_the_kernel(tmp_path, capsys, kernel, preset):
-    path = variant_config(tmp_path, kernel, preset)
-    assert cli.run_simulate(path, tmp_path / "out") == 2
-    assert "does not fit" in capsys.readouterr().err
-
-
 def test_simulate_missing_kernel_section_exits_2(tmp_path, capsys):
     cfg = write_config(tmp_path, drop_section="kernel")
     code = cli.run_simulate(cfg, tmp_path / "out")
@@ -175,7 +154,7 @@ def test_simulate_missing_kernel_section_exits_2(tmp_path, capsys):
 
 
 def test_simulate_rejects_bad_grid(tmp_path, capsys):
-    # a decreasing grid, n = 1, where the walk's scale a(log 1) is 0, and n < 1
+    # a decreasing grid, n = 1, where t = log 1 = 0 leaves the walk no scale, and n < 1
     for grid in ("400,200", "1,10", "0,10", "-5,10"):
         text = CONFIG.format(svg="false").replace("n_grid = 200,400", f"n_grid = {grid}")
         path = tmp_path / "bad.ini"
@@ -183,6 +162,38 @@ def test_simulate_rejects_bad_grid(tmp_path, capsys):
         assert cli.run_simulate(path, tmp_path / "out") == 2
         assert "n_grid" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+def test_simulate_rejects_n_one_on_a_rescaled_route(tmp_path, capsys):
+    # t = log 1 = 0 leaves no scale on the kappa and stable routes, as on the walk's
+    for kernel, atoms in (("variant = kdiscrete\noffsets = 1,1", "0:1/2"), ("variant = stable\nalpha = 1.5", "0:1")):
+        path = variant_config(tmp_path, kernel, grid="1,10")
+        path.write_text(path.read_text().replace("atoms = 0:1", f"atoms = {atoms}"))
+        assert cli.run_simulate(path, tmp_path / "out") == 2
+        assert "n_grid point n=1" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_simulate_rejects_a_stable_alpha_of_two(tmp_path, capsys):
+    # alpha = 2 is a Gaussian increment: no heavy tail for the Hill exponent to score
+    path = variant_config(tmp_path, "variant = stable\nalpha = 2")
+    assert cli.run_simulate(path, tmp_path / "out") == 2
+    assert "alpha must be in (0, 2)" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_simulate_ignores_a_stale_plan_section(tmp_path):
+    # a config written when [plan] named a preset runs, and writes the same bytes
+    runs = []
+    for i, stale in enumerate(("", "\n[plan]\npreset = brw\n")):
+        path = tmp_path / f"exp{i}.ini"
+        path.write_text(CONFIG.format(svg="false") + stale)
+        assert cli.run_simulate(path, tmp_path / f"run{i}") == 0
+        report = json.loads((tmp_path / f"run{i}" / "demo_report.json").read_text())
+        report.pop("runtime_seconds")
+        csvs = [(tmp_path / f"run{i}" / f"demo_n{n}_samples.csv").read_bytes() for n in (200, 400)]
+        runs.append((report, csvs))
+    assert runs[0] == runs[1]
 
 
 @pytest.mark.parametrize("atoms", ["0:0", "inf:1", "0:nan", "0:1/0", "0:a/b"])
@@ -196,8 +207,8 @@ def test_simulate_rejects_a_bad_atom(tmp_path, capsys, atoms):
 
 
 def test_simulate_rejects_a_walk_m0_without_unit_mass(tmp_path, capsys):
-    for kernel, preset in (("variant = random_walk\nincrement = rademacher", "brw"), ("variant = stable", "stable")):
-        path = variant_config(tmp_path, kernel, preset)
+    for kernel in ("variant = random_walk\nincrement = rademacher", "variant = stable"):
+        path = variant_config(tmp_path, kernel)
         path.write_text(path.read_text().replace("atoms = 0:1", "atoms = 0:2"))
         assert cli.run_simulate(path, tmp_path / "out") == 2
         assert "mass 1" in capsys.readouterr().err
@@ -205,20 +216,20 @@ def test_simulate_rejects_a_walk_m0_without_unit_mass(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "kernel,preset,section",
+    "kernel",
     [
-        ("variant = kdiscrete\noffsets = 1", "kdiscrete-shift", "kernel"),
-        ("variant = kdiscrete\noffsets = a,b", "kdiscrete-shift", "kernel"),
-        ("variant = mminf\nlam = -1", "ergodic", "kernel"),
-        ("variant = stable\nalpha = 3", "stable", "kernel"),
-        ("variant = random_walk\nincrement = normal\nvar = -1", "brw", "plan"),
+        "variant = kdiscrete\noffsets = 1",
+        "variant = kdiscrete\noffsets = a,b",
+        "variant = mminf\nlam = -1",
+        "variant = stable\nalpha = 3",
+        "variant = random_walk\nincrement = normal\nvar = -1",
     ],
 )
-def test_simulate_rejects_a_kernel_value_the_kernel_rejects(tmp_path, capsys, kernel, preset, section):
-    path = variant_config(tmp_path, kernel, preset)
+def test_simulate_rejects_a_kernel_value_the_kernel_rejects(tmp_path, capsys, kernel):
+    path = variant_config(tmp_path, kernel)
     assert cli.run_simulate(path, tmp_path / "out") == 2
     err = capsys.readouterr().err
-    assert err.startswith("config error") and f"[{section}]" in err
+    assert err.startswith("config error") and "[kernel]" in err
     assert not (tmp_path / "out").exists()
 
 
@@ -232,7 +243,7 @@ def test_simulate_rejects_a_kernel_value_the_kernel_rejects(tmp_path, capsys, ke
     ],
 )
 def test_simulate_rejects_an_m0_colour_the_kernel_rejects(tmp_path, capsys, kernel, atoms, message):
-    path = variant_config(tmp_path, kernel, "ergodic")
+    path = variant_config(tmp_path, kernel)
     path.write_text(path.read_text().replace("atoms = 0:1", f"atoms = {atoms}"))
     assert cli.run_simulate(path, tmp_path / "out") == 2
     assert capsys.readouterr().err == f"config error: {message}\n"
@@ -241,7 +252,7 @@ def test_simulate_rejects_an_m0_colour_the_kernel_rejects(tmp_path, capsys, kern
 
 def test_simulate_rejects_a_kdiscrete_m0_of_several_balls(tmp_path, capsys):
     # 0:1 is two balls of weight 1/2; the urn grows from one
-    path = variant_config(tmp_path, "variant = kdiscrete\noffsets = 1,1", "kdiscrete-shift")
+    path = variant_config(tmp_path, "variant = kdiscrete\noffsets = 1,1")
     assert cli.run_simulate(path, tmp_path / "out") == 2
     assert "one ball" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
@@ -249,7 +260,7 @@ def test_simulate_rejects_a_kdiscrete_m0_of_several_balls(tmp_path, capsys):
 
 def test_simulate_reads_an_exact_fraction_weight(tmp_path):
     # one ball of weight 1/3, written exactly rather than to ten decimal digits
-    path = variant_config(tmp_path, "variant = kdiscrete\noffsets = -1,0,1", "kdiscrete-shift")
+    path = variant_config(tmp_path, "variant = kdiscrete\noffsets = -1,0,1")
     path.write_text(path.read_text().replace("atoms = 0:1", "atoms = 0:1/3"))
     assert cli.load_config(path)["m0"].atoms() == [(0, 1 / 3)]
     out = tmp_path / "run"
@@ -261,23 +272,24 @@ def test_simulate_reads_an_exact_fraction_weight(tmp_path):
 
 @pytest.mark.parametrize("offsets", ["-1,0,1", "2,2,2"])
 def test_simulate_scores_a_kdiscrete_run_against_its_own_offsets(tmp_path, offsets):
-    # the all-+1 plan the preset used to build read KS 0.962 and 0.966 for
-    # -1,0,1 and 0.869 and 0.905 for 2,2,2 here
-    path = variant_config(tmp_path, f"variant = kdiscrete\noffsets = {offsets}", "kdiscrete-shift", "1000,10000")
+    # an all-+1 reference read KS 0.962 and 0.966 for -1,0,1 and 0.869 and
+    # 0.905 for 2,2,2 here
+    path = variant_config(tmp_path, f"variant = kdiscrete\noffsets = {offsets}", "1000,10000")
     text = path.read_text().replace("replicas = 200", "replicas = 2000")
     path.write_text(text.replace("atoms = 0:1", "atoms = 0:0.3333333333"))  # one ball of weight 1/3
     out = tmp_path / "run"
     assert cli.run_simulate(path, out, seed=7) == 0
     report = json.loads((out / "demo_report.json").read_text())
     assert report["plan"] == "brw"
-    ref = composite_reference(cli.load_config(path)["plan"])
+    kern = cli.load_config(path)["kernel"]
+    ref = stats.Normal(0.0, kern.cov + kern.mean**2)  # the offsets' variance plus their squared mean
     for entry in report["results"]:
         assert entry["ks"] <= 0.25
         assert stats.ks_statistic(read_samples(out / f"demo_n{entry['n']}_samples.csv"), ref) == entry["ks"]
 
 
 def test_simulate_gates_a_stable_run_by_the_hill_band(tmp_path):
-    path = variant_config(tmp_path, "variant = stable\nalpha = 1.3", "stable", grid="50,400,1000")
+    path = variant_config(tmp_path, "variant = stable\nalpha = 1.3", grid="50,400,1000")
     path.write_text(path.read_text().replace("replicas = 200", "replicas = 300"))
     out = tmp_path / "run"
     assert cli.run_simulate(path, out, seed=7) == 0

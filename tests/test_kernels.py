@@ -15,9 +15,6 @@ from mvpp.kernels import (
     StableIncrement,
     companion_chain,
     leading_eigenpair,
-    plan_brw,
-    plan_ergodic,
-    plan_stable,
     validate_declared_moments,
     walk_kernel_constant,
     walk_kernel_normal,
@@ -236,7 +233,7 @@ def test_sym_shuffle_preserves_multiset():
 
 
 # ---------------------------------------------------------------------------
-# eigenpair and plans
+# eigenpair
 # ---------------------------------------------------------------------------
 
 
@@ -281,22 +278,3 @@ def test_validate_declared_moments():
     bad_var = RandomWalkKernel(NormalIncrement(0.0, 1.0), mean=0.0, cov=2.0)
     with pytest.raises(ValueError, match="variance"):
         validate_declared_moments(bad_var, derive_stream(20, 15), n=200_000)
-
-
-def test_plan_presets():
-    p = plan_brw(mean=1.0, var=0.0)
-    assert p.a(100.0) == pytest.approx(10.0)
-    assert p.b(100.0) == pytest.approx(100.0)
-    assert p.f(2.0) == pytest.approx(2.0)
-
-    pe = plan_ergodic(stats.Poisson(1.0), claimed=True)
-    assert pe.a(50) == 1.0 and pe.b(50) == 0.0 and pe.claimed
-
-    ps = plan_stable(1.5)
-    assert ps.a(32.0) == pytest.approx(32.0 ** (2 / 3))
-    assert ps.b(32.0) == 0.0  # symmetric, mean 0
-    ps_low = plan_stable(0.7)
-    assert ps_low.b(10.0) == 0.0  # below alpha = 1, no centring
-
-    with pytest.raises(ValueError):
-        plan_stable(2.0)

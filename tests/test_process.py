@@ -15,9 +15,6 @@ from mvpp.kernels import (
     MMInfQueueKernel,
     NormalIncrement,
     RademacherIncrement,
-    plan_brw,
-    plan_ergodic,
-    plan_stable,
     walk_kernel_constant,
     walk_kernel_normal,
     walk_kernel_rademacher,
@@ -38,7 +35,6 @@ from mvpp.process import (
     batch_rrt_depths,
     batch_rrt_walk_labels,
     batch_walk_pairs,
-    composite_reference,
     mvpp_direct,
     mvpp_forest,
     mvpp_kdiscrete,
@@ -265,7 +261,7 @@ def test_kdiscrete_urn_grows_from_one_ball(atoms):
     with pytest.raises(ValueError, match="one ball"):
         mvpp_kdiscrete(m0, kern, 1, s)
     with pytest.raises(ValueError, match="one ball"):
-        verify_main_theorem(kern, plan_brw(kern.mean, kern.cov), m0, [10], 100, s)
+        verify_main_theorem(kern, m0, [10], 100, s)
 
 
 def test_kdiscrete_branch_labels_are_markov():
@@ -734,20 +730,18 @@ def test_coupling_legs_are_freed_as_they_are_sampled():
 # ---------------------------------------------------------------------------
 
 
-def test_composite_reference_reductions():
-    assert composite_reference(plan_brw(0.0, 1.0)).var == pytest.approx(1.0)
-    # deterministic +1 walk: reference is standard normal (profile case)
-    ref = composite_reference(plan_brw(1.0, 0.0))
-    assert isinstance(ref, stats.Normal) and ref.var == pytest.approx(1.0)
-    # mean 1, var 1: G + f(L) = G + L ~ N(0, 2)
-    assert composite_reference(plan_brw(1.0, 1.0)).var == pytest.approx(2.0)
+def test_walk_route_scores_normal_of_variance_plus_squared_drift():
+    # the urn's rescaled limit is Normal(0, v + m^2): the variance v of one
+    # step plus m^2 from the Normal(0, 1)-distributed rescaled depth
+    for kernel, var in ((walk_kernel_constant(1.0), 1.0), (walk_kernel_normal(1.0, 1.0), 2.0)):
+        rep = verify_main_theorem(kernel, DELTA0, [2000], 800, derive_stream(30, 25), urns=8)
+        assert rep["plan"] == "brw"
+        assert rep["results"][0]["ks"] == stats.ks_statistic(rep["samples"][0], stats.Normal(0.0, var))
 
 
 def test_verify_main_theorem_walk_smoke():
     s = derive_stream(30, 26)
-    rep = verify_main_theorem(
-        walk_kernel_rademacher(), plan_brw(0.0, 1.0), DELTA0, [2000], 800, s, urns=8,
-    )
+    rep = verify_main_theorem(walk_kernel_rademacher(), DELTA0, [2000], 800, s, urns=8)
     entry = rep["results"][0]
     assert entry["n"] == 2000
     assert entry["ks"] is not None and entry["ks"] < 0.2
@@ -799,7 +793,7 @@ def _direct_cases(draw):
     parts = draw(st.lists(st.tuples(colours, st.integers(1, 4)), min_size=1, max_size=3))
     total = sum(p for _, p in parts)
     m0 = AtomicMeasure((c, mass * p / total) for c, p in parts)
-    return kernel, m0, draw(st.integers(0, 300)), draw(st.integers(0, 2**32))
+    return kernel, m0, draw(st.integers(0, 300)), draw(st.integers(0, 2**32)), draw(st.floats(0.0, 1.0, exclude_max=True))
 
 
 def _assert_same_trace(m0, kernel, n, seed):
@@ -815,10 +809,10 @@ def _assert_same_trace(m0, kernel, n, seed):
 @given(_direct_cases())
 @settings(max_examples=80, deadline=None)
 def test_batch_direct_trace_is_mvpp_direct_bit_for_bit(case):
-    kernel, m0, n, seed = case
+    kernel, m0, n, seed, u_drawn = case
     _assert_same_trace(m0, kernel, n, seed)
-    # one vectorised law: step is sample, and the running-sum draw, at both ends of [0, 1)
-    for u in (0.0, np.nextafter(1.0, 0.0)):
+    # one vectorised law: step is sample, and the running-sum draw, at both ends of [0, 1) and inside
+    for u in (0.0, np.nextafter(1.0, 0.0), u_drawn):
         for x in range(kernel.d if isinstance(kernel, DColourKernel) else 6):
             got = kernel.sample(x, _FixedUniform(u))
             assert got == int(kernel.step(x, u)) == int(kernel.step(np.array([x]), np.array([u]))[0])
@@ -841,40 +835,25 @@ def test_palette_and_queue_routes_draw_no_uniform_one_at_a_time(monkeypatch):
     monkeypatch.setattr(RngStream, "next_uniform", refuse)
     monkeypatch.setattr(DColourKernel, "sample", refuse)
     monkeypatch.setattr(MMInfQueueKernel, "sample", refuse)
-    routes = (
-        (DColourKernel([[0.6, 0.4], [0.3, 0.7]]), plan_ergodic(None)),
-        (MMInfQueueKernel(1.0, 1.0), plan_ergodic(stats.MMInfJumpChain(1.0, 1.0))),
-    )
-    for kernel, plan in routes:
-        rep = verify_main_theorem(kernel, plan, AtomicMeasure([(0, 1.0)]), [1000], 1, derive_stream(31, 0))
+    for kernel in (DColourKernel([[0.6, 0.4], [0.3, 0.7]]), MMInfQueueKernel(1.0, 1.0)):
+        rep = verify_main_theorem(kernel, AtomicMeasure([(0, 1.0)]), [1000], 1, derive_stream(31, 0))
         assert len(rep["samples"][0]) == 1000 and rep["measures"][0].total_mass == pytest.approx(1001.0)
 
 
 def test_verify_main_theorem_mminf_branch():
     s = derive_stream(30, 27)
-    rep = verify_main_theorem(
-        MMInfQueueKernel(1.0, 1.0),
-        plan_ergodic(stats.Poisson(1.0)),
-        AtomicMeasure([(0, 1.0)]),
-        [500],
-        100,
-        s,
-    )
-    entry = rep["results"][0]
-    assert entry["tv"] is not None and entry["tv"] <= 0.5
+    rep = verify_main_theorem(MMInfQueueKernel(1.0, 1.0), AtomicMeasure([(0, 1.0)]), [500], 100, s)
+    entry, urn = rep["results"][0], rep["measures"][0]
+    assert rep["plan"] == "ergodic"
+    pmf = {int(c): w / urn.total_mass for c, w in urn.atoms()}
+    assert entry["tv"] == stats.total_variation(pmf, stats.MMInfJumpChain(1.0, 1.0).pmf_dict(max(pmf) + 10))
+    assert entry["tv"] <= 0.5
     assert entry["pass"] == (entry["tv"] <= TV_GATE)
 
 
 def test_verify_main_theorem_kdiscrete_branch():
     s = derive_stream(30, 28)
-    rep = verify_main_theorem(
-        KDiscreteKernel((1, 1)),
-        plan_brw(1.0, 0.0),
-        AtomicMeasure([(0, 0.5)]),
-        [500],
-        400,
-        s,
-    )
+    rep = verify_main_theorem(KDiscreteKernel((1, 1)), AtomicMeasure([(0, 0.5)]), [500], 400, s)
     entry = rep["results"][0]
     assert entry["ks"] is not None and entry["ks"] <= 0.25
     assert entry["pass"] == (entry["ks"] <= KS_GATE)
@@ -882,27 +861,26 @@ def test_verify_main_theorem_kdiscrete_branch():
 
 @pytest.mark.parametrize("offsets", [(-1, 0, 1), (2, 2, 2)])
 def test_verify_main_theorem_kdiscrete_scores_its_own_offsets(offsets):
-    # the brw plan of the offsets' mean and variance; an all-+1 plan read
+    # the limit of the offsets' mean and variance; an all-+1 reference read
     # these at KS 0.966 and 0.905
-    kern = KDiscreteKernel(offsets)
     m0 = AtomicMeasure([(0, 1 / 3)])
-    rep = verify_main_theorem(kern, plan_brw(kern.mean, kern.cov), m0, [10_000], 2000, derive_stream(7, 0))
+    rep = verify_main_theorem(KDiscreteKernel(offsets), m0, [10_000], 2000, derive_stream(7, 0))
     assert rep["results"][0]["ks"] <= 0.25
 
 
 def test_verify_main_theorem_rejects_a_zero_scale():
     s = derive_stream(30, 29)
     walks = (
-        (walk_kernel_rademacher(), plan_brw(0.0, 1.0), DELTA0),
-        (walk_kernel_stable(1.5), plan_stable(1.5), DELTA0),
-        (KDiscreteKernel((1, 1)), plan_brw(1.0, 0.0), AtomicMeasure([(0, 0.5)])),
+        (walk_kernel_rademacher(), DELTA0),
+        (walk_kernel_stable(1.5), DELTA0),
+        (KDiscreteKernel((1, 1)), AtomicMeasure([(0, 0.5)])),
     )
-    for kernel, plan, m0 in walks:  # a(log 1) = 0: every rescaled sample would be infinite
+    for kernel, m0 in walks:  # t = log 1 = 0: every rescaled sample would be infinite
         with pytest.raises(ValueError, match="n_grid point n=1"):
-            verify_main_theorem(kernel, plan, m0, [1, 10], 100, s)
-    # the ergodic plan does not rescale, so n = 1 is a valid grid point
+            verify_main_theorem(kernel, m0, [1, 10], 100, s)
+    # the queue's route does not rescale, so n = 1 is a valid grid point
     queue = MMInfQueueKernel(1.0, 1.0)
-    rep = verify_main_theorem(queue, plan_ergodic(stats.Poisson(1.0)), AtomicMeasure([(0, 1.0)]), [1, 10], 1, s)
+    rep = verify_main_theorem(queue, AtomicMeasure([(0, 1.0)]), [1, 10], 1, s)
     assert [e["n"] for e in rep["results"]] == [1, 10]
 
 
@@ -912,6 +890,6 @@ def test_verify_main_theorem_walk_routes_need_unit_mass(mass):
     # packet of mass 1; any other mass would simulate a different urn
     s = derive_stream(30, 30)
     m0 = AtomicMeasure([(0.0, mass)])
-    for kernel, plan in ((walk_kernel_rademacher(), plan_brw(0.0, 1.0)), (walk_kernel_stable(1.5), plan_stable(1.5))):
+    for kernel in (walk_kernel_rademacher(), walk_kernel_stable(1.5)):
         with pytest.raises(ValueError, match="mass 1"):
-            verify_main_theorem(kernel, plan, m0, [10], 100, s)
+            verify_main_theorem(kernel, m0, [10], 100, s)

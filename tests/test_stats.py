@@ -185,6 +185,14 @@ def test_law_cdfs_take_arrays():
     assert stats.Poisson(1.0).cdf(x) == pytest.approx([0, 0, e, e, 2 * e, 2.5 * e + e / 6])
 
 
+def test_law_cdfs_reach_zero_and_one_at_the_infinities():
+    ends = np.array([-math.inf, math.inf])
+    for law in (stats.STD_NORMAL, stats.Normal(1.0, 0.0), stats.PointMass(0.0), stats.Uniform01(), stats.Poisson(2.0)):
+        assert np.array_equal(law.cdf(ends), [0.0, 1.0])
+    # at +inf the law's CDF is 1 and the empirical CDF steps up from 1/2
+    assert stats.ks_statistic([1.0, math.inf], stats.Poisson(2.0)) == 0.5
+
+
 @given(
     a=st.floats(0.1, 5.0),
     b=st.floats(-3.0, 3.0),
