@@ -464,11 +464,18 @@ def _attach_path_sums(out, s, increment, root_children=None) -> None:
         lo = hi
 
 
+def _check_n(n) -> None:
+    if n < 0:
+        raise ValueError("n must be >= 0")
+
+
 def batch_rrt_walk_labels(n, reps, increment, s, m0=None, dtype=float) -> np.ndarray:
     """Labels of `reps` independent walk-labelled recursive trees, as a
     (reps, n+1) array in node-creation order.  Law-equivalent to repeated
     mvpp_via_rrt with a walk kernel; one stream drives the whole batch in a
-    fixed draw order."""
+    fixed draw order.  Here and in the other walk builders an integer `dtype`
+    holds integer steps exactly, such as RademacherIncrement's int8 signs."""
+    _check_n(n)
     m0_draw = _m0_sampler_np(m0)
     labels = np.zeros((reps, n + 1), dtype=dtype)
     labels[:, 0] = m0_draw(s, reps)
@@ -476,18 +483,20 @@ def batch_rrt_walk_labels(n, reps, increment, s, m0=None, dtype=float) -> np.nda
     return labels
 
 
-def batch_bmc_walk_labels(n, reps, increment, s) -> np.ndarray:
+def batch_bmc_walk_labels(n, reps, increment, s, dtype=float) -> np.ndarray:
     """Labels of the pure branching walk on the recursive tree: the root
     carries 0 and every child is its parent's label plus an increment.
     This is the tree-indexed walk behind the Fourier-martingale machinery;
     it differs from the urn coupling only at the root's children."""
-    labels = np.zeros((reps, n + 1), dtype=float)
+    _check_n(n)
+    labels = np.zeros((reps, n + 1), dtype=dtype)
     _attach_path_sums(labels, s, increment)
     return labels
 
 
 def batch_rrt_depths(n, reps, s) -> np.ndarray:
     """(reps, n+1) node depths of independent recursive trees."""
+    _check_n(n)
     depths = np.zeros((reps, n + 1), dtype=np.int32)
     _attach_path_sums(depths, s, ConstantIncrement(1))
     return depths
@@ -508,10 +517,11 @@ def batch_walk_pairs(labels, pairs, increment, s) -> np.ndarray:
     return np.concatenate([a, b])
 
 
-def batch_direct_walk_colours(n, reps, increment, s) -> np.ndarray:
+def batch_direct_walk_colours(n, reps, increment, s, dtype=float) -> np.ndarray:
     """(n+1, reps) packets of the direct scheme for a walk kernel from a unit
     point mass at 0: row 0 is the initial packet, row k+1 the colour drawn at k."""
-    colours = np.zeros((n + 1, reps), dtype=float)
+    _check_n(n)
+    colours = np.zeros((n + 1, reps), dtype=dtype)
     rows = np.arange(reps)
     for k in range(n):
         from_m0 = s.uniforms(reps) < 1.0 / (1.0 + k)
@@ -524,12 +534,13 @@ def batch_direct_walk_colours(n, reps, increment, s) -> np.ndarray:
     return colours
 
 
-def batch_bst_walk_leaf_colours(n, reps, increment, s) -> np.ndarray:
+def batch_bst_walk_leaf_colours(n, reps, increment, s, dtype=float) -> np.ndarray:
     """(n+1, reps) leaf packets of the binary-tree coupling for a walk kernel
     from a unit point mass at 0, in leaf creation order: row 0 is the initial
     packet, the only one holding the initial measure.  Coin flips are omitted:
     they permute leaf positions without changing the packet multiset."""
-    colours = np.zeros((n + 1, reps), dtype=float)
+    _check_n(n)
+    colours = np.zeros((n + 1, reps), dtype=dtype)
     rows = np.arange(reps)
     for k in range(n):
         idx = s.integers(0, k + 1, reps)
@@ -555,6 +566,7 @@ def batch_kary_leaf_labels(n, reps, offsets, s) -> np.ndarray:
     0).  A slot ends at its last split's value, else at its creator's minus
     offsets[0] plus its own offset.  For offsets (1,)*kappa labels are depths,
     bit for bit the step-by-step recursion's."""
+    _check_n(n)
     k1 = len(offsets) - 1
     offs = np.array(offsets, dtype=np.int64)
     pos = s.integers(0, 1 + np.arange(n)[:, None] * k1, (n, reps)).T.astype(np.int32)
@@ -583,10 +595,10 @@ def batch_exact_colour_samples(colours, increment, s) -> np.ndarray:
 
     colours: (p, reps) packet colours, packet-major; packet 0 is the initial
     packet.  Picks a uniform packet, then one kernel step (the initial colour
-    0 for packet 0)."""
+    0 for packet 0).  The draws are float64 whatever the colours' dtype."""
     p, reps = colours.shape
     idx = s.integers(0, p, reps)
-    out = colours[idx, np.arange(reps)] + increment.draw_many(s, reps)
+    out = np.add(colours[idx, np.arange(reps)], increment.draw_many(s, reps), dtype=float)
     out[idx == 0] = 0.0
     return out
 

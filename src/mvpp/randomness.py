@@ -15,10 +15,12 @@ releases.
 from __future__ import annotations
 
 import math
+import sys
 
 import numpy as np
 
 _MASK64 = (1 << 64) - 1
+_TOP_BYTE = 7 if sys.byteorder == "little" else 0  # a uint64's most significant byte
 
 
 class RngStream:
@@ -43,6 +45,15 @@ class RngStream:
     def uniforms(self, n: int) -> np.ndarray:
         """Vector of n doubles in [0, 1)."""
         return self._gen.random(n)
+
+    def signs(self, n: int) -> np.ndarray:
+        """Vector of n fair int8 signs: +1 exactly where uniforms(n) would be
+        below 0.5, read off the top bit of the same n raw words, so the
+        stream ends where uniforms(n) leaves it."""
+        top = self._gen.bit_generator.random_raw(n).view(np.int8)[_TOP_BYTE::8]
+        out = np.right_shift(top, 7)  # the top bit, sign-extended: 0 or -1
+        out |= 1
+        return out
 
     def integers(self, low: int, high: int, size=None):
         """Uniform integers in [low, high). Scalar when size is None."""

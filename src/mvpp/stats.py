@@ -245,6 +245,8 @@ def ks_two_sample(a, b) -> float:
     b = np.sort(np.asarray(b, dtype=float))
     if a.size == 0 or b.size == 0:
         raise ValueError("empty sample")
+    if np.isnan(a[-1]) or np.isnan(b[-1]):  # np.sort puts NaN last
+        raise ValueError("sample holds NaN")
     pooled = np.concatenate([a, b])
     fa = np.searchsorted(a, pooled, side="right") / a.size
     fb = np.searchsorted(b, pooled, side="right") / b.size
@@ -260,6 +262,8 @@ def ks_two_sample_critical(alpha: float, m: int, n: int) -> float:
         c = _KS_CRIT[alpha]
     except KeyError:
         raise ValueError(f"no tabulated constant for alpha={alpha}")
+    if m < 1 or n < 1:
+        raise ValueError(f"sample sizes must be >= 1, got m={m}, n={n}")
     return c * math.sqrt((m + n) / (m * n))
 
 

@@ -207,13 +207,21 @@ def check_coupling_exact(root_seed: int) -> dict:
     return _result("coupling_exact_law_n3", worst, 1e-12, worst <= 1e-12)
 
 
+def _lattice_dtype(n: int):
+    """Integer dtype of n-step +-1 walk labels: it holds the labels and their
+    table index lab + n in [0, 2n].  int16 up to n = 16,383 halves the bytes
+    every gather reads against int32."""
+    return np.int16 if 2 * n <= np.iinfo(np.int16).max else np.int32
+
+
 def _coupling_samples(n, reps, s) -> tuple:
     """One exact colour per urn from `reps` direct, recursive-tree and binary-tree
-    urns; each leg is sampled and dropped before the next one is grown."""
-    inc = RademacherIncrement()
-    rrt = batch_exact_colour_samples(batch_rrt_walk_labels(n, reps, inc, s).T, inc, s)
-    direct = batch_exact_colour_samples(batch_direct_walk_colours(n, reps, inc, s), inc, s)
-    bst = batch_exact_colour_samples(batch_bst_walk_leaf_colours(n, reps, inc, s), inc, s)
+    urns; each leg is sampled and dropped before the next one is grown.  The
+    legs grow integer labels from the int8 steps."""
+    inc, lab = RademacherIncrement(), _lattice_dtype(n)
+    rrt = batch_exact_colour_samples(batch_rrt_walk_labels(n, reps, inc, s, dtype=lab).T, inc, s)
+    direct = batch_exact_colour_samples(batch_direct_walk_colours(n, reps, inc, s, dtype=lab), inc, s)
+    bst = batch_exact_colour_samples(batch_bst_walk_leaf_colours(n, reps, inc, s, dtype=lab), inc, s)
     return direct, rrt, bst
 
 
@@ -263,17 +271,20 @@ def check_zn_identities(root_seed: int) -> dict:
 
 
 def _bmc_rows(n: int, replicas: int, chunk: int, s, row_stat) -> np.ndarray:
-    """row_stat of the labels of `replicas` Rademacher branching walks,
+    """row_stat of the integer labels of `replicas` Rademacher branching walks,
     grown `chunk` at a time to bound memory."""
-    out = []
+    out, dtype = [], _lattice_dtype(n)
     for lo in range(0, replicas, chunk):
-        out.append(row_stat(batch_bmc_walk_labels(n, min(chunk, replicas - lo), RademacherIncrement(), s)))
+        out.append(row_stat(batch_bmc_walk_labels(n, min(chunk, replicas - lo), RademacherIncrement(), s, dtype=dtype)))
     return np.concatenate(out)
 
 
 def _exp_table(c: complex, n: int):
     """lab -> exp(c * lab) on n-node Rademacher walk labels, read from a table
-    over their integer values [-n, n] built by np.exp of the same expression."""
+    over their integer values [-n, n] built by np.exp of the same expression.
+    The integer labels of _bmc_rows reach it through one cast of lab + n to
+    intp, with no float round trip: numpy gathers faster from an intp index
+    than from a narrower one.  Float labels are cast the same way."""
     table = np.exp(c * np.arange(-n, n + 1, dtype=float))
     return lambda lab: table[(lab + n).astype(np.intp)]
 

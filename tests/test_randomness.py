@@ -121,6 +121,27 @@ def test_array_bound_integers_equal_successive_calls(highs, reps):
     assert np.array_equal(a.uniforms(4), b.uniforms(4))
 
 
+@pytest.mark.parametrize("n", list(range(10)) + [10_001])
+def test_signs_are_the_uniforms_below_one_half(n):
+    # n from 0 to 9 starts and ends inside Philox's buffer of 4 words
+    s, ref_s = derive_stream(5, n), derive_stream(5, n)
+    got = s.signs(n)
+    assert got.dtype == np.int8 and got.shape == (n,)
+    assert np.array_equal(got, np.where(ref_s.uniforms(n) < 0.5, 1, -1))
+    assert np.array_equal(s.uniforms(4), ref_s.uniforms(4))  # the same stream position
+
+
+def test_signs_interleave_with_integers_and_uniforms():
+    # integers below 2**32 take 32-bit half-words, and keep an odd one buffered
+    s, ref_s = derive_stream(5, 99), derive_stream(5, 99)
+    for n in (1, 3, 2, 5, 7, 10_001):
+        assert np.array_equal(s.integers(0, 10, n), ref_s.integers(0, 10, n))
+        assert np.array_equal(s.signs(n), np.where(ref_s.uniforms(n) < 0.5, 1, -1))
+        assert np.array_equal(s.uniforms(n), ref_s.uniforms(n))
+        assert s.integers(0, 3) == ref_s.integers(0, 3)
+    assert np.array_equal(s.uniforms(4), ref_s.uniforms(4))
+
+
 def test_shuffled_is_permutation():
     s = derive_stream(7, 8)
     items = list(range(8))

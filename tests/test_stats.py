@@ -214,6 +214,18 @@ def test_two_sample_trivials():
         stats.ks_two_sample([], [1])
 
 
+@pytest.mark.parametrize("a, b", [([math.nan, 1.0], [1.0, 2.0]), ([1.0, 2.0], [0.5, math.nan])])
+def test_two_sample_rejects_a_nan_in_either_sample(a, b):
+    with pytest.raises(ValueError, match="NaN"):
+        stats.ks_two_sample(a, b)
+
+
+@pytest.mark.parametrize("m, n", [(0, 10), (10, 0), (-1, 5)])
+def test_two_sample_critical_rejects_a_size_below_one(m, n):
+    with pytest.raises(ValueError, match="sample sizes must be >= 1"):
+        stats.ks_two_sample_critical(0.01, m, n)
+
+
 def test_total_variation_trivials():
     assert stats.total_variation({0: 0.5, 1: 0.5}, {0: 0.5, 1: 0.5}) == 0.0
     assert stats.total_variation({0: 1.0}, {1: 1.0}) == 1.0
