@@ -29,6 +29,7 @@ from .kernels import (
     DColourKernel,
     KDiscreteKernel,
     MMInfQueueKernel,
+    RademacherIncrement,
     RandomWalkKernel,
     ReplacementKernel,
     StableIncrement,
@@ -428,26 +429,36 @@ def _m0_sampler_np(m0: AtomicMeasure | None):
     return draw
 
 
-WINDOW_RATIO = 1.1  # node windows of _attach_path_sums grow by this factor
+WINDOW_RATIO = 1.1  # node windows of uniform-attachment growth grow by this factor
+
+
+def _attachment_windows(reps, n1, s, increment):
+    """The draws of `reps` uniform-attachment trees on nodes 1..n1-1, window by
+    window [lo, ~WINDOW_RATIO*lo): (lo, hi, par, steps) with the (reps, w)
+    parents floor(U*k) of the whole window drawn before its (reps, w) steps."""
+    lo = 1
+    while lo < n1:
+        hi = min(max(int(WINDOW_RATIO * lo), lo + 1), n1)
+        par = s.uniforms(reps * (hi - lo)).reshape(reps, -1)
+        par = np.multiply(par, np.arange(lo, hi), out=par).astype(np.intp)
+        yield lo, hi, par, increment.draw_many(s, par.size).reshape(reps, -1)
+        del par  # before the next window draws its own
+        lo = hi
 
 
 def _attach_path_sums(out, s, increment, root_children=None) -> None:
     """Grow uniform-attachment trees into columns 1..n of `out` (column 0 holds
     the roots): node k takes parent floor(U*k) and its increment plus the parent's
-    label, or a fresh `root_children` draw when the parent is the root.  Windows
-    [lo, ~WINDOW_RATIO*lo) draw all parents, then all increments; in-window parents
-    are re-gathered until final, so labels equal the node-by-node recursion's."""
+    label, or a fresh `root_children` draw when the parent is the root.  Draws
+    come window by window from _attachment_windows; in-window parents are
+    re-gathered until final, so labels equal the node-by-node recursion's."""
     reps, n1 = out.shape
     flat = out.reshape(-1)  # a view: out is C-contiguous
     offsets = np.arange(0, reps * n1, n1)[:, None]
-    lo = 1
-    while lo < n1:
-        hi = min(max(int(WINDOW_RATIO * lo), lo + 1), n1)
-        w = hi - lo
-        par = s.uniforms(reps * w).reshape(reps, w)
-        par = np.multiply(par, np.arange(lo, hi), out=par).astype(np.intp)
+    for lo, hi, par, steps in _attachment_windows(reps, n1, s, increment):
         block = out[:, lo:hi]
-        block[...] = increment.draw_many(s, reps * w).reshape(reps, w)
+        block[...] = steps
+        del steps  # freed as soon as copied
         r, c = np.nonzero(par >= lo)
         own = block[r, c]  # kept for the in-window nodes only
         par += offsets  # flat indices into out
@@ -461,7 +472,6 @@ def _attach_path_sums(out, s, increment, root_children=None) -> None:
             keep = node[np.minimum(np.searchsorted(node, p), node.size - 1)] == p
             node, p, own = node[keep], p[keep], own[keep]
         del par  # before the next window draws its own
-        lo = hi
 
 
 def _check_n(n) -> None:
@@ -517,37 +527,73 @@ def batch_walk_pairs(labels, pairs, increment, s) -> np.ndarray:
     return np.concatenate([a, b])
 
 
-def batch_direct_walk_colours(n, reps, increment, s, dtype=float) -> np.ndarray:
-    """(n+1, reps) packets of the direct scheme for a walk kernel from a unit
-    point mass at 0: row 0 is the initial packet, row k+1 the colour drawn at k."""
+def _lattice_dtype(n: int):
+    """Integer dtype of n-step +-1 walk labels, their table index lab + n in
+    [0, 2n] and a genealogy's packets 0..n: int16 up to n = 16,383 halves the
+    bytes every gather reads against int32."""
+    return np.int16 if 2 * n <= np.iinfo(np.int16).max else np.int32
+
+
+# The coupling legs below keep the genealogy of a +-1 walk urn from a unit
+# point mass at 0, not its labels: a packet-major (n+1, reps) array whose
+# entry for packet e of urn r is parent packet times step, the +-1 step folded
+# into the sign, or 0 for a packet that starts fresh at colour 0 (the initial
+# packet among them).  A packet's label is the sum of the signs along its
+# ancestor chain, read by genealogy_labels.
+
+
+def batch_direct_walk_genealogy(n, reps, s) -> np.ndarray:
+    """Genealogy of `reps` direct-scheme urns: packet 0 is the initial packet,
+    packet k+1 the colour drawn at step k, from the initial packet with
+    probability 1/(1+k), else one step off a uniform past draw."""
     _check_n(n)
-    colours = np.zeros((n + 1, reps), dtype=dtype)
-    rows = np.arange(reps)
+    gen = np.zeros((n + 1, reps), dtype=_lattice_dtype(n))
     for k in range(n):
         from_m0 = s.uniforms(reps) < 1.0 / (1.0 + k)
-        if k == 0:
-            continue
-        idx = s.integers(0, k, reps)
-        new = np.take(colours, (idx + 1) * reps + rows) + increment.draw_many(s, reps)
-        new[from_m0] = 0.0
-        colours[k + 1] = new
-    return colours
+        if k > 0:  # integers(1, k + 1) takes the draws of integers(0, k) and adds 1
+            gen[k + 1] = np.where(from_m0, 0, s.integers(1, k + 1, reps) * s.signs(reps))
+    return gen
 
 
-def batch_bst_walk_leaf_colours(n, reps, increment, s, dtype=float) -> np.ndarray:
-    """(n+1, reps) leaf packets of the binary-tree coupling for a walk kernel
-    from a unit point mass at 0, in leaf creation order: row 0 is the initial
-    packet, the only one holding the initial measure.  Coin flips are omitted:
-    they permute leaf positions without changing the packet multiset."""
+def batch_bst_walk_genealogy(n, reps, s) -> np.ndarray:
+    """Genealogy of the leaf packets of `reps` binary-tree urns, in leaf
+    creation order: packet 0 is the initial packet and packet k+1 one step off
+    a uniform leaf of the k+1 present.  Coin flips are omitted: they permute
+    leaf positions without changing the packet multiset."""
     _check_n(n)
-    colours = np.zeros((n + 1, reps), dtype=dtype)
-    rows = np.arange(reps)
+    gen = np.zeros((n + 1, reps), dtype=_lattice_dtype(n))
     for k in range(n):
-        idx = s.integers(0, k + 1, reps)
-        new = np.take(colours, idx * reps + rows) + increment.draw_many(s, reps)
-        new[idx == 0] = 0.0
-        colours[k + 1] = new
-    return colours
+        gen[k + 1] = s.integers(0, k + 1, reps) * s.signs(reps)
+    return gen
+
+
+def batch_rrt_walk_genealogy(n, reps, s) -> np.ndarray:
+    """Genealogy of `reps` recursive-tree urns, from the draws of
+    batch_rrt_walk_labels(n, reps, RademacherIncrement(), s): node k's parent
+    floor(U*k) and step, node 0 and the root's children fresh at 0."""
+    _check_n(n)
+    gen = np.zeros((n + 1, reps), dtype=_lattice_dtype(n))
+    for lo, hi, par, steps in _attachment_windows(reps, n + 1, s, RademacherIncrement()):
+        gen[lo:hi] = np.multiply(par, steps, out=par).T
+        del par, steps  # before the next window draws its own
+    return gen
+
+
+def genealogy_labels(genealogy, packets) -> np.ndarray:
+    """Labels, in its dtype, of packets[..., r] of urn r of a (p, reps)
+    genealogy: each chain is walked up (|e| the parent, sign(e) the step) to
+    its entry 0, one gather per round over the open chains, ~log p rounds."""
+    reps = genealogy.shape[1]
+    flat = genealogy.reshape(-1)
+    at = np.asarray(packets) * reps + np.arange(reps)
+    labels = np.zeros(at.size, dtype=genealogy.dtype)
+    live, col, e = np.arange(at.size), at.reshape(-1) % reps, np.take(flat, at).reshape(-1)
+    while live.size:
+        keep = np.flatnonzero(e)
+        live, col, e = live[keep], col[keep], e[keep]
+        labels[live] += np.sign(e)
+        e = np.take(flat, np.abs(e).astype(np.intp) * reps + col)
+    return labels.reshape(at.shape)
 
 
 def batch_kary_leaf_labels(n, reps, offsets, s) -> np.ndarray:
@@ -589,16 +635,17 @@ def batch_kary_leaf_labels(n, reps, offsets, s) -> np.ndarray:
     return labels
 
 
-def batch_exact_colour_samples(colours, increment, s) -> np.ndarray:
-    """One exact draw per urn from the normalized urn measure of batched tree
-    states started from a unit point mass at 0.
+def batch_exact_colour_samples(genealogy, increment, s) -> np.ndarray:
+    """One exact draw per urn from the normalized urn measure of batched +-1
+    walk urns started from a unit point mass at 0.
 
-    colours: (p, reps) packet colours, packet-major; packet 0 is the initial
-    packet.  Picks a uniform packet, then one kernel step (the initial colour
-    0 for packet 0).  The draws are float64 whatever the colours' dtype."""
-    p, reps = colours.shape
+    genealogy: (p, reps) packet-major, as the batch_*_walk_genealogy legs
+    build it; packet 0 is the initial packet.  Picks a uniform packet, reads
+    its label off its chain, then takes one kernel step (the initial colour 0
+    for packet 0).  The draws are float64."""
+    p, reps = genealogy.shape
     idx = s.integers(0, p, reps)
-    out = np.add(colours[idx, np.arange(reps)], increment.draw_many(s, reps), dtype=float)
+    out = np.add(genealogy_labels(genealogy, idx), increment.draw_many(s, reps), dtype=float)
     out[idx == 0] = 0.0
     return out
 

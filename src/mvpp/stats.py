@@ -361,6 +361,8 @@ def counts_to_pmf(counts: dict) -> dict:
 
 def hill_tail_exponent(samples, k: int) -> float:
     """Hill estimator of the upper tail exponent from the k largest |values|."""
+    if k < 1:
+        raise ValueError(f"k must be >= 1, not {k}")
     x = np.sort(np.abs(np.asarray(samples, dtype=float)))[::-1]
     if k + 1 > x.size:
         raise ValueError("k too large for sample size")

@@ -31,12 +31,14 @@ from .process import (
     HILL_BAND,
     KS_GATE,
     TV_GATE,
+    _lattice_dtype,
     batch_bmc_walk_labels,
-    batch_bst_walk_leaf_colours,
-    batch_direct_walk_colours,
+    batch_bst_walk_genealogy,
+    batch_direct_walk_genealogy,
     batch_exact_colour_samples,
     batch_kary_leaf_labels,
     batch_rrt_depths,
+    batch_rrt_walk_genealogy,
     batch_rrt_walk_labels,
     batch_walk_pairs,
     mvpp_kdiscrete,
@@ -207,21 +209,14 @@ def check_coupling_exact(root_seed: int) -> dict:
     return _result("coupling_exact_law_n3", worst, 1e-12, worst <= 1e-12)
 
 
-def _lattice_dtype(n: int):
-    """Integer dtype of n-step +-1 walk labels: it holds the labels and their
-    table index lab + n in [0, 2n].  int16 up to n = 16,383 halves the bytes
-    every gather reads against int32."""
-    return np.int16 if 2 * n <= np.iinfo(np.int16).max else np.int32
-
-
 def _coupling_samples(n, reps, s) -> tuple:
     """One exact colour per urn from `reps` direct, recursive-tree and binary-tree
-    urns; each leg is sampled and dropped before the next one is grown.  The
-    legs grow integer labels from the int8 steps."""
-    inc, lab = RademacherIncrement(), _lattice_dtype(n)
-    rrt = batch_exact_colour_samples(batch_rrt_walk_labels(n, reps, inc, s, dtype=lab).T, inc, s)
-    direct = batch_exact_colour_samples(batch_direct_walk_colours(n, reps, inc, s, dtype=lab), inc, s)
-    bst = batch_exact_colour_samples(batch_bst_walk_leaf_colours(n, reps, inc, s, dtype=lab), inc, s)
+    urns; each leg keeps its genealogy, not its labels, and is sampled and
+    dropped before the next one is grown."""
+    inc = RademacherIncrement()
+    rrt = batch_exact_colour_samples(batch_rrt_walk_genealogy(n, reps, s), inc, s)
+    direct = batch_exact_colour_samples(batch_direct_walk_genealogy(n, reps, s), inc, s)
+    bst = batch_exact_colour_samples(batch_bst_walk_genealogy(n, reps, s), inc, s)
     return direct, rrt, bst
 
 
@@ -279,14 +274,23 @@ def _bmc_rows(n: int, replicas: int, chunk: int, s, row_stat) -> np.ndarray:
     return np.concatenate(out)
 
 
-def _exp_table(c: complex, n: int):
-    """lab -> exp(c * lab) on n-node Rademacher walk labels, read from a table
-    over their integer values [-n, n] built by np.exp of the same expression.
-    The integer labels of _bmc_rows reach it through one cast of lab + n to
-    intp, with no float round trip: numpy gathers faster from an intp index
-    than from a narrower one.  Float labels are cast the same way."""
-    table = np.exp(c * np.arange(-n, n + 1, dtype=float))
-    return lambda lab: table[(lab + n).astype(np.intp)]
+def _exp_row_stat(cs, n: int, stat):
+    """lab -> stat(exp(cs[0] * lab), ...) on n-node Rademacher walk labels,
+    250 rows at a time: each exp is read from a table over [-n, n] built by
+    np.exp of the same expression, through one intp index of lab + n per block
+    (numpy gathers faster from intp than from narrower ints).  Blocks bound the
+    complex gathers; a stat that reduces each row on its own along axis 1, as
+    sum and mean do, gives the same values in any block."""
+    tables = [np.exp(c * np.arange(-n, n + 1, dtype=float)) for c in cs]
+
+    def rows(lab):
+        out = []
+        for lo in range(0, len(lab), 250):
+            at = (lab[lo : lo + 250] + n).astype(np.intp)
+            out.append(stat(*(table[at] for table in tables)))
+        return np.concatenate(out)
+
+    return rows
 
 
 def check_tn_martingale_mean(root_seed: int) -> dict:
@@ -297,8 +301,7 @@ def check_tn_martingale_mean(root_seed: int) -> dict:
     ok = True
     for i, n in enumerate((10, 100, 1000)):
         theta = 0.3 / math.sqrt(math.log(n))
-        exp = _exp_table(1j * theta, n)
-        rows = lambda lab: exp(lab).mean(axis=1)
+        rows = _exp_row_stat([1j * theta], n, lambda e: e.mean(axis=1))
         f = _bmc_rows(n, replicas, 2000, derive_stream(root_seed, 501 + i), rows)
         t_vals = f / expected_f_n(n, theta, 0.0, phi)
         se_r = float(t_vals.real.std(ddof=1)) / math.sqrt(replicas)
@@ -316,11 +319,8 @@ def check_pbar_recursion(root_seed: int) -> dict:
     n, replicas = 100, 100_000
     z1, z2 = 0.2j, -0.2j
     pb = pbar_recursion(n, z1, z2, lambda z: np.cos(z)).real
-    exp1, exp2 = _exp_table(1j * z1, n), _exp_table(1j * z2, n)
-    vals = _bmc_rows(
-        n, replicas, 10_000, derive_stream(root_seed, 510),
-        lambda lab: (exp1(lab).sum(axis=1) * exp2(lab).sum(axis=1)).real,
-    )
+    rows = _exp_row_stat([1j * z1, 1j * z2], n, lambda e1, e2: (e1.sum(axis=1) * e2.sum(axis=1)).real)
+    vals = _bmc_rows(n, replicas, 10_000, derive_stream(root_seed, 510), rows)
     se = float(vals.std(ddof=1)) / math.sqrt(replicas)
     dev = abs(pb - float(vals.mean()))
     return _result(

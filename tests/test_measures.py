@@ -23,7 +23,7 @@ from mvpp.measures import (
 from mvpp.kernels import RademacherIncrement
 from mvpp.process import batch_bmc_walk_labels
 from mvpp.randomness import derive_stream
-from mvpp.verify import _exp_table
+from mvpp.verify import _exp_row_stat
 
 PHI_COIN = lambda z: np.cos(z)  # characteristic function of a fair +-1 coin
 
@@ -245,12 +245,15 @@ def test_expected_fn_matches_monte_carlo():
     ],
 )
 def test_exp_table_rows_equal_np_exp_bit_for_bit(c, n):
+    # two tables read through one shared index, as pbar_recursion reads them,
+    # and 400 rows read in blocks
     lab = batch_bmc_walk_labels(n, 400, RademacherIncrement(), derive_stream(3, 3 + n))
-    got, ref = _exp_table(c, n)(lab), np.exp(c * lab)
-    assert got.dtype == ref.dtype
-    assert np.array_equal(got.view(np.int64), ref.view(np.int64))
-    assert np.array_equal(got.mean(axis=1), ref.mean(axis=1))
-    assert np.array_equal(got.sum(axis=1), ref.sum(axis=1))
+    both = _exp_row_stat([c, -c], n, lambda e1, e2: np.stack([e1, e2], axis=1))(lab)
+    for got, ref in zip((both[:, 0], both[:, 1]), (np.exp(c * lab), np.exp(-c * lab))):
+        assert got.dtype == ref.dtype
+        assert np.array_equal(got.view(np.int64), ref.view(np.int64))
+        assert np.array_equal(got.mean(axis=1), ref.mean(axis=1))
+        assert np.array_equal(got.sum(axis=1), ref.sum(axis=1))
 
 
 def test_tn_base_cases():

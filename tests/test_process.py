@@ -27,14 +27,16 @@ from mvpp.process import (
     WINDOW_RATIO,
     _attach_path_sums,
     batch_bmc_walk_labels,
+    batch_bst_walk_genealogy,
     batch_direct_trace,
-    batch_bst_walk_leaf_colours,
-    batch_direct_walk_colours,
+    batch_direct_walk_genealogy,
     batch_exact_colour_samples,
     batch_kary_leaf_labels,
     batch_rrt_depths,
+    batch_rrt_walk_genealogy,
     batch_rrt_walk_labels,
     batch_walk_pairs,
+    genealogy_labels,
     mvpp_direct,
     mvpp_forest,
     mvpp_kdiscrete,
@@ -342,8 +344,7 @@ def test_sample_colour_matches_direct_law():
     for _ in range(reps):
         rep = mvpp_via_rrt(DELTA0, walk_kernel_rademacher(), n, s)
         scalar.append(sample_colour(rep, s))
-    lab = batch_rrt_walk_labels(n, reps, inc, s)
-    batch = batch_exact_colour_samples(lab.T, inc, s)  # packet-major; node 0 is the initial packet
+    batch = batch_exact_colour_samples(batch_rrt_walk_genealogy(n, reps, s), inc, s)
     crit = stats.ks_two_sample_critical(0.01, reps, reps)
     assert stats.ks_two_sample(np.array(scalar), batch) < crit
 
@@ -360,7 +361,9 @@ def test_sample_colour_trace_and_kary():
 
 
 def test_pair_decorrelation_across_urns():
-    # one pair per independent urn; bounded test function correlation small
+    # one pair per independent urn; bounded test function correlation small.
+    # Each urn's two labels are read off its genealogy, grown from the draws
+    # that batch_rrt_walk_labels makes
     inc = RademacherIncrement()
     n, reps = 10_000, 10_000
     s = derive_stream(30, 21)
@@ -369,12 +372,11 @@ def test_pair_decorrelation_across_urns():
     done = 0
     while done < reps:
         take = min(1000, reps - done)
-        lab = batch_rrt_walk_labels(n, take, inc, s)
-        rows = np.arange(take)
+        gen = batch_rrt_walk_genealogy(n, take, s)
         iu = s.integers(0, n + 1, take)
         iv = s.integers(0, n + 1, take)
-        a_vals[done : done + take] = lab[rows, iu] + inc.draw_many(s, take)
-        b_vals[done : done + take] = lab[rows, iv] + inc.draw_many(s, take)
+        a_vals[done : done + take] = genealogy_labels(gen, iu) + inc.draw_many(s, take)
+        b_vals[done : done + take] = genealogy_labels(gen, iv) + inc.draw_many(s, take)
         done += take
     scale = math.sqrt(math.log(n))
     corr = np.corrcoef(np.cos(a_vals / scale), np.cos(b_vals / scale))[0, 1]
@@ -387,19 +389,17 @@ def test_pair_decorrelation_across_urns():
 
 
 def test_batch_direct_matches_scalar_direct():
-    inc = RademacherIncrement()
     n, reps = 60, 4000
     s = derive_stream(30, 22)
     scalar = np.array(
         [mvpp_direct(DELTA0, walk_kernel_rademacher(), n, s).drawn[-1] for _ in range(reps)]
     )
-    batch = batch_direct_walk_colours(n, reps, inc, s)[-1]
+    batch = genealogy_labels(batch_direct_walk_genealogy(n, reps, s), np.full(reps, n))  # the last draw
     crit = stats.ks_two_sample_critical(0.01, reps, reps)
     assert stats.ks_two_sample(scalar, batch) < crit
 
 
 def test_batch_bst_matches_scalar_bst():
-    inc = RademacherIncrement()
     n, reps = 60, 4000
     s = derive_stream(30, 23)
     scalar = []
@@ -407,7 +407,7 @@ def test_batch_bst_matches_scalar_bst():
         rep = mvpp_via_bst(DELTA0, walk_kernel_rademacher(), n, s)
         colours = sorted(rep.labels[u] for u in rep.tree.leaf_list if not rep.m0_flags[u])
         scalar.append(colours[len(colours) // 2])
-    bcol = batch_bst_walk_leaf_colours(n, reps, inc, s)
+    bcol = _every_label(batch_bst_walk_genealogy(n, reps, s)).astype(float)
     bcol[0] = np.nan  # the initial packet, the one m0 leaf, sorts last
     batch_med = np.sort(bcol, axis=0)[n // 2]
     crit = stats.ks_two_sample_critical(0.01, reps, reps)
@@ -450,19 +450,34 @@ def _bst_leaf_loop(n, reps, increment, s):
     return colours, flags
 
 
-@pytest.mark.parametrize("n, reps", [(0, 3), (1, 3), (50, 300)])
+def _every_label(genealogy):
+    """(p, reps) labels of every packet, each walked up its own chain."""
+    return genealogy_labels(genealogy, np.arange(genealogy.shape[0])[:, None])
+
+
+@pytest.mark.parametrize("n, reps", [(0, 3), (1, 3), (50, 300), (16_384, 2)])
 def test_packet_major_legs_equal_the_row_major_loops(n, reps):
+    # every packet of each genealogy leg, walked up its chain, carries the
+    # label of the reference loop, in the lattice dtype; int32 past n = 16,383
     inc = RademacherIncrement()
     s, ref_s = derive_stream(33, n), derive_stream(33, n)
-    direct = batch_direct_walk_colours(n, reps, inc, s)
+    direct = batch_direct_walk_genealogy(n, reps, s)
     ref = _direct_colour_loop(n, reps, inc, ref_s)
-    assert direct.shape == (n + 1, reps)
-    assert np.array_equal(direct[0], np.zeros(reps))  # the initial packet
-    assert np.array_equal(direct[1:].T, ref)
+    assert direct.shape == (n + 1, reps) and direct.dtype == _lattice_dtype(n)
+    lab = _every_label(direct)
+    assert lab.dtype == direct.dtype
+    assert np.array_equal(lab[0], np.zeros(reps))  # the initial packet
+    assert np.array_equal(lab[1:].T, ref)
     assert np.array_equal(s.uniforms(4), ref_s.uniforms(4))  # the same draws consumed
-    bst = batch_bst_walk_leaf_colours(n, reps, inc, s)
+    bst = batch_bst_walk_genealogy(n, reps, s)
     ref, _ = _bst_leaf_loop(n, reps, inc, ref_s)
-    assert np.array_equal(bst.T, ref)
+    assert bst.shape == (n + 1, reps) and bst.dtype == _lattice_dtype(n)
+    assert np.array_equal(_every_label(bst).T, ref)
+    assert np.array_equal(s.uniforms(4), ref_s.uniforms(4))
+    rrt = batch_rrt_walk_genealogy(n, reps, s)
+    ref = batch_rrt_walk_labels(n, reps, inc, ref_s)
+    assert rrt.shape == (n + 1, reps) and rrt.dtype == _lattice_dtype(n)
+    assert np.array_equal(_every_label(rrt).T, ref)
     assert np.array_equal(s.uniforms(4), ref_s.uniforms(4))
 
 
@@ -470,20 +485,19 @@ def test_exact_colour_samples_of_packet_major_legs_equal_the_flagged_form():
     inc = RademacherIncrement()
     n, reps = 50, 300
     s, ref_s = derive_stream(33, 99), derive_stream(33, 99)
-    lab = batch_rrt_walk_labels(n, reps, inc, s)
+    gen = batch_rrt_walk_genealogy(n, reps, s)
     ref_lab = batch_rrt_walk_labels(n, reps, inc, ref_s)
     ref_idx = ref_s.integers(0, n + 1, reps)
     ref = ref_lab[np.arange(reps), ref_idx] + inc.draw_many(ref_s, reps)
     ref[ref_idx == 0] = 0.0
-    assert np.array_equal(batch_exact_colour_samples(lab.T, inc, s), ref)
+    samples = batch_exact_colour_samples(gen, inc, s)
+    assert samples.dtype == np.float64 and np.array_equal(samples, ref)
     assert np.array_equal(s.uniforms(4), ref_s.uniforms(4))
 
 
 @pytest.mark.parametrize("dtype", [np.int16, np.int32])
 @pytest.mark.parametrize("n, reps", [(0, 3), (1, 3), (50, 300)])
-@pytest.mark.parametrize(
-    "leg", [batch_direct_walk_colours, batch_bst_walk_leaf_colours, batch_bmc_walk_labels, batch_rrt_walk_labels]
-)
+@pytest.mark.parametrize("leg", [batch_bmc_walk_labels, batch_rrt_walk_labels])
 def test_integer_legs_equal_the_float_legs(leg, n, reps, dtype):
     inc = RademacherIncrement()
     s, ref_s = derive_stream(34, n), derive_stream(34, n)
@@ -492,9 +506,6 @@ def test_integer_legs_equal_the_float_legs(leg, n, reps, dtype):
     assert got.dtype == dtype and ref.dtype == np.float64
     assert np.array_equal(got, ref)
     assert np.array_equal(s.uniforms(4), ref_s.uniforms(4))  # the same draws consumed
-    samples = batch_exact_colour_samples(got.T if leg is batch_rrt_walk_labels else got, inc, s)
-    ref = batch_exact_colour_samples(ref.T if leg is batch_rrt_walk_labels else ref, inc, ref_s)
-    assert samples.dtype == np.float64 and np.array_equal(samples, ref)
 
 
 def test_lattice_dtype_holds_the_labels_and_their_table_index():
@@ -507,14 +518,15 @@ def test_lattice_dtype_holds_the_labels_and_their_table_index():
 @pytest.mark.parametrize(
     "build",
     [
-        lambda s: batch_direct_walk_colours(-1, 3, RademacherIncrement(), s),
-        lambda s: batch_bst_walk_leaf_colours(-1, 3, RademacherIncrement(), s),
+        lambda s: batch_direct_walk_genealogy(-1, 3, s),
+        lambda s: batch_bst_walk_genealogy(-1, 3, s),
         lambda s: batch_bmc_walk_labels(-1, 3, RademacherIncrement(), s),
         lambda s: batch_rrt_walk_labels(-1, 3, RademacherIncrement(), s),
+        lambda s: batch_rrt_walk_genealogy(-1, 3, s),
         lambda s: batch_rrt_depths(-1, 3, s),
         lambda s: batch_kary_leaf_labels(-1, 3, (1, 1), s),
     ],
-    ids=["direct", "bst", "bmc", "rrt", "rrt-depths", "kary"],
+    ids=["direct", "bst", "bmc", "rrt", "rrt-genealogy", "rrt-depths", "kary"],
 )
 def test_batch_builders_reject_a_negative_n(build):
     with pytest.raises(ValueError, match="n must be >= 0"):
@@ -752,10 +764,8 @@ def test_batch_walk_labels_peak_memory_near_output():
 
 
 def test_coupling_legs_are_freed_as_they_are_sampled():
-    # each leg is sampled, then dropped before the next one is grown; with all
-    # three alive at once (plus flags and a concatenated copy) it read 4.4x a
-    # float64 leg; the int16 legs read 1.82x their own size, below the 3x of
-    # three legs alive
+    # each leg is sampled, then dropped before the next one is grown; the int16
+    # genealogies read 1.72x one leg, and 3.19x with all three kept alive
     n, reps = 200, 2000
     leg = np.zeros((n + 1, reps), dtype=_lattice_dtype(n)).nbytes
     s = derive_stream(31, 301)

@@ -295,3 +295,9 @@ def test_hill_estimator_on_pareto():
     draws = (1.0 - s.uniforms(200_000)) ** (-1.0 / alpha)  # exact Pareto(alpha)
     est = stats.hill_tail_exponent(draws, 5000)
     assert abs(est - alpha) < 0.1
+
+
+@pytest.mark.parametrize("k", [0, -1, 11])
+def test_hill_estimator_rejects_k_outside_1_to_len_minus_1(k):
+    with pytest.raises(ValueError, match="k"):
+        stats.hill_tail_exponent(np.arange(1.0, 12.0), k)
