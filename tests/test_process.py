@@ -455,6 +455,23 @@ def _every_label(genealogy):
     return genealogy_labels(genealogy, np.arange(genealogy.shape[0])[:, None])
 
 
+def batch_direct_walk_colours(n, reps, increment, s, dtype=float):
+    """(n+1, reps) colours of the direct-scheme leg, packet 0 the initial one:
+    for float the reference loop, else the genealogy leg's labels walked up
+    their chains in `dtype`. Both make the same draws."""
+    if dtype is float:
+        return np.vstack([np.zeros((1, reps)), _direct_colour_loop(n, reps, increment, s).T])
+    return _every_label(batch_direct_walk_genealogy(n, reps, s).astype(dtype))
+
+
+def batch_bst_walk_leaf_colours(n, reps, increment, s, dtype=float):
+    """(n+1, reps) leaf colours of the binary-tree leg in leaf creation order,
+    read as batch_direct_walk_colours reads the direct-scheme leg."""
+    if dtype is float:
+        return _bst_leaf_loop(n, reps, increment, s)[0].T
+    return _every_label(batch_bst_walk_genealogy(n, reps, s).astype(dtype))
+
+
 @pytest.mark.parametrize("n, reps", [(0, 3), (1, 3), (50, 300), (16_384, 2)])
 def test_packet_major_legs_equal_the_row_major_loops(n, reps):
     # every packet of each genealogy leg, walked up its chain, carries the
@@ -497,7 +514,9 @@ def test_exact_colour_samples_of_packet_major_legs_equal_the_flagged_form():
 
 @pytest.mark.parametrize("dtype", [np.int16, np.int32])
 @pytest.mark.parametrize("n, reps", [(0, 3), (1, 3), (50, 300)])
-@pytest.mark.parametrize("leg", [batch_bmc_walk_labels, batch_rrt_walk_labels])
+@pytest.mark.parametrize(
+    "leg", [batch_direct_walk_colours, batch_bst_walk_leaf_colours, batch_bmc_walk_labels, batch_rrt_walk_labels]
+)
 def test_integer_legs_equal_the_float_legs(leg, n, reps, dtype):
     inc = RademacherIncrement()
     s, ref_s = derive_stream(34, n), derive_stream(34, n)
