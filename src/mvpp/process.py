@@ -29,7 +29,6 @@ from .kernels import (
     DColourKernel,
     KDiscreteKernel,
     MMInfQueueKernel,
-    RademacherIncrement,
     RandomWalkKernel,
     ReplacementKernel,
     StableIncrement,
@@ -430,35 +429,26 @@ def _m0_sampler_np(m0: AtomicMeasure | None):
 
 
 WINDOW_RATIO = 1.1  # node windows of uniform-attachment growth grow by this factor
-
-
-def _attachment_windows(reps, n1, s, increment):
-    """The draws of `reps` uniform-attachment trees on nodes 1..n1-1, window by
-    window [lo, ~WINDOW_RATIO*lo): (lo, hi, par, steps) with the (reps, w)
-    parents floor(U*k) of the whole window drawn before its (reps, w) steps."""
-    lo = 1
-    while lo < n1:
-        hi = min(max(int(WINDOW_RATIO * lo), lo + 1), n1)
-        par = s.uniforms(reps * (hi - lo)).reshape(reps, -1)
-        par = np.multiply(par, np.arange(lo, hi), out=par).astype(np.intp)
-        yield lo, hi, par, increment.draw_many(s, par.size).reshape(reps, -1)
-        del par  # before the next window draws its own
-        lo = hi
+KARY_BLOCK = 2**16  # kappa-ary splits per event-tree block
 
 
 def _attach_path_sums(out, s, increment, root_children=None) -> None:
     """Grow uniform-attachment trees into columns 1..n of `out` (column 0 holds
     the roots): node k takes parent floor(U*k) and its increment plus the parent's
     label, or a fresh `root_children` draw when the parent is the root.  Draws
-    come window by window from _attachment_windows; in-window parents are
-    re-gathered until final, so labels equal the node-by-node recursion's."""
+    come window by window, [lo, ~WINDOW_RATIO*lo): the (reps, w) parents of the
+    whole window, then its (reps, w) steps; in-window parents are re-gathered
+    until final, so labels equal the node-by-node recursion's."""
     reps, n1 = out.shape
     flat = out.reshape(-1)  # a view: out is C-contiguous
     offsets = np.arange(0, reps * n1, n1)[:, None]
-    for lo, hi, par, steps in _attachment_windows(reps, n1, s, increment):
+    lo = 1
+    while lo < n1:
+        hi = min(max(int(WINDOW_RATIO * lo), lo + 1), n1)
+        par = s.uniforms(reps * (hi - lo)).reshape(reps, -1)
+        par = np.multiply(par, np.arange(lo, hi), out=par).astype(np.intp)
         block = out[:, lo:hi]
-        block[...] = steps
-        del steps  # freed as soon as copied
+        block[...] = increment.draw_many(s, par.size).reshape(reps, -1)
         r, c = np.nonzero(par >= lo)
         own = block[r, c]  # kept for the in-window nodes only
         par += offsets  # flat indices into out
@@ -472,6 +462,7 @@ def _attach_path_sums(out, s, increment, root_children=None) -> None:
             keep = node[np.minimum(np.searchsorted(node, p), node.size - 1)] == p
             node, p, own = node[keep], p[keep], own[keep]
         del par  # before the next window draws its own
+        lo = hi
 
 
 def _check_n(n) -> None:
@@ -512,19 +503,83 @@ def batch_rrt_depths(n, reps, s) -> np.ndarray:
     return depths
 
 
-def batch_walk_pairs(labels, pairs, increment, s) -> np.ndarray:
+def _distinct(keys) -> np.ndarray:
+    """The sorted distinct values of non-negative int keys; on 20,000 keys
+    this is ~20x faster than np.unique's hash path."""
+    keys = np.sort(keys, axis=None)
+    return keys[np.diff(keys, prepend=-1) != 0]
+
+
+def sample_tree_nodes(n, nodes, increment, s, m0=None, dtype=float) -> np.ndarray:
+    """(urns, k) labels of nodes[r] in urn r's walk-labelled recursive tree on
+    0..n, in the joint law of batch_rrt_walk_labels(n, urns, increment, s, m0,
+    dtype)[r, nodes[r]], without growing the trees: a node's label depends
+    only on its ancestor chain, about log n links (the backward view of
+    Devroye's records construction).
+
+    Picked roots take one m0 draw each.  Then every open (urn, node) key, in
+    ascending order, draws its parent (one s.integers call per round), then
+    its increment, then a fresh m0 draw in place of the increment where the
+    parent is the root.  Parents not yet seen open the next round, so chains
+    that meet share everything above.  Labels are summed root-down, own plus
+    the parent's label, as in _attach_path_sums."""
+    _check_n(n)
+    nodes = np.asarray(nodes, dtype=np.int64)
+    urns = nodes.shape[0]
+    if urns * (n + 1) > np.iinfo(np.int64).max:
+        raise ValueError(f"{urns} urns of {n + 1} nodes overflow the int64 node keys")
+    m0_draw = _m0_sampler_np(m0)
+    want = nodes + (n + 1) * np.arange(urns)[:, None]  # (urn, node) keys
+    seen = _distinct(want)
+    live = seen[seen % (n + 1) != 0]
+    roots = seen[seen % (n + 1) == 0]
+    rounds = [(roots, roots, m0_draw(s, roots.size) if roots.size else np.empty(0))]  # a root is its own parent
+    while live.size:
+        node = live % (n + 1)
+        par = s.integers(0, node, live.size)
+        own = np.empty(live.size, dtype=dtype)
+        own[...] = increment.draw_many(s, live.size)
+        at_root = par == 0
+        if at_root.any():
+            own[at_root] = m0_draw(s, int(at_root.sum()))
+        par += live - node  # the parent's key
+        rounds.append((live, np.where(at_root, live, par), own))  # a root child, like a root, is its own parent
+        live = _distinct(par[~at_root])
+        at = np.minimum(np.searchsorted(seen, live), seen.size - 1)
+        live = live[seen[at] != live]  # chains that meet share what is above
+        seen = np.sort(np.concatenate([seen, live]), kind="stable")  # a merge of two sorted runs
+    key, par, own = (np.concatenate(x) for x in zip(*rounds))
+    order = np.argsort(key)
+    key, own = key[order], own[order].astype(dtype, copy=False)
+    par = np.searchsorted(key, par[order])  # below its child's place, as a parent's key is below its child's
+    depth = parent_depths(par[None])[0]
+    by_depth = np.argsort(depth, kind="stable")
+    ends = np.cumsum(np.bincount(depth))
+    label = own.copy()  # chain starts keep their own draw
+    for lo, hi in zip(ends[:-1], ends[1:]):  # root-down, one depth at a time
+        at = by_depth[lo:hi]
+        label[at] += label[par[at]]
+    return label[np.searchsorted(key, want)]
+
+
+def draw_walk_pairs(urns, size, pairs, increment, s, read) -> np.ndarray:
     """Pairs (a, b) of kernel draws at two independent uniform packets of
-    each urn, a row of `labels` (one label per packet): max(pairs // urns, 1)
-    per urn, each packet's label plus one increment, pooled as all a's then
-    all b's."""
-    urns, size = labels.shape
+    each of `urns` urns of `size` packets: max(pairs // urns, 1) per urn.
+    Draws the packets iu, then iv, reads their (urns, 2 per) labels through
+    read(idx), then adds one increment to each a, then to each b; pooled as
+    all a's then all b's."""
     per = max(pairs // urns, 1)
-    rows = np.repeat(np.arange(urns), per)
-    iu = s.integers(0, size, urns * per)
-    iv = s.integers(0, size, urns * per)
-    a = labels[rows, iu] + increment.draw_many(s, urns * per)
-    b = labels[rows, iv] + increment.draw_many(s, urns * per)
+    iu = s.integers(0, size, urns * per).reshape(urns, per)
+    iv = s.integers(0, size, urns * per).reshape(urns, per)
+    lab = read(np.hstack([iu, iv]))
+    a = lab[:, :per].ravel() + increment.draw_many(s, urns * per)
+    b = lab[:, per:].ravel() + increment.draw_many(s, urns * per)
     return np.concatenate([a, b])
+
+
+def batch_walk_pairs(labels, pairs, increment, s) -> np.ndarray:
+    """draw_walk_pairs off a (urns, size) array of every packet's label."""
+    return draw_walk_pairs(*labels.shape, pairs, increment, s, lambda idx: np.take_along_axis(labels, idx, axis=1))
 
 
 def _lattice_dtype(n: int):
@@ -534,12 +589,13 @@ def _lattice_dtype(n: int):
     return np.int16 if 2 * n <= np.iinfo(np.int16).max else np.int32
 
 
-# The coupling legs below keep the genealogy of a +-1 walk urn from a unit
-# point mass at 0, not its labels: a packet-major (n+1, reps) array whose
-# entry for packet e of urn r is parent packet times step, the +-1 step folded
-# into the sign, or 0 for a packet that starts fresh at colour 0 (the initial
-# packet among them).  A packet's label is the sum of the signs along its
-# ancestor chain, read by genealogy_labels.
+# The direct and binary-tree coupling legs below keep the genealogy of a +-1
+# walk urn from a unit point mass at 0, not its labels: a packet-major
+# (n+1, reps) array whose entry for packet e of urn r is parent packet times
+# step, the +-1 step folded into the sign, or 0 for a packet that starts fresh
+# at colour 0 (the initial packet among them).  A packet's label is the sum of
+# the signs along its ancestor chain, read by genealogy_labels.  The
+# recursive-tree leg needs no genealogy: sample_tree_nodes draws the chain.
 
 
 def batch_direct_walk_genealogy(n, reps, s) -> np.ndarray:
@@ -564,18 +620,6 @@ def batch_bst_walk_genealogy(n, reps, s) -> np.ndarray:
     gen = np.zeros((n + 1, reps), dtype=_lattice_dtype(n))
     for k in range(n):
         gen[k + 1] = s.integers(0, k + 1, reps) * s.signs(reps)
-    return gen
-
-
-def batch_rrt_walk_genealogy(n, reps, s) -> np.ndarray:
-    """Genealogy of `reps` recursive-tree urns, from the draws of
-    batch_rrt_walk_labels(n, reps, RademacherIncrement(), s): node k's parent
-    floor(U*k) and step, node 0 and the root's children fresh at 0."""
-    _check_n(n)
-    gen = np.zeros((n + 1, reps), dtype=_lattice_dtype(n))
-    for lo, hi, par, steps in _attachment_windows(reps, n + 1, s, RademacherIncrement()):
-        gen[lo:hi] = np.multiply(par, steps, out=par).T
-        del par, steps  # before the next window draws its own
     return gen
 
 
@@ -604,48 +648,54 @@ def batch_kary_leaf_labels(n, reps, offsets, s) -> np.ndarray:
     does not change the leaf multiset's law, so no shuffle is drawn.
 
     One call draws every split position, the values of n successive per-split
-    calls.  Labels are then path sums in an event tree, one replica at a time:
-    split k is node k+1 below a virtual root 0 and holds its slot's new label.
-    Its parent is the previous split of that slot (step offsets[0]), else the
+    calls.  Labels are then path sums in an event tree per replica: split k is
+    node k+1 below a virtual root 0 and holds its slot's new label.  Its
+    parent is the previous split of that slot (step offsets[0]), else the
     split that created the slot, node (slot-1)//(kappa-1) + 1, with the slot's
     own offset offsets[(slot-1) % (kappa-1) + 1] (node 0, offsets[0] for slot
     0).  A slot ends at its last split's value, else at its creator's minus
     offsets[0] plus its own offset.  For offsets (1,)*kappa labels are depths,
-    bit for bit the step-by-step recursion's."""
+    bit for bit the step-by-step recursion's.  Replicas go in blocks of
+    about KARY_BLOCK splits, each block through one row-wise stable argsort
+    and one pointer-doubling pass; the blocks bound the working arrays."""
     _check_n(n)
     k1 = len(offsets) - 1
     offs = np.array(offsets, dtype=np.int64)
     pos = s.integers(0, 1 + np.arange(n)[:, None] * k1, (n, reps)).T.astype(np.int32)
     wide = n * int(np.abs(offs).max()) >= 2**31  # labels that int32 would wrap
     labels = np.empty((reps, 1 + n * k1), dtype=np.int64 if wide else np.int32)
-    for row, p in zip(labels, pos):  # per replica, to bound the working arrays
-        node = np.argsort(p, kind="stable")  # each slot's splits adjacent, in time order
-        slot = p[node]
+    labels[:, 0] = 0
+    block = max(KARY_BLOCK // max(n, 1), 1)
+    for lo in range(0, reps, block):
+        p = pos[lo : lo + block]
+        node = np.argsort(p, axis=1, kind="stable")  # each slot's splits adjacent, in time order
+        slot = np.take_along_axis(p, node, axis=1)
         node += 1  # split k is node k+1
-        first = np.diff(slot, prepend=-1) != 0
-        last = np.diff(slot, append=-1) != 0
-        par = np.zeros(n + 1, dtype=np.int32)
-        par[node] = np.where(first, (slot + k1 - 1) // k1, np.roll(node, 1))
-        step = np.zeros(n + 1, dtype=np.int64)
-        step[node] = np.where(first & (slot > 0), offs[(slot - 1) % k1 + 1], offs[0])
-        val = parent_depths(par[None], step)[0]
-        row[0] = 0
-        row[1:] = (val[1:, None] + (offs[1:] - offs[0])).ravel()
-        row[slot[last]] = val[node[last]]
+        first = np.diff(slot, axis=1, prepend=-1) != 0
+        last = np.diff(slot, axis=1, append=-1) != 0
+        row = np.arange(len(p))[:, None]
+        at = node + (n + 1) * row  # flat places of the splits in (rows, n+1)
+        par = np.zeros((len(p), n + 1), dtype=np.int32)
+        par.reshape(-1)[at] = np.where(first, (slot + k1 - 1) // k1, np.roll(node, 1, axis=1))
+        step = np.zeros((len(p), n + 1), dtype=np.int64)
+        step.reshape(-1)[at] = np.where(first & (slot > 0), offs[(slot - 1) % k1 + 1], offs[0])
+        val = parent_depths(par, step)
+        del par, step  # before the gathers below
+        out = labels[lo : lo + block]
+        out[:, 1:] = (val[:, 1:, None] + (offs[1:] - offs[0])).reshape(len(p), -1)
+        out.reshape(-1)[(slot + out.shape[1] * row)[last]] = val.reshape(-1)[at[last]]
     return labels
 
 
-def batch_exact_colour_samples(genealogy, increment, s) -> np.ndarray:
-    """One exact draw per urn from the normalized urn measure of batched +-1
-    walk urns started from a unit point mass at 0.
-
-    genealogy: (p, reps) packet-major, as the batch_*_walk_genealogy legs
-    build it; packet 0 is the initial packet.  Picks a uniform packet, reads
-    its label off its chain, then takes one kernel step (the initial colour 0
-    for packet 0).  The draws are float64."""
-    p, reps = genealogy.shape
+def batch_exact_colour_samples(p, reps, read, increment, s) -> np.ndarray:
+    """One exact draw per urn from the normalized urn measure of `reps`
+    batched +-1 walk urns of p unit packets started from a unit point mass at
+    0, packet 0 the initial packet.  Picks a uniform packet idx per urn, reads
+    its label read(idx) (off a genealogy by genealogy_labels, or off the
+    packet's ancestor chain by sample_tree_nodes), then takes one kernel step
+    (the initial colour 0 for packet 0).  The draws are float64."""
     idx = s.integers(0, p, reps)
-    out = np.add(genealogy_labels(genealogy, idx), increment.draw_many(s, reps), dtype=float)
+    out = np.add(read(idx), increment.draw_many(s, reps), dtype=float)
     out[idx == 0] = 0.0
     return out
 
@@ -680,9 +730,11 @@ def verify_main_theorem(
     | M/M/infinity queue | -- | none | TV to MMInfJumpChain(lam, mu), TV_GATE |
     | finite palette | -- | none | l1 to the Perron limit, TV_GATE |
 
-    beta = kappa/(kappa-1).  The walk routes (plans `brw` and `stable`) grow
-    `urns` independent batched urns, pool `replicas` pair samples in total
-    and report their pair correlation under cos; the Hill exponent uses k =
+    beta = kappa/(kappa-1).  The walk routes (plans `brw` and `stable`) draw
+    pairs from `urns` independent urns, each pair's two nodes read off their
+    ancestor chains by sample_tree_nodes with no tree grown (the kappa route
+    grows its `urns` urns' leaves), pool `replicas` pair samples in total and
+    report their pair correlation under cos; the Hill exponent uses k =
     max(len/40, 10).  The queue and the palette (plan `ergodic`) grow one urn
     by the direct scheme.  Per grid point, `samples` holds the values that
     were scored (the pooled a's then b's, or the scored urn's drawn colours)
@@ -732,8 +784,8 @@ def verify_main_theorem(
             continue
         t = math.log(n)
         if walk:
-            labels = batch_rrt_walk_labels(n, urns, kernel.increment, s, m0=m0)
-            values = batch_walk_pairs(labels, replicas, kernel.increment, s)
+            read = lambda idx: sample_tree_nodes(n, idx, kernel.increment, s, m0=m0)
+            values = draw_walk_pairs(urns, n + 1, replicas, kernel.increment, s, read)
         else:
             t *= 1.0 + 1.0 / (kernel.kappa - 1)
             labels = batch_kary_leaf_labels(n, urns, kernel.offsets, s)

@@ -11,6 +11,7 @@ byte-identical.
 from __future__ import annotations
 
 import math
+from functools import partial
 
 import numpy as np
 
@@ -38,10 +39,11 @@ from .process import (
     batch_exact_colour_samples,
     batch_kary_leaf_labels,
     batch_rrt_depths,
-    batch_rrt_walk_genealogy,
     batch_rrt_walk_labels,
     batch_walk_pairs,
+    genealogy_labels,
     mvpp_kdiscrete,
+    sample_tree_nodes,
     verify_main_theorem,
 )
 from .randomness import derive_stream
@@ -210,13 +212,19 @@ def check_coupling_exact(root_seed: int) -> dict:
 
 
 def _coupling_samples(n, reps, s) -> tuple:
-    """One exact colour per urn from `reps` direct, recursive-tree and binary-tree
-    urns; each leg keeps its genealogy, not its labels, and is sampled and
-    dropped before the next one is grown."""
-    inc = RademacherIncrement()
-    rrt = batch_exact_colour_samples(batch_rrt_walk_genealogy(n, reps, s), inc, s)
-    direct = batch_exact_colour_samples(batch_direct_walk_genealogy(n, reps, s), inc, s)
-    bst = batch_exact_colour_samples(batch_bst_walk_genealogy(n, reps, s), inc, s)
+    """One exact colour per urn from `reps` direct, recursive-tree and
+    binary-tree urns, the recursive-tree leg drawn first.  It reads each
+    sampled packet off the packet's ancestor chain alone; the other two legs
+    keep their genealogy, not their labels, and each is sampled and dropped
+    before the next one is grown."""
+    inc, dtype = RademacherIncrement(), _lattice_dtype(n)
+
+    def leg(read):
+        return batch_exact_colour_samples(n + 1, reps, read, inc, s)
+
+    rrt = leg(lambda idx: sample_tree_nodes(n, idx[:, None], inc, s, dtype=dtype)[:, 0])
+    direct = leg(partial(genealogy_labels, batch_direct_walk_genealogy(n, reps, s)))
+    bst = leg(partial(genealogy_labels, batch_bst_walk_genealogy(n, reps, s)))
     return direct, rrt, bst
 
 

@@ -22,7 +22,7 @@ from mvpp import verify
 ROOT_SEED = 1
 
 # sha256 of `mvpp verify --suite all --seed 1`'s verify_all.json
-VERIFY_ALL_SHA256 = "67a4bf44923a0b4fd541fdb0591e7376fa5b3d3cd13f12acc65131086ed60904"
+VERIFY_ALL_SHA256 = "cd0f6611ed34ee2290e3b104b69b3756ba7cb3f09a4bb6d83529ef6d22526d77"
 
 
 @pytest.fixture(scope="module")

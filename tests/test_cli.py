@@ -2,6 +2,7 @@ import csv
 import json
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 
@@ -128,6 +129,27 @@ def test_sample_dump_is_what_was_scored(tmp_path, monkeypatch):
     head_1000 = (out / "demo_n1000_samples.csv").read_text().splitlines()[1:1001]
     head_1997 = (out / "demo_n1997_samples.csv").read_text().splitlines()[1:1001]
     assert head_1000 != head_1997
+
+
+def test_simulate_reaches_n_1e12_on_a_walk_grid(tmp_path):
+    # the walk route reads each pair off its nodes' ancestor chains, about
+    # log n links each, so n = 1e12 runs and allocates nothing of size n
+    path = variant_config(tmp_path, "variant = random_walk\nincrement = rademacher", "10,100000,100000000,1000000000000")
+    path.write_text(path.read_text().replace("replicas = 200", "replicas = 2000"))
+    out = tmp_path / "run"
+    tracemalloc.start()
+    try:
+        assert cli.run_simulate(path, out) == 0
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 20e6
+    report = json.loads((out / "demo_report.json").read_text())
+    assert [entry["n"] for entry in report["results"]] == [10, 10**5, 10**8, 10**12]
+    for entry in report["results"]:
+        values = read_samples(out / f"demo_n{entry['n']}_samples.csv")
+        assert len(values) == 2 * 2000 and stats.ks_statistic(values, stats.Normal(0.0, 1.0)) == entry["ks"]
+    assert report["results"][-1]["ks"] < 0.1
 
 
 def test_simulate_dcolour_ergodic_scores_the_perron_limit(tmp_path):

@@ -1,6 +1,7 @@
 import math
 import tracemalloc
 from collections import Counter
+from functools import partial
 
 import numpy as np
 import pytest
@@ -33,20 +34,23 @@ from mvpp.process import (
     batch_exact_colour_samples,
     batch_kary_leaf_labels,
     batch_rrt_depths,
-    batch_rrt_walk_genealogy,
     batch_rrt_walk_labels,
     batch_walk_pairs,
+    draw_walk_pairs,
     genealogy_labels,
     mvpp_direct,
     mvpp_forest,
     mvpp_kdiscrete,
     mvpp_via_bst,
     mvpp_via_rrt,
+    _m0_sampler_np,
     sample_colour,
     sample_pair,
+    sample_tree_nodes,
     verify_main_theorem,
 )
 from mvpp.randomness import RngStream, derive_stream
+from mvpp.trees import parent_depths
 from mvpp.verify import _ComplexNormalIncrement, _coupling_samples, _forest_sizes, _lattice_dtype, _tv_threshold
 
 M0_HALF = AtomicMeasure([(0, 0.5), (1, 0.5)])
@@ -337,14 +341,13 @@ def test_sample_pair_law_is_the_same_in_every_form(form):
 
 def test_sample_colour_matches_direct_law():
     # exact draws from tree urns agree with the trace form (two-sample KS)
-    inc = RademacherIncrement()
     n, reps = 100, 4000
     s = derive_stream(30, 19)
     scalar = []
     for _ in range(reps):
         rep = mvpp_via_rrt(DELTA0, walk_kernel_rademacher(), n, s)
         scalar.append(sample_colour(rep, s))
-    batch = batch_exact_colour_samples(batch_rrt_walk_genealogy(n, reps, s), inc, s)
+    _, batch, _ = _coupling_samples(n, reps, s)  # the recursive-tree leg
     crit = stats.ks_two_sample_critical(0.01, reps, reps)
     assert stats.ks_two_sample(np.array(scalar), batch) < crit
 
@@ -362,25 +365,114 @@ def test_sample_colour_trace_and_kary():
 
 def test_pair_decorrelation_across_urns():
     # one pair per independent urn; bounded test function correlation small.
-    # Each urn's two labels are read off its genealogy, grown from the draws
-    # that batch_rrt_walk_labels makes
+    # Each urn's two labels are read off their ancestor chains by the sampler
     inc = RademacherIncrement()
     n, reps = 10_000, 10_000
     s = derive_stream(30, 21)
-    a_vals = np.empty(reps)
-    b_vals = np.empty(reps)
-    done = 0
-    while done < reps:
-        take = min(1000, reps - done)
-        gen = batch_rrt_walk_genealogy(n, take, s)
-        iu = s.integers(0, n + 1, take)
-        iv = s.integers(0, n + 1, take)
-        a_vals[done : done + take] = genealogy_labels(gen, iu) + inc.draw_many(s, take)
-        b_vals[done : done + take] = genealogy_labels(gen, iv) + inc.draw_many(s, take)
-        done += take
+    a_vals, b_vals = np.split(draw_walk_pairs(reps, n + 1, reps, inc, s, lambda idx: sample_tree_nodes(n, idx, inc, s)), 2)
     scale = math.sqrt(math.log(n))
     corr = np.corrcoef(np.cos(a_vals / scale), np.cos(b_vals / scale))[0, 1]
     assert abs(corr) <= 0.05
+
+
+# ---------------------------------------------------------------------------
+# ancestor-chain sampler
+# ---------------------------------------------------------------------------
+
+
+def _chain_walk_reference(n, nodes, increment, s, m0=None):
+    """sample_tree_nodes one key at a time: the same draws in the same order
+    (picked roots' m0 draws; per round the open keys' parents, increments and
+    root children's m0 draws), then labels in ascending key order, where every
+    parent comes before its children."""
+    m0_draw = _m0_sampler_np(m0)
+    keys = sorted({(r, int(v)) for r, row in enumerate(nodes) for v in row})
+    roots = [k for k in keys if k[1] == 0]
+    label = dict(zip(roots, m0_draw(s, len(roots)).tolist() if roots else []))
+    parent, own = {}, {}
+    live, seen = [k for k in keys if k[1] > 0], set(keys)
+    while live:
+        par = s.integers(0, [v for _, v in live], len(live)).tolist()
+        steps = np.asarray(increment.draw_many(s, len(live)), dtype=float).tolist()
+        fresh = iter(m0_draw(s, par.count(0)).tolist() if 0 in par else [])
+        for (r, v), p, step in zip(live, par, steps):
+            parent[r, v], own[r, v] = (r, p), next(fresh) if p == 0 else step
+        live = sorted({(r, p) for (r, _), p in zip(live, par) if p > 0} - seen)
+        seen.update(live)
+    for k in sorted(parent):
+        label[k] = own[k] if parent[k][1] == 0 else own[k] + label[parent[k]]
+    return np.array([[label[r, int(v)] for v in row] for r, row in enumerate(nodes)]).reshape(np.shape(nodes))
+
+
+M0_TWO = AtomicMeasure([(-1.0, 0.5), (2.0, 0.5)])
+
+
+@pytest.mark.parametrize("n, urns, k", [(0, 3, 2), (1, 4, 3), (2, 5, 1), (30, 50, 6), (10**12, 7, 4)])
+@pytest.mark.parametrize("m0", [None, M0_TWO])
+def test_chain_sampler_makes_the_reference_draws(n, urns, k, m0):
+    s, ref_s = derive_stream(35, n + k), derive_stream(35, n + k)
+    nodes = s.integers(0, n + 1, (urns, k))
+    nodes[:, -1] = nodes[:, 0]  # a node picked twice
+    nodes[0, 0] = 0  # and a picked root
+    ref_nodes = ref_s.integers(0, n + 1, (urns, k))
+    ref_nodes[:, -1], ref_nodes[0, 0] = ref_nodes[:, 0], 0
+    inc = NormalIncrement(0.5, 2.0)
+    got = sample_tree_nodes(n, nodes, inc, s, m0=m0)
+    ref = _chain_walk_reference(n, ref_nodes, inc, ref_s, m0=m0)
+    assert got.shape == (urns, k) and got.dtype == np.float64
+    assert np.array_equal(got, ref)
+    assert np.array_equal(s.uniforms(4), ref_s.uniforms(4))  # the stream ends where the reference's does
+
+
+@pytest.mark.parametrize("dtype", [np.int16, complex])
+def test_chain_sampler_gives_a_node_picked_twice_one_label(dtype):
+    s = derive_stream(35, 1)
+    nodes = s.integers(0, 1001, (200, 3))
+    nodes[:, 2] = nodes[:, 0]
+    inc = RademacherIncrement() if dtype is np.int16 else _ComplexNormalIncrement()
+    lab = sample_tree_nodes(1000, nodes, inc, s, dtype=dtype)
+    assert lab.dtype == dtype and np.array_equal(lab[:, 2], lab[:, 0])
+    assert not np.array_equal(lab[:, 1], lab[:, 0])
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+def test_chain_sampler_depths_match_exact_law(n):
+    # constant +1 steps from m0 = delta_1 give every non-root node its depth
+    # (a root child's fresh draw is 1, as a step off the root would be), and
+    # node 0 is the root
+    reps = 100_000
+    ref = oracle.exact_rrt_joint_depths(n).marginal(lambda o: (o[0], o[1])).probs
+    s = derive_stream(35, 100 + n)
+    nodes = s.integers(0, n + 1, (reps, 2))
+    lab = sample_tree_nodes(n, nodes, ConstantIncrement(1), s, m0=AtomicMeasure([(1, 1.0)]), dtype=np.int64)
+    depth = np.where(nodes == 0, 0, lab)
+    tv = stats.total_variation(stats.counts_to_pmf(Counter(map(tuple, depth.tolist()))), ref)
+    assert tv <= _tv_threshold(ref, reps)
+
+
+def test_chain_sampler_pairs_follow_the_engine():
+    # labels a, b of two uniform nodes of one urn, against the same nodes of
+    # fully grown urns: a, a + b and a - b by two-sample KS
+    n, urns = 50, 20_000
+    inc = NormalIncrement(0.5, 2.0)
+    s = derive_stream(35, 200)
+    full = batch_rrt_walk_labels(n, urns, inc, s, m0=M0_TWO)
+    eng = np.take_along_axis(full, s.integers(0, n + 1, (urns, 2)), axis=1)
+    lazy = sample_tree_nodes(n, s.integers(0, n + 1, (urns, 2)), inc, s, m0=M0_TWO)
+    crit = stats.ks_two_sample_critical(0.01, urns, urns)
+    for f in (lambda x: x[:, 0], lambda x: x.sum(axis=1), lambda x: x[:, 0] - x[:, 1]):
+        assert stats.ks_two_sample(f(eng), f(lazy)) < crit
+
+
+def test_chain_sampler_rejects_keys_beyond_int64():
+    # urns * (n + 1) keys must fit in int64; neither call draws anything
+    s, ref_s = derive_stream(35, 300), derive_stream(35, 300)
+    inc = RademacherIncrement()
+    for n, urns in ((2**62, 2), (2**63 - 1, 1)):
+        with pytest.raises(ValueError, match="overflow the int64 node keys"):
+            sample_tree_nodes(n, np.zeros((urns, 0), dtype=np.int64), inc, s)
+    assert sample_tree_nodes(2**63 - 2, np.zeros((1, 0), dtype=np.int64), inc, s).shape == (1, 0)
+    assert np.array_equal(s.uniforms(4), ref_s.uniforms(4))
 
 
 # ---------------------------------------------------------------------------
@@ -491,25 +583,28 @@ def test_packet_major_legs_equal_the_row_major_loops(n, reps):
     assert bst.shape == (n + 1, reps) and bst.dtype == _lattice_dtype(n)
     assert np.array_equal(_every_label(bst).T, ref)
     assert np.array_equal(s.uniforms(4), ref_s.uniforms(4))
-    rrt = batch_rrt_walk_genealogy(n, reps, s)
-    ref = batch_rrt_walk_labels(n, reps, inc, ref_s)
-    assert rrt.shape == (n + 1, reps) and rrt.dtype == _lattice_dtype(n)
-    assert np.array_equal(_every_label(rrt).T, ref)
-    assert np.array_equal(s.uniforms(4), ref_s.uniforms(4))
 
 
 def test_exact_colour_samples_of_packet_major_legs_equal_the_flagged_form():
+    # the reference loop's labels with the initial packet flagged: a flagged
+    # packet gives a fresh 0, any other its label plus one step
     inc = RademacherIncrement()
     n, reps = 50, 300
-    s, ref_s = derive_stream(33, 99), derive_stream(33, 99)
-    gen = batch_rrt_walk_genealogy(n, reps, s)
-    ref_lab = batch_rrt_walk_labels(n, reps, inc, ref_s)
-    ref_idx = ref_s.integers(0, n + 1, reps)
-    ref = ref_lab[np.arange(reps), ref_idx] + inc.draw_many(ref_s, reps)
-    ref[ref_idx == 0] = 0.0
-    samples = batch_exact_colour_samples(gen, inc, s)
-    assert samples.dtype == np.float64 and np.array_equal(samples, ref)
-    assert np.array_equal(s.uniforms(4), ref_s.uniforms(4))
+    rows = np.arange(reps)
+    for grow in (batch_direct_walk_genealogy, batch_bst_walk_genealogy):
+        s, ref_s = derive_stream(33, 99), derive_stream(33, 99)
+        gen = grow(n, reps, s)
+        if grow is batch_direct_walk_genealogy:
+            ref_lab = np.hstack([np.zeros((reps, 1)), _direct_colour_loop(n, reps, inc, ref_s)])
+            flags = np.broadcast_to(np.arange(n + 1) == 0, ref_lab.shape)
+        else:
+            ref_lab, flags = _bst_leaf_loop(n, reps, inc, ref_s)
+        ref_idx = ref_s.integers(0, n + 1, reps)
+        ref = ref_lab[rows, ref_idx] + inc.draw_many(ref_s, reps)
+        ref[flags[rows, ref_idx]] = 0.0
+        samples = batch_exact_colour_samples(n + 1, reps, partial(genealogy_labels, gen), inc, s)
+        assert samples.dtype == np.float64 and np.array_equal(samples, ref)
+        assert np.array_equal(s.uniforms(4), ref_s.uniforms(4))
 
 
 @pytest.mark.parametrize("dtype", [np.int16, np.int32])
@@ -541,11 +636,11 @@ def test_lattice_dtype_holds_the_labels_and_their_table_index():
         lambda s: batch_bst_walk_genealogy(-1, 3, s),
         lambda s: batch_bmc_walk_labels(-1, 3, RademacherIncrement(), s),
         lambda s: batch_rrt_walk_labels(-1, 3, RademacherIncrement(), s),
-        lambda s: batch_rrt_walk_genealogy(-1, 3, s),
+        lambda s: sample_tree_nodes(-1, np.zeros((3, 1), dtype=int), RademacherIncrement(), s),
         lambda s: batch_rrt_depths(-1, 3, s),
         lambda s: batch_kary_leaf_labels(-1, 3, (1, 1), s),
     ],
-    ids=["direct", "bst", "bmc", "rrt", "rrt-genealogy", "rrt-depths", "kary"],
+    ids=["direct", "bst", "bmc", "rrt", "rrt-nodes", "rrt-depths", "kary"],
 )
 def test_batch_builders_reject_a_negative_n(build):
     with pytest.raises(ValueError, match="n must be >= 0"):
@@ -577,6 +672,54 @@ def test_kary_event_tree_equals_the_split_by_split_loop(kappa, n, reps):
     assert lab.dtype == ref.dtype
     assert np.array_equal(lab, ref)
     assert np.array_equal(s.uniforms(4), ref_s.uniforms(4))  # the same draws consumed
+
+
+def _kary_replica_loop(n, reps, offsets, s):
+    """The event-tree labels one replica at a time: per replica one stable
+    argsort of its split positions and one pointer-doubling pass."""
+    k1 = len(offsets) - 1
+    offs = np.array(offsets, dtype=np.int64)
+    pos = s.integers(0, 1 + np.arange(n)[:, None] * k1, (n, reps)).T.astype(np.int32)
+    wide = n * int(np.abs(offs).max()) >= 2**31
+    labels = np.empty((reps, 1 + n * k1), dtype=np.int64 if wide else np.int32)
+    for row, p in zip(labels, pos):
+        node = np.argsort(p, kind="stable")
+        slot = p[node]
+        node += 1
+        first = np.diff(slot, prepend=-1) != 0
+        last = np.diff(slot, append=-1) != 0
+        par = np.zeros(n + 1, dtype=np.int32)
+        par[node] = np.where(first, (slot + k1 - 1) // k1, np.roll(node, 1))
+        step = np.zeros(n + 1, dtype=np.int64)
+        step[node] = np.where(first & (slot > 0), offs[(slot - 1) % k1 + 1], offs[0])
+        val = parent_depths(par[None], step)[0]
+        row[0] = 0
+        row[1:] = (val[1:, None] + (offs[1:] - offs[0])).ravel()
+        row[slot[last]] = val[node[last]]
+    return labels
+
+
+@pytest.mark.parametrize(
+    "n, reps, offsets",
+    [
+        (0, 3, (1, 1)),
+        (1, 7, (0, 1, 2)),
+        (4, 2000, (-1, 0, 1)),
+        (7, 999, (1, 1, 1, 1, 1)),
+        (50, 3000, (-1, 0, 2)),
+        (1000, 70, (2, -1)),
+        (3, 40, (3 * 10**9, 0)),
+        (70_000, 3, (1, 1, 1)),
+    ],
+)
+def test_kary_blocks_equal_the_replica_loop(n, reps, offsets):
+    # blocks of replicas through row-wise argsorts give the per-replica loop's
+    # labels bit for bit, from the same draws
+    s, ref_s = derive_stream(32, 70 + n), derive_stream(32, 70 + n)
+    lab = batch_kary_leaf_labels(n, reps, offsets, s)
+    ref = _kary_replica_loop(n, reps, offsets, ref_s)
+    assert lab.dtype == ref.dtype and np.array_equal(lab, ref)
+    assert np.array_equal(s.uniforms(4), ref_s.uniforms(4))
 
 
 def test_batch_kary_labels_peak_memory_near_output():
