@@ -113,7 +113,7 @@ class RademacherIncrement:
         return 1.0 if s.next_uniform() < 0.5 else -1.0
 
     def draw_many(self, s: RngStream, n: int) -> np.ndarray:
-        """int8 steps, +1 where draw would read a uniform below 0.5."""
+        """n int8 steps, s.signs(n): packed bits, not what n draw calls give."""
         return s.signs(n)
 
     @property

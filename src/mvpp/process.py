@@ -445,10 +445,10 @@ def _attach_path_sums(out, s, increment, root_children=None) -> None:
     lo = 1
     while lo < n1:
         hi = min(max(int(WINDOW_RATIO * lo), lo + 1), n1)
-        par = s.uniforms(reps * (hi - lo)).reshape(reps, -1)
+        par = s.uniforms(reps * (hi - lo)).reshape(reps, hi - lo)
         par = np.multiply(par, np.arange(lo, hi), out=par).astype(np.intp)
         block = out[:, lo:hi]
-        block[...] = increment.draw_many(s, par.size).reshape(reps, -1)
+        block[...] = increment.draw_many(s, par.size).reshape(par.shape)
         r, c = np.nonzero(par >= lo)
         own = block[r, c]  # kept for the in-window nodes only
         par += offsets  # flat indices into out
@@ -740,11 +740,13 @@ def verify_main_theorem(
     were scored (the pooled a's then b's, or the scored urn's drawn colours)
     and `measures` the scored urn's measure (None for pooled pairs).
 
-    Raises ValueError for a grid point n = 1 on a rescaled route (t = 0), a
-    stable index outside (0, 2), a walk or stable kernel with an initial
-    measure of mass other than 1, and a kappa-discrete kernel with one other
-    than a single ball.
+    Raises ValueError for urns below 1, a grid point n = 1 on a rescaled
+    route (t = 0), a stable index outside (0, 2), a walk or stable kernel with
+    an initial measure of mass other than 1, and a kappa-discrete kernel with
+    one other than a single ball.
     """
+    if urns < 1:
+        raise ValueError("urns must be >= 1")
     walk = isinstance(kernel, RandomWalkKernel)
     if walk and abs(m0.total_mass - 1.0) > 1e-12:
         raise ValueError(f"the walk route grows recursive trees, so m0 needs mass 1, not {m0.total_mass:g}")

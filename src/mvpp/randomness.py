@@ -15,12 +15,10 @@ releases.
 from __future__ import annotations
 
 import math
-import sys
 
 import numpy as np
 
 _MASK64 = (1 << 64) - 1
-_TOP_BYTE = 7 if sys.byteorder == "little" else 0  # a uint64's most significant byte
 
 
 class RngStream:
@@ -47,12 +45,15 @@ class RngStream:
         return self._gen.random(n)
 
     def signs(self, n: int) -> np.ndarray:
-        """Vector of n fair int8 signs: +1 exactly where uniforms(n) would be
-        below 0.5, read off the top bit of the same n raw words, so the
-        stream ends where uniforms(n) leaves it."""
-        top = self._gen.bit_generator.random_raw(n).view(np.int8)[_TOP_BYTE::8]
-        out = np.right_shift(top, 7)  # the top bit, sign-extended: 0 or -1
-        out |= 1
+        """Vector of n fair int8 signs read off ceil(n/64) raw 64-bit words:
+        sign j is bit j % 64 of word j // 64, counting from the least
+        significant bit, +1 where it is set and -1 where it is clear.  Raw
+        words bypass the 32-bit half-word that integers() may keep buffered."""
+        words = self._gen.bit_generator.random_raw(-(-n // 64))
+        bits = np.unpackbits(words.astype("<u8", copy=False).view(np.uint8), count=n, bitorder="little")
+        out = bits.view(np.int8)
+        out <<= 1
+        out -= 1
         return out
 
     def integers(self, low: int, high: int, size=None):

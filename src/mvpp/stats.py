@@ -364,6 +364,8 @@ def hill_tail_exponent(samples, k: int) -> float:
     if k < 1:
         raise ValueError(f"k must be >= 1, not {k}")
     x = np.sort(np.abs(np.asarray(samples, dtype=float)))[::-1]
+    if x.size and np.isnan(x[0]):  # np.sort puts NaN last, so first here
+        raise ValueError("sample holds NaN")
     if k + 1 > x.size:
         raise ValueError("k too large for sample size")
     top = x[:k]

@@ -22,7 +22,7 @@ from mvpp import verify
 ROOT_SEED = 1
 
 # sha256 of `mvpp verify --suite all --seed 1`'s verify_all.json
-VERIFY_ALL_SHA256 = "cd0f6611ed34ee2290e3b104b69b3756ba7cb3f09a4bb6d83529ef6d22526d77"
+VERIFY_ALL_SHA256 = "aa097d67e7c327a5d7d27cafbb7a5f3bd3101d937b2cfbec733bf556c3df0ae5"
 
 
 @pytest.fixture(scope="module")

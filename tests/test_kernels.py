@@ -259,12 +259,14 @@ def test_leading_eigenpair_periodic_rejected():
         leading_eigenpair([[0.0, 1.0], [1.0, 0.0]], max_iter=5000)
 
 
-def test_rademacher_draw_many_equals_the_where_form():
+def test_rademacher_draw_many_is_the_packed_signs():
+    # sign j is bit j % 64 of raw word j // 64, +1 where it is set
     s, ref_s = derive_stream(20, 16), derive_stream(20, 16)
     got = RademacherIncrement().draw_many(s, 10_001)
-    ref = np.where(ref_s.uniforms(10_001) < 0.5, 1, -1)
+    words = ref_s._gen.bit_generator.random_raw(157).astype(np.uint64)
+    bits = (words[:, None] >> np.arange(64, dtype=np.uint64)) & np.uint64(1)
     assert got.dtype == np.int8
-    assert np.array_equal(got, ref)
+    assert np.array_equal(got, 2 * bits.ravel()[:10_001].astype(int) - 1)
     assert np.array_equal(s.uniforms(4), ref_s.uniforms(4))
 
 

@@ -50,7 +50,7 @@ from mvpp.process import (
     verify_main_theorem,
 )
 from mvpp.randomness import RngStream, derive_stream
-from mvpp.trees import parent_depths
+from mvpp.trees import parent_depths, rrt_parents
 from mvpp.verify import _ComplexNormalIncrement, _coupling_samples, _forest_sizes, _lattice_dtype, _tv_threshold
 
 M0_HALF = AtomicMeasure([(0, 0.5), (1, 0.5)])
@@ -450,18 +450,26 @@ def test_chain_sampler_depths_match_exact_law(n):
     assert tv <= _tv_threshold(ref, reps)
 
 
-def test_chain_sampler_pairs_follow_the_engine():
-    # labels a, b of two uniform nodes of one urn, against the same nodes of
-    # fully grown urns: a, a + b and a - b by two-sample KS
-    n, urns = 50, 20_000
-    inc = NormalIncrement(0.5, 2.0)
-    s = derive_stream(35, 200)
-    full = batch_rrt_walk_labels(n, urns, inc, s, m0=M0_TWO)
+def _check_chain_pairs_follow_the_engine(n, urns, inc, s, dtype=float):
+    """Labels a, b of two uniform nodes of one urn, against the same nodes of
+    fully grown urns: a, a + b and a - b by two-sample KS."""
+    full = batch_rrt_walk_labels(n, urns, inc, s, m0=M0_TWO, dtype=dtype)
     eng = np.take_along_axis(full, s.integers(0, n + 1, (urns, 2)), axis=1)
-    lazy = sample_tree_nodes(n, s.integers(0, n + 1, (urns, 2)), inc, s, m0=M0_TWO)
+    del full
+    lazy = sample_tree_nodes(n, s.integers(0, n + 1, (urns, 2)), inc, s, m0=M0_TWO, dtype=dtype)
     crit = stats.ks_two_sample_critical(0.01, urns, urns)
     for f in (lambda x: x[:, 0], lambda x: x.sum(axis=1), lambda x: x[:, 0] - x[:, 1]):
         assert stats.ks_two_sample(f(eng), f(lazy)) < crit
+
+
+def test_chain_sampler_pairs_follow_the_engine():
+    _check_chain_pairs_follow_the_engine(50, 20_000, NormalIncrement(0.5, 2.0), derive_stream(35, 200))
+
+
+def test_chain_sampler_pairs_follow_the_engine_at_n_1000():
+    # on packed +-1 steps and int16 labels; the engine's labels are
+    # 20,000 x 1,001 int16, 40 MB
+    _check_chain_pairs_follow_the_engine(1000, 20_000, RademacherIncrement(), derive_stream(35, 201), np.int16)
 
 
 def test_chain_sampler_rejects_keys_beyond_int64():
@@ -645,6 +653,27 @@ def test_lattice_dtype_holds_the_labels_and_their_table_index():
 def test_batch_builders_reject_a_negative_n(build):
     with pytest.raises(ValueError, match="n must be >= 0"):
         build(derive_stream(34, 1))
+
+
+@pytest.mark.parametrize(
+    "build, shape",
+    [
+        (lambda s: batch_direct_walk_genealogy(5, 0, s), (6, 0)),
+        (lambda s: batch_bst_walk_genealogy(5, 0, s), (6, 0)),
+        (lambda s: batch_bmc_walk_labels(5, 0, RademacherIncrement(), s), (0, 6)),
+        (lambda s: batch_rrt_walk_labels(5, 0, NormalIncrement(0.0, 1.0), s, m0=M0_TWO), (0, 6)),
+        (lambda s: sample_tree_nodes(5, np.zeros((0, 2), dtype=int), RademacherIncrement(), s), (0, 2)),
+        (lambda s: batch_rrt_depths(5, 0, s), (0, 6)),
+        (lambda s: batch_kary_leaf_labels(5, 0, (1, 1), s), (0, 6)),
+        (lambda s: rrt_parents(5, 0, s), (0, 6)),
+        (lambda s: batch_exact_colour_samples(6, 0, lambda idx: idx, RademacherIncrement(), s), (0,)),
+    ],
+    ids=["direct", "bst", "bmc", "rrt", "rrt-nodes", "rrt-depths", "kary", "rrt-parents", "exact-colours"],
+)
+def test_batch_builders_at_zero_reps_are_empty_and_draw_nothing(build, shape):
+    s, ref_s = derive_stream(34, 2), derive_stream(34, 2)
+    assert build(s).shape == shape
+    assert np.array_equal(s.uniforms(4), ref_s.uniforms(4))
 
 
 def _kary_split_loop(n, reps, kappa, s):
@@ -1098,6 +1127,15 @@ def test_verify_main_theorem_rejects_a_zero_scale():
     queue = MMInfQueueKernel(1.0, 1.0)
     rep = verify_main_theorem(queue, AtomicMeasure([(0, 1.0)]), [1, 10], 1, s)
     assert [e["n"] for e in rep["results"]] == [1, 10]
+
+
+@pytest.mark.parametrize("urns", [0, -1])
+def test_verify_main_theorem_rejects_fewer_than_one_urn(urns):
+    s, ref_s = derive_stream(30, 31), derive_stream(30, 31)
+    for kernel, m0 in ((walk_kernel_rademacher(), DELTA0), (MMInfQueueKernel(1.0, 1.0), DELTA0)):
+        with pytest.raises(ValueError, match="urns must be >= 1"):
+            verify_main_theorem(kernel, m0, [10], 100, s, urns=urns)
+    assert np.array_equal(s.uniforms(4), ref_s.uniforms(4))
 
 
 @pytest.mark.parametrize("mass", [0.5, 2.0])

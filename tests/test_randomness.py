@@ -121,25 +121,60 @@ def test_array_bound_integers_equal_successive_calls(highs, reps):
     assert np.array_equal(a.uniforms(4), b.uniforms(4))
 
 
-@pytest.mark.parametrize("n", list(range(10)) + [10_001])
-def test_signs_are_the_uniforms_below_one_half(n):
-    # n from 0 to 9 starts and ends inside Philox's buffer of 4 words
+def _raw_word_signs(s, n):
+    """The reference contract of signs(n), bit by bit in Python ints: sign j
+    is +1 where bit j % 64 of raw word j // 64 is set."""
+    words = [int(w) for w in s._gen.bit_generator.random_raw(-(-n // 64))]
+    return np.array([1 if words[j // 64] >> (j % 64) & 1 else -1 for j in range(n)])
+
+
+@pytest.mark.parametrize("n", list(range(10)) + [63, 64, 65, 128, 10_001])
+def test_signs_are_the_bits_of_raw_words(n):
+    # n up to 64 takes one word of Philox's buffer of 4, 65 to 128 two
     s, ref_s = derive_stream(5, n), derive_stream(5, n)
     got = s.signs(n)
     assert got.dtype == np.int8 and got.shape == (n,)
-    assert np.array_equal(got, np.where(ref_s.uniforms(n) < 0.5, 1, -1))
-    assert np.array_equal(s.uniforms(4), ref_s.uniforms(4))  # the same stream position
+    assert np.array_equal(got, _raw_word_signs(ref_s, n))
+    assert np.array_equal(s.uniforms(4), ref_s.uniforms(4))  # the stream is ceil(n/64) words on
 
 
 def test_signs_interleave_with_integers_and_uniforms():
-    # integers below 2**32 take 32-bit half-words, and keep an odd one buffered
+    # integers below 2**32 take 32-bit half-words, and keep an odd one
+    # buffered; raw words pass it by
     s, ref_s = derive_stream(5, 99), derive_stream(5, 99)
-    for n in (1, 3, 2, 5, 7, 10_001):
+    for n in (1, 3, 2, 5, 7, 64, 65, 10_001):
         assert np.array_equal(s.integers(0, 10, n), ref_s.integers(0, 10, n))
-        assert np.array_equal(s.signs(n), np.where(ref_s.uniforms(n) < 0.5, 1, -1))
+        assert np.array_equal(s.signs(n), _raw_word_signs(ref_s, n))
         assert np.array_equal(s.uniforms(n), ref_s.uniforms(n))
         assert s.integers(0, 3) == ref_s.integers(0, 3)
     assert np.array_equal(s.uniforms(4), ref_s.uniforms(4))
+
+
+PACKED_WORDS = 20_000  # 1.28M signs
+
+
+def test_packed_signs_are_fair_at_every_bit_position():
+    # each of the 64 bit positions of a word, by chi-square at a
+    # family-wise level of 0.001
+    bits = derive_stream(5, 2024).signs(64 * PACKED_WORDS).reshape(PACKED_WORDS, 64) > 0
+    for pos, ones in enumerate(bits.sum(axis=0).tolist()):
+        p = stats.chi_square_pvalue({1: ones, 0: PACKED_WORDS - ones}, {1: 0.5, 0: 0.5})
+        assert p > 0.001 / 64, (pos, p)
+
+
+def test_packed_signs_are_serially_independent():
+    # the 2x2 table of (sign j, sign j + lag) for every lag up to a word, and
+    # of the pairs that straddle a word boundary alone (bit 63 of one word,
+    # bit 0 of the next), each by chi-square at a family-wise level of 0.001
+    bits = derive_stream(5, 2025).signs(64 * PACKED_WORDS) > 0
+    m = bits.size - 64
+    pairs = {lag: (bits[:m], bits[lag : lag + m]) for lag in range(1, 65)}
+    pairs["straddle"] = (bits[63:-1:64], bits[64::64])
+    for name, (a, b) in pairs.items():
+        both, ones_a, ones_b = (int(np.count_nonzero(x)) for x in (a & b, a, b))
+        table = {(1, 1): both, (1, 0): ones_a - both, (0, 1): ones_b - both, (0, 0): a.size - ones_a - ones_b + both}
+        p = stats.chi_square_pvalue(table, dict.fromkeys(table, 0.25))
+        assert p > 0.001 / len(pairs), (name, table, p)
 
 
 def test_shuffled_is_permutation():

@@ -301,3 +301,9 @@ def test_hill_estimator_on_pareto():
 def test_hill_estimator_rejects_k_outside_1_to_len_minus_1(k):
     with pytest.raises(ValueError, match="k"):
         stats.hill_tail_exponent(np.arange(1.0, 12.0), k)
+
+
+def test_hill_estimator_rejects_nan():
+    # as ks_statistic and ks_two_sample do, rather than return nan
+    with pytest.raises(ValueError, match="NaN"):
+        stats.hill_tail_exponent([np.nan, 3.0, 2.0, 1.0, 0.5], 2)
