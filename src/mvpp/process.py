@@ -437,25 +437,27 @@ def _attach_path_sums(out, s, increment, root_children=None) -> None:
     the roots): node k takes parent floor(U*k) and its increment plus the parent's
     label, or a fresh `root_children` draw when the parent is the root.  Draws
     come window by window, [lo, ~WINDOW_RATIO*lo): the (reps, w) parents of the
-    whole window, then its (reps, w) steps; in-window parents are re-gathered
-    until final, so labels equal the node-by-node recursion's."""
+    whole window, then its (reps, w) steps.  A window is written in one pass
+    off its parents' current labels, then its in-window nodes are redone until
+    their parents are final, so labels equal the node-by-node recursion's."""
     reps, n1 = out.shape
     flat = out.reshape(-1)  # a view: out is C-contiguous
     offsets = np.arange(0, reps * n1, n1)[:, None]
     lo = 1
     while lo < n1:
         hi = min(max(int(WINDOW_RATIO * lo), lo + 1), n1)
-        par = s.uniforms(reps * (hi - lo)).reshape(reps, hi - lo)
-        par = np.multiply(par, np.arange(lo, hi), out=par).astype(np.intp)
-        block = out[:, lo:hi]
-        block[...] = increment.draw_many(s, par.size).reshape(par.shape)
-        r, c = np.nonzero(par >= lo)
-        own = block[r, c]  # kept for the in-window nodes only
+        par = np.empty((reps, hi - lo), dtype=np.intp)
+        np.multiply(s.uniforms(par.size).reshape(par.shape), np.arange(lo, hi), out=par, casting="unsafe")
+        step = increment.draw_many(s, par.size)
+        inner = np.flatnonzero(par >= lo)  # the in-window nodes
+        r, c = divmod(inner, hi - lo)
+        own = step[inner]
         par += offsets  # flat indices into out
-        block += np.take(flat, par)
+        block = out[:, lo:hi]
+        np.add(np.take(flat, par), step.reshape(par.shape), out=block, casting="unsafe")
         if root_children is not None and (at_root := par == offsets).any():
             block[at_root] = root_children(s, int(at_root.sum()))
-        node, p = r * n1 + lo + c, par[r, c]  # in-window nodes (ascending) and parents
+        node, p = r * n1 + lo + c, np.take(par, inner)  # in-window nodes (ascending) and parents
         while node.size:  # one round per in-window generation
             flat[node] = own + flat[p]
             # a node whose parent was redone this round goes again
@@ -733,20 +735,24 @@ def verify_main_theorem(
     beta = kappa/(kappa-1).  The walk routes (plans `brw` and `stable`) draw
     pairs from `urns` independent urns, each pair's two nodes read off their
     ancestor chains by sample_tree_nodes with no tree grown (the kappa route
-    grows its `urns` urns' leaves), pool `replicas` pair samples in total and
-    report their pair correlation under cos; the Hill exponent uses k =
-    max(len/40, 10).  The queue and the palette (plan `ergodic`) grow one urn
-    by the direct scheme.  Per grid point, `samples` holds the values that
-    were scored (the pooled a's then b's, or the scored urn's drawn colours)
-    and `measures` the scored urn's measure (None for pooled pairs).
+    grows its `urns` urns' leaves), max(replicas // urns, 1) pairs an urn, and
+    report their pair correlation under cos.  Their entries' `scored` counts
+    the values scored, 2 * urns * max(replicas // urns, 1): twice `replicas`
+    only when `urns` divides it.  The Hill exponent uses k = max(len/40, 10).
+    The queue and the palette (plan `ergodic`) grow one urn by the direct
+    scheme.  Per grid point, `samples` holds the values that were scored (the
+    pooled a's then b's, or the scored urn's drawn colours) and `measures` the
+    scored urn's measure (None for pooled pairs).
 
-    Raises ValueError for urns below 1, a grid point n = 1 on a rescaled
-    route (t = 0), a stable index outside (0, 2), a walk or stable kernel with
-    an initial measure of mass other than 1, and a kappa-discrete kernel with
-    one other than a single ball.
+    Raises ValueError for urns or replicas below 1, a grid point n = 1 on a
+    rescaled route (t = 0), a stable index outside (0, 2), a walk or stable
+    kernel with an initial measure of mass other than 1, and a kappa-discrete
+    kernel with one other than a single ball.
     """
     if urns < 1:
         raise ValueError("urns must be >= 1")
+    if replicas < 1:
+        raise ValueError("replicas must be >= 1")
     walk = isinstance(kernel, RandomWalkKernel)
     if walk and abs(m0.total_mass - 1.0) > 1e-12:
         raise ValueError(f"the walk route grows recursive trees, so m0 needs mass 1, not {m0.total_mass:g}")
@@ -800,6 +806,7 @@ def verify_main_theorem(
             values = (values - kernel.mean * t) / math.sqrt(t)
             entry["ks"] = stats.ks_statistic(values, stats.Normal(0.0, kernel.cov + kernel.mean**2))
             entry["pass"] = entry["ks"] <= KS_GATE
+        entry["scored"] = len(values)
         samples.append(values)
         measures.append(None)
         phi_a, phi_b = np.cos(np.split(values, 2))

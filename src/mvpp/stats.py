@@ -360,12 +360,13 @@ def counts_to_pmf(counts: dict) -> dict:
 
 
 def hill_tail_exponent(samples, k: int) -> float:
-    """Hill estimator of the upper tail exponent from the k largest |values|."""
+    """Hill estimator of the upper tail exponent from the k largest |values|;
+    a sample holding NaN or +-inf raises ValueError."""
     if k < 1:
         raise ValueError(f"k must be >= 1, not {k}")
     x = np.sort(np.abs(np.asarray(samples, dtype=float)))[::-1]
-    if x.size and np.isnan(x[0]):  # np.sort puts NaN last, so first here
-        raise ValueError("sample holds NaN")
+    if x.size and not np.isfinite(x[0]):  # np.sort puts NaN, then inf, last: first here
+        raise ValueError("sample holds NaN or inf")
     if k + 1 > x.size:
         raise ValueError("k too large for sample size")
     top = x[:k]

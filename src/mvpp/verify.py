@@ -424,18 +424,53 @@ def check_brw_d2_projections(root_seed: int) -> dict:
     return _result("brw_d2_projection_ks", out, 0.05, ok, n=n)
 
 
+FOREST_WINDOW = 0.1  # forest windows settle this fraction of the urn's size in steps, at least 16
+
+
 def _forest_sizes(weights, n: int, reps: int, s) -> np.ndarray:
     """(reps, len(weights)) tree sizes (root weight plus one per node) of
-    `reps` forest urns after n steps from root weights `weights`: each step
-    adds a node to the tree whose slot of the cumulated sizes a uniform on
-    [0, total size) falls in."""
-    w = np.tile(np.asarray(weights, dtype=float), (reps, 1))
-    rows, mass = np.arange(reps), float(sum(weights))
-    for k in range(n):
-        u = s.uniforms(reps) * (mass + k)
-        tree = (u[:, None] >= np.cumsum(w[:, :-1], axis=1)).sum(axis=1)
-        w[rows, tree] += 1
-    return w
+    `reps` forest urns after n steps from root weights `weights`: step k adds
+    a node to the tree whose slot of the cumulated sizes its point u * (mass
+    + k), u uniform, falls in.
+
+    Steps are settled max(16, FOREST_WINDOW * size) at a time from one
+    step-major uniforms call, the same doubles as a call a step.  From
+    thresholds grown at their window-start fractions, each step is redecided
+    from the previous pass's earlier steps until none moves (an urn leaves
+    once its window stops).  A pass fixes at least the first wrong step, so
+    the fixed point is the step-by-step answer: the same draws and the same
+    float64 sizes, bit for bit."""
+    trees, mass = len(weights), float(sum(weights))
+    # size[j, c]: tree j's size after c nodes, added one at a time as a step
+    # loop adds them, so that every threshold is the loop's float
+    size = np.cumsum(np.column_stack([np.asarray(weights, dtype=float), np.ones((trees, n))]), axis=1)
+    count = np.zeros((trees, reps), dtype=np.intp)
+    k0 = 0
+    while k0 < n:
+        k1 = min(k0 + max(16, int(FOREST_WINDOW * (mass + k0))), n)
+        total = mass + np.arange(k0, k1)
+        u = s.uniforms((k1 - k0) * reps).reshape(k1 - k0, reps)
+        x = u * total[:, None]
+        tree = np.zeros(x.shape, dtype=np.min_scalar_type(trees))
+        for frac in np.cumsum(size[np.arange(trees - 1)[:, None], count[:-1]], axis=0) / (mass + k0):
+            tree += u >= frac
+        rows = np.arange(reps)
+        while rows.size:
+            new, th = np.zeros_like(tree), 0.0
+            before = np.zeros(x.shape, dtype=np.int32)  # steps into tree j before each step
+            got = np.full((trees, rows.size), len(x))  # the window's steps into each tree
+            for j in range(trees - 1):
+                into = tree == j
+                np.cumsum(into[:-1], axis=0, out=before[1:])
+                got[j] = before[-1] + into[-1]
+                got[-1] -= got[j]
+                th = th + np.take(size[j], before + count[j, rows])
+                new += x >= th
+            moved = (new != tree).any(axis=0)
+            count[:, rows[~moved]] += got[:, ~moved]
+            rows, tree, x = rows[moved], new[:, moved], x[:, moved]
+        k0 = k1
+    return size[np.arange(trees), count.T]
 
 
 def check_forest_mass2(root_seed: int) -> dict:

@@ -214,6 +214,29 @@ def test_batched_forest_sizes_follow_the_forest_coupling(weights):
         assert stats.ks_two_sample(scalar[:, tree], batched[:, tree]) < crit
 
 
+def _forest_sizes_step_by_step(weights, n, reps, s):
+    """The one-uniforms-call-per-step loop that verify._forest_sizes settles a
+    window at a time."""
+    w = np.tile(np.asarray(weights, dtype=float), (reps, 1))
+    rows, mass = np.arange(reps), float(sum(weights))
+    for k in range(n):
+        u = s.uniforms(reps) * (mass + k)
+        tree = (u[:, None] >= np.cumsum(w[:, :-1], axis=1)).sum(axis=1)
+        w[rows, tree] += 1
+    return w
+
+
+@pytest.mark.parametrize("weights", [[1.0], [0.5], [1.0, 1.0], [1.0, 1.0, 0.5], [1.0, 1.0, 1.0, 0.25], [0.3, 0.7]])
+@pytest.mark.parametrize("n", [0, 1, 2, 15, 16, 17, 40, 3000])
+def test_windowed_forest_sizes_equal_the_step_loop(weights, n):
+    # the same draws in the same order, the same float64 sizes, bit for bit,
+    # and the stream left at the same place
+    for reps in (1, 7, 300):
+        a, b = derive_stream(35, n + reps), derive_stream(35, n + reps)
+        assert np.array_equal(_forest_sizes(weights, n, reps, a), _forest_sizes_step_by_step(weights, n, reps, b))
+        assert np.array_equal(a.uniforms(3), b.uniforms(3))
+
+
 def test_forest_zero_mass_rejected():
     s = derive_stream(30, 11)
     bad = AtomicMeasure([(0.0, 1.0)])
@@ -887,7 +910,7 @@ def _naive_path_sums(out, log, m0_atom_of=None):
     return out
 
 
-@pytest.mark.parametrize("kind", ["float", "complex", "int32"])
+@pytest.mark.parametrize("kind", ["float", "complex", "int32", "lattice"])
 @pytest.mark.parametrize("n, reps", [(100_000, 16), (1000, 3000), (0, 5), (1, 5), (2, 5)])
 def test_path_sums_equal_the_node_by_node_recursion(kind, n, reps):
     s = _RecordingStream(derive_stream(31, n + reps))
@@ -895,8 +918,9 @@ def test_path_sums_equal_the_node_by_node_recursion(kind, n, reps):
         "float": (float, NormalIncrement(0.5, 2.0)),
         "complex": (complex, _ComplexNormalIncrement()),
         "int32": (np.int32, ConstantIncrement(1)),  # depths: path sums of +1
+        "lattice": (_lattice_dtype(n), RademacherIncrement()),  # int8 steps into int16 labels up to n = 16,383
     }[kind]
-    out = np.zeros((reps, n + 1), dtype=dtype)
+    out = np.full((reps, n + 1), 7, dtype=dtype)  # stale labels every window must overwrite
     out[:, 0] = np.arange(reps)  # distinct roots
     start = out.copy()
     _attach_path_sums(out, s, _RecordingIncrement(inc))
@@ -1136,6 +1160,27 @@ def test_verify_main_theorem_rejects_fewer_than_one_urn(urns):
         with pytest.raises(ValueError, match="urns must be >= 1"):
             verify_main_theorem(kernel, m0, [10], 100, s, urns=urns)
     assert np.array_equal(s.uniforms(4), ref_s.uniforms(4))
+
+
+@pytest.mark.parametrize("replicas", [0, -5])
+def test_verify_main_theorem_rejects_fewer_than_one_replica(replicas):
+    # these silently scored 2 * 16 values before
+    s, ref_s = derive_stream(30, 32), derive_stream(30, 32)
+    kernels = ((walk_kernel_rademacher(), DELTA0), (walk_kernel_stable(1.5), DELTA0), (KDiscreteKernel([-1.0, 1.0]), DELTA0))
+    for kernel, m0 in kernels + ((MMInfQueueKernel(1.0, 1.0), DELTA0),):
+        with pytest.raises(ValueError, match="replicas must be >= 1"):
+            verify_main_theorem(kernel, m0, [10], replicas, s)
+    assert np.array_equal(s.uniforms(4), ref_s.uniforms(4))
+
+
+@pytest.mark.parametrize("replicas, scored", [(600, 1184), (10, 32), (640, 1280)])
+def test_verify_main_theorem_reports_the_values_it_scored(replicas, scored):
+    # 16 urns draw max(replicas // 16, 1) pairs each: 2 values a pair
+    ball = AtomicMeasure([(0.0, 0.5)])  # the kappa = 2 urn's one ball
+    for kernel, m0 in ((walk_kernel_rademacher(), DELTA0), (walk_kernel_stable(1.5), DELTA0), (KDiscreteKernel([-1.0, 1.0]), ball)):
+        out = verify_main_theorem(kernel, m0, [50, 100], replicas, derive_stream(30, 33))
+        assert out["replicas"] == replicas
+        assert [e["scored"] for e in out["results"]] == [len(v) for v in out["samples"]] == [scored, scored]
 
 
 @pytest.mark.parametrize("mass", [0.5, 2.0])

@@ -307,3 +307,10 @@ def test_hill_estimator_rejects_nan():
     # as ks_statistic and ks_two_sample do, rather than return nan
     with pytest.raises(ValueError, match="NaN"):
         stats.hill_tail_exponent([np.nan, 3.0, 2.0, 1.0, 0.5], 2)
+
+
+@pytest.mark.parametrize("sample, k", [([np.inf, np.inf, 1.0], 1), ([np.inf, 3.0, 2.0, 1.0, 0.5], 2), ([-np.inf, 3.0, 2.0], 1)])
+def test_hill_estimator_rejects_inf(sample, k):
+    # they gave nan (inf / inf) and 0.0 (1 / inf) instead of an exponent
+    with pytest.raises(ValueError, match="inf"):
+        stats.hill_tail_exponent(sample, k)
