@@ -63,18 +63,28 @@ class UrnTrace:
 
     def materialize(self) -> AtomicMeasure:
         """Exact atomic composition; requires an atomic kernel.  Each distinct
-        colour's atoms are fetched once; the pairs merge in drawing order."""
-        pairs = list(self.m0.atoms())
-        cache: dict = {}
-        for c in self.drawn:
-            add = cache.get(c)
-            if add is None:
-                add = self.kernel.atoms(c)
-                if add is None:
-                    raise ValueError("cannot materialize a non-atomic kernel")
-                add = cache[c] = add.atoms()
-            pairs.extend(add)
-        return AtomicMeasure(pairs)
+        drawn colour's atoms are fetched once.  A colour's weight is the
+        sequential sum of its addends in drawing order, its m0 atom first, and
+        colours enter in order of first appearance: the floats, keys and
+        total_mass of merging the pairs one by one in drawing order."""
+        out = {c: j for j, (c, _) in enumerate(self.m0.atoms())}  # output colours, first seen first
+        lead = [w for _, w in self.m0.atoms()]
+        code = {c: j for j, c in enumerate(dict.fromkeys(self.drawn))}  # distinct drawn colours
+        table = []  # per distinct drawn colour, its atoms as (output index, weight)
+        for c in code:
+            atoms = self.kernel.atoms(c)
+            if atoms is None:
+                raise ValueError("cannot materialize a non-atomic kernel")
+            table.append([(out.setdefault(y, len(out)), w) for y, w in atoms.atoms()])
+        pad = max(map(len, table), default=0)
+        ys, ws = np.full((len(table), pad), len(out)), np.zeros((len(table), pad))  # padding: one spare colour
+        for j, a in enumerate(table):
+            ys[j, : len(a)], ws[j, : len(a)] = zip(*a)
+        at = np.fromiter(map(code.__getitem__, self.drawn), np.intp, self.n)
+        ws = ws[at].ravel()
+        groups = _generations(ys[at].ravel(), len(out) + 1)[:-1]  # each colour's addends, in drawing order
+        sums = [np.cumsum(np.concatenate((lead[y : y + 1], ws[g])))[-1] for y, g in enumerate(groups)]
+        return AtomicMeasure(zip(out, sums))
 
 
 @dataclass
@@ -201,6 +211,14 @@ def _direct_pick_positions(m: float, n: int, s: RngStream) -> tuple:
         window = 2 * window if j == b.size else max(64, 2 * j)
 
 
+def _generations(keys, size=0) -> list:
+    """Ascending index arrays of the places of each value 0, 1, ... (at least
+    `size` of them) of small non-negative int keys, such as node depths: one
+    stable radix sort on the keys' narrowest dtype, cut by their counts."""
+    order = np.argsort(keys.astype(np.min_scalar_type(keys.max(initial=0))), kind="stable")
+    return np.split(order, np.cumsum(np.bincount(keys, minlength=size))[:-1])
+
+
 def batch_direct_trace(m0: AtomicMeasure, kernel, n: int, s: RngStream) -> UrnTrace:
     """mvpp_direct for a kernel that takes one uniform per step through a
     vectorised `step(x, u)` (finite palettes and the queue): the same draws in
@@ -228,11 +246,7 @@ def batch_direct_trace(m0: AtomicMeasure, kernel, n: int, s: RngStream) -> UrnTr
     cum = np.cumsum(weights0)  # sample_atom on the normalized m0; one atom needs no uniform
     at = np.searchsorted(cum, second[initial] * cum[-1], side="right")
     colours[initial] = np.array(colours0)[np.minimum(at, len(cum) - 1)]
-    depth = parent_depths(par[None])[0]
-    order = np.argsort(depth.astype(np.min_scalar_type(depth.max(initial=0))), kind="stable")  # small ints: radix
-    ends = np.cumsum(np.bincount(depth))
-    for lo, hi in zip(ends[:-1], ends[1:]):  # one generation at a time
-        idx = order[lo:hi]
+    for idx in _generations(parent_depths(par[None])[0])[1:]:  # root-down, one generation at a time
         colours[idx] = kernel.step(colours[par[idx]], second[idx])
     return UrnTrace(m0=m0, kernel=kernel, drawn=colours.tolist())
 
@@ -554,12 +568,8 @@ def sample_tree_nodes(n, nodes, increment, s, m0=None, dtype=float) -> np.ndarra
     order = np.argsort(key)
     key, own = key[order], own[order].astype(dtype, copy=False)
     par = np.searchsorted(key, par[order])  # below its child's place, as a parent's key is below its child's
-    depth = parent_depths(par[None])[0]
-    by_depth = np.argsort(depth, kind="stable")
-    ends = np.cumsum(np.bincount(depth))
     label = own.copy()  # chain starts keep their own draw
-    for lo, hi in zip(ends[:-1], ends[1:]):  # root-down, one depth at a time
-        at = by_depth[lo:hi]
+    for at in _generations(parent_depths(par[None])[0])[1:]:  # root-down, one depth at a time
         label[at] += label[par[at]]
     return label[np.searchsorted(key, want)]
 
@@ -658,7 +668,7 @@ def batch_kary_leaf_labels(n, reps, offsets, s) -> np.ndarray:
     0).  A slot ends at its last split's value, else at its creator's minus
     offsets[0] plus its own offset.  For offsets (1,)*kappa labels are depths,
     bit for bit the step-by-step recursion's.  Replicas go in blocks of
-    about KARY_BLOCK splits, each block through one row-wise stable argsort
+    about KARY_BLOCK splits, each block through one row-wise argsort of distinct keys
     and one pointer-doubling pass; the blocks bound the working arrays."""
     _check_n(n)
     k1 = len(offsets) - 1
@@ -670,7 +680,8 @@ def batch_kary_leaf_labels(n, reps, offsets, s) -> np.ndarray:
     block = max(KARY_BLOCK // max(n, 1), 1)
     for lo in range(0, reps, block):
         p = pos[lo : lo + block]
-        node = np.argsort(p, axis=1, kind="stable")  # each slot's splits adjacent, in time order
+        # distinct keys position*n + time: each slot's splits adjacent, in time order
+        node = np.argsort(p.astype(np.int64) * n + np.arange(n), axis=1)
         slot = np.take_along_axis(p, node, axis=1)
         node += 1  # split k is node k+1
         first = np.diff(slot, axis=1, prepend=-1) != 0

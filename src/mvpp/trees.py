@@ -479,6 +479,8 @@ def rrt_parents(n: int, reps: int, s: RngStream) -> np.ndarray:
     steps.  Node k >= 1 takes parent floor(U*k), all from one uniforms call
     laid out (reps, n) row-major, so a row holds grow_rrt's parents for the
     same draws.  Each root is its own parent."""
+    if n < 0:
+        raise ValueError("n must be >= 0")
     par = np.zeros((reps, n + 1), dtype=np.intp)
     par[:, 1:] = s.uniforms(reps * n).reshape(reps, n) * np.arange(1, n + 1)
     return par
@@ -491,16 +493,14 @@ def rotation_parents(par: np.ndarray) -> np.ndarray:
     0-slot).  Node 1, the root's first child, is the binary root; node 0 stays
     above it as a virtual root, so every binary depth and LCA depth is one less
     than in the returned array."""
-    reps, n1 = par.shape
-    key = (par[:, 1:] + n1 * np.arange(reps)[:, None]).ravel()  # flat parent ids
-    order = np.argsort(key, kind="stable")  # siblings adjacent, in birth order
-    key = key[order]
-    node = order % (n1 - 1) + 1
-    first = np.r_[True, key[1:] != key[:-1]]
-    up = np.empty_like(key)
-    up[order] = np.where(first, key % n1, np.roll(node, 1))
-    out = np.zeros_like(par)
-    out[:, 1:] = up.reshape(reps, n1 - 1)
+    m = par.shape[1] - 1
+    order = np.argsort(par[:, 1:] * m + np.arange(m), axis=1)  # distinct keys: siblings adjacent, in birth order
+    at = (order + 1 + (m + 1) * np.arange(len(par))[:, None]).ravel()  # their flat places in par
+    key = par.ravel()[at]
+    first = np.diff(key, prepend=-1) != 0
+    first[:: max(m, 1)] = True  # each row's first
+    out = np.zeros(par.shape, dtype=par.dtype)
+    out.ravel()[at] = np.where(first, key, np.roll(order.ravel() + 1, 1))
     return out
 
 

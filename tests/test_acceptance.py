@@ -273,6 +273,66 @@ def test_verify_all_report_is_pinned(suite_all):
     )
 
 
+# the first 16 hex digits of each check's sha256(json.dumps(check, indent=2,
+# sort_keys=True)) at seed 1: when the pin above moves, this names the checks
+# that moved
+CHECK_DIGESTS = {
+    "brw_d2_projection_ks": "ec0189eddc008197",
+    "brw_normal_increment_ks": "fad2f8d601e98589",
+    "brw_pathwise_monotone_ks": "c1b4d05c5ff1b614",
+    "brw_rademacher_ks": "cbed66da54e13be1",
+    "bst_depth_clt": "62bf0d4b89a4bb82",
+    "bst_lca_pmf_vs_oracle": "652af7b5c334a6d6",
+    "coupling_exact_law_n3": "02727901526705af",
+    "coupling_two_sample_ks": "99d339d6fbc75db7",
+    "dcolour_perron_limit": "e89db34447812af2",
+    "forest_fractional_liminf": "fe1f0f7c4e75807a",
+    "forest_mass2_uniform": "b46fcfd6268600eb",
+    "kary_subtree_closed_form": "df5f80f27b346853",
+    "kdiscrete_kappa3_depth": "0fa7b19f03d8ad8d",
+    "kdiscrete_leaf_counts": "8a69f84a2ff61bbe",
+    "mminf_poisson_tv": "1c76fe01391c47c0",
+    "pbar_recursion_vs_mc": "f6cc9ddf37819069",
+    "rotation_bijection_depth_transport": "dd6603cf3b1edbe0",
+    "rrt_depth_clt": "01a27867ac606859",
+    "rrt_lca_pmf_vs_oracle": "7552dcb63423faba",
+    "rrt_profile_gaussian": "903211d407e6ad72",
+    "stable_hill_exponent": "dd9b5348d677b525",
+    "tn_martingale_mean": "837acce3d6454961",
+    "zn_identities": "1a3eed3166afd6ba",
+}
+
+
+def test_check_digests_at_seed_1(suite_all):
+    got = {
+        check["test_name"]: hashlib.sha256(json.dumps(check, indent=2, sort_keys=True).encode()).hexdigest()[:16]
+        for check in suite_all["checks"]
+    }
+    moved = sorted(name for name in got.keys() | CHECK_DIGESTS.keys() if got.get(name) != CHECK_DIGESTS.get(name))
+    assert not moved, f"checks that moved at seed 1: {moved}"
+
+
+def test_tn_martingale_mean_fails_by_chance_at_about_one_percent(suite_all):
+    # six 3-standard-error gates (real and imaginary parts at three n, each n
+    # on its own stream) with no family-wise level.  Under a normal null a
+    # gate fails with probability p = erfc(3/sqrt 2); the two parts at one n
+    # share their replicas, so the check fails with probability between
+    # 1-(1-p)^3 (each n fails at least as often as one gate) and 6p (union)
+    entries = _get(suite_all, "tn_martingale_mean")["statistic"]
+    assert len(entries) == 3 and all({"re_3se", "im_3se"} <= entry.keys() for entry in entries)
+    p = math.erfc(3 / math.sqrt(2))
+    low, high = 1 - (1 - p) ** 3, 6 * p
+    assert round(p, 4) == 0.0027 and round(low, 4) == 0.0081 and round(high, 4) == 0.0162
+    # seen over seeds 1-100: 1 fail with one raw word per +-1 step, 2 with
+    # packed signs; neither count is far in a binomial tail at either end
+    seeds = 100
+    for fails in (1, 2):
+        for rate in (low, high):
+            at_most = sum(math.comb(seeds, k) * rate**k * (1 - rate) ** (seeds - k) for k in range(fails + 1))
+            at_least = 1 - at_most + math.comb(seeds, fails) * rate**fails * (1 - rate) ** (seeds - fails)
+            assert min(at_most, at_least) > 0.05
+
+
 def test_every_check_takes_only_the_root_seed():
     # budgets and gates are constants in each check's body, so a caller can
     # neither resize nor loosen a check

@@ -16,6 +16,7 @@ from mvpp.kernels import (
     MMInfQueueKernel,
     NormalIncrement,
     RademacherIncrement,
+    RandomWalkKernel,
     walk_kernel_constant,
     walk_kernel_normal,
     walk_kernel_rademacher,
@@ -48,6 +49,7 @@ from mvpp.process import (
     sample_pair,
     sample_tree_nodes,
     verify_main_theorem,
+    UrnTrace,
 )
 from mvpp.randomness import RngStream, derive_stream
 from mvpp.trees import parent_depths, rrt_parents
@@ -670,8 +672,9 @@ def test_lattice_dtype_holds_the_labels_and_their_table_index():
         lambda s: sample_tree_nodes(-1, np.zeros((3, 1), dtype=int), RademacherIncrement(), s),
         lambda s: batch_rrt_depths(-1, 3, s),
         lambda s: batch_kary_leaf_labels(-1, 3, (1, 1), s),
+        lambda s: rrt_parents(-1, 2, s),
     ],
-    ids=["direct", "bst", "bmc", "rrt", "rrt-nodes", "rrt-depths", "kary"],
+    ids=["direct", "bst", "bmc", "rrt", "rrt-nodes", "rrt-depths", "kary", "rrt-parents"],
 )
 def test_batch_builders_reject_a_negative_n(build):
     with pytest.raises(ValueError, match="n must be >= 0"):
@@ -728,7 +731,8 @@ def test_kary_event_tree_equals_the_split_by_split_loop(kappa, n, reps):
 
 def _kary_replica_loop(n, reps, offsets, s):
     """The event-tree labels one replica at a time: per replica one stable
-    argsort of its split positions and one pointer-doubling pass."""
+    argsort of its split positions and one pointer-doubling pass.  It is the
+    reference for the blocks' argsort of distinct keys position*n + time."""
     k1 = len(offsets) - 1
     offs = np.array(offsets, dtype=np.int64)
     pos = s.integers(0, 1 + np.arange(n)[:, None] * k1, (n, reps)).T.astype(np.int32)
@@ -1065,14 +1069,32 @@ def _direct_cases(draw):
     return kernel, m0, draw(st.integers(0, 300)), draw(st.integers(0, 2**32)), draw(st.floats(0.0, 1.0, exclude_max=True))
 
 
+def _materialize_pairs(trace):
+    """The pair-by-pair merge: m0's atoms, then each draw's kernel atoms in
+    drawing order, merged one pair at a time by the AtomicMeasure
+    constructor; each distinct colour's atoms are fetched once."""
+    pairs = list(trace.m0.atoms())
+    cache: dict = {}
+    for c in trace.drawn:
+        add = cache.get(c)
+        if add is None:
+            add = trace.kernel.atoms(c)
+            if add is None:
+                raise ValueError("cannot materialize a non-atomic kernel")
+            add = cache[c] = add.atoms()
+        pairs.extend(add)
+    return AtomicMeasure(pairs)
+
+
 def _assert_same_trace(m0, kernel, n, seed):
     s_loop, s_batch = derive_stream(seed, 0), derive_stream(seed, 0)
     loop = mvpp_direct(m0, kernel, n, s_loop)
     batch = batch_direct_trace(m0, kernel, n, s_batch)
     assert batch.drawn == loop.drawn and all(type(c) is int for c in batch.drawn)
     assert _stream_state(s_batch) == _stream_state(s_loop)
-    a, b = loop.materialize(), batch.materialize()
+    a, b, ref = loop.materialize(), batch.materialize(), _materialize_pairs(loop)
     assert b.atoms() == a.atoms() and b.total_mass == a.total_mass and batch.total_mass == loop.total_mass
+    assert list(a._atoms.items()) == list(ref._atoms.items()) and a.total_mass == ref.total_mass
 
 
 @given(_direct_cases())
@@ -1095,6 +1117,45 @@ def test_batch_direct_trace_is_mvpp_direct_bit_for_bit(case):
 @pytest.mark.parametrize("kernel", [DColourKernel([[0.6, 0.4], [0.3, 0.7]]), MMInfQueueKernel(2.0, 1.0)])
 def test_batch_direct_trace_is_mvpp_direct_at_large_n(kernel, mass):
     _assert_same_trace(AtomicMeasure([(0, mass)]), kernel, 100_000, 13)
+
+
+@st.composite
+def _materialize_cases(draw):
+    kind = draw(st.sampled_from(["palette", "queue", "constant", "rademacher", "normal"]))
+    if kind == "palette":
+        d = draw(st.integers(2, 4))
+        rows = [draw(st.lists(st.integers(0, 5), min_size=d, max_size=d).filter(any)) for _ in range(d)]
+        kernel = DColourKernel([[v / sum(row) for v in row] for row in rows])
+        colours = st.integers(0, d - 1)
+    elif kind == "queue":
+        kernel = MMInfQueueKernel(draw(st.floats(0.1, 10.0)), draw(st.floats(0.1, 10.0)))
+        colours = st.integers(0, 6)
+    else:  # walks: int and float colours mixed, so 1 and 1.0 meet as one key
+        inc = {
+            "constant": ConstantIncrement(draw(st.sampled_from([1, 2, 0.5, -1.0]))),
+            "rademacher": RademacherIncrement(),
+            "normal": NormalIncrement(0.0, 1.0),  # no atoms
+        }[kind]
+        kernel = RandomWalkKernel(inc, mean=0.0, cov=1.0)
+        colours = st.builds(lambda x, f: float(x) if f else x, st.integers(-4, 4), st.booleans())
+    m0 = AtomicMeasure(draw(st.lists(st.tuples(colours, st.floats(0.01, 20.0)), min_size=1, max_size=2)))
+    return UrnTrace(m0, kernel, draw(st.lists(colours, max_size=80)))
+
+
+@given(_materialize_cases())
+@settings(max_examples=200, deadline=None)
+def test_materialize_equals_the_pair_by_pair_merge(trace):
+    # the same weight and total_mass bits, the same keys of the same types in
+    # the same order; a non-atomic kernel raises only once a colour is drawn
+    try:
+        ref = _materialize_pairs(trace)
+    except ValueError:
+        assert trace.n > 0
+        with pytest.raises(ValueError, match="non-atomic"):
+            trace.materialize()
+        return
+    bits = lambda m: [(type(c), c, w.hex()) for c, w in m._atoms.items()] + [m.total_mass.hex()]
+    assert bits(trace.materialize()) == bits(ref)
 
 
 def test_palette_and_queue_routes_draw_no_uniform_one_at_a_time(monkeypatch):

@@ -346,6 +346,30 @@ def test_rotation_parents_equal_the_rotation_image():
         assert got.tolist() == [b.depth[lca(b, mp[a], mp[c])] for a, c in zip(u[inner], v[inner])]
 
 
+def _rotation_parents_stable(par):
+    """The flat stable-argsort form: one stable argsort of every tree's parent
+    keys puts siblings adjacent, in birth order."""
+    reps, n1 = par.shape
+    key = (par[:, 1:] + n1 * np.arange(reps)[:, None]).ravel()  # flat parent ids
+    order = np.argsort(key, kind="stable")
+    key = key[order]
+    node = order % max(n1 - 1, 1) + 1
+    first = np.diff(key, prepend=-1) != 0
+    up = np.empty_like(key)
+    up[order] = np.where(first, key % n1, np.roll(node, 1))
+    out = np.zeros_like(par)
+    out[:, 1:] = up.reshape(reps, n1 - 1)
+    return out
+
+
+@pytest.mark.parametrize("reps, n1", [(1, 100_001), (100_000, 7), (3, 1), (3, 2), (0, 6)])
+def test_rotation_parents_equal_the_stable_argsort_form(reps, n1):
+    # the distinct keys parent*m + position sort into the stable order
+    par = rrt_parents(n1 - 1, reps, derive_stream(11, n1))
+    got, ref = rotation_parents(par), _rotation_parents_stable(par)
+    assert got.dtype == ref.dtype and got.shape == (reps, n1) and np.array_equal(got, ref)
+
+
 def test_parent_depths_sums_each_nodes_step_along_its_path():
     par = rrt_parents(30, 4, derive_stream(11, 500))
     steps = derive_stream(11, 501).integers(-3, 4, par.shape)
