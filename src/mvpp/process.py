@@ -47,11 +47,14 @@ from . import stats
 
 @dataclass
 class UrnTrace:
-    """Generative urn state: initial measure + ordered drawn colours."""
+    """Generative urn state: initial measure + ordered drawn colours.
+    `colours`, when set, holds the same draws as an int64 array (as
+    batch_direct_trace leaves them), so materialize need not read the list."""
 
     m0: AtomicMeasure
     kernel: ReplacementKernel
     drawn: list = field(default_factory=list)
+    colours: np.ndarray | None = field(default=None, compare=False, repr=False)
 
     @property
     def n(self) -> int:
@@ -69,9 +72,19 @@ class UrnTrace:
         total_mass of merging the pairs one by one in drawing order."""
         out = {c: j for j, (c, _) in enumerate(self.m0.atoms())}  # output colours, first seen first
         lead = [w for _, w in self.m0.atoms()]
-        code = {c: j for j, c in enumerate(dict.fromkeys(self.drawn))}  # distinct drawn colours
+        if self.colours is None:  # the distinct drawn colours, first seen first, and each draw's place among them
+            code = {c: j for j, c in enumerate(dict.fromkeys(self.drawn))}
+            distinct, at = list(code), np.fromiter(map(code.__getitem__, self.drawn), np.intp, self.n)
+        else:
+            uniq, inv = np.unique(self.colours, return_inverse=True)
+            first = np.full(uniq.size, self.n)
+            np.minimum.at(first, inv, np.arange(self.n))
+            order = np.argsort(first)
+            code = np.empty(order.size, dtype=np.intp)
+            code[order] = np.arange(order.size)
+            distinct, at = uniq[order].tolist(), code[inv]
         table = []  # per distinct drawn colour, its atoms as (output index, weight)
-        for c in code:
+        for c in distinct:
             atoms = self.kernel.atoms(c)
             if atoms is None:
                 raise ValueError("cannot materialize a non-atomic kernel")
@@ -80,7 +93,6 @@ class UrnTrace:
         ys, ws = np.full((len(table), pad), len(out)), np.zeros((len(table), pad))  # padding: one spare colour
         for j, a in enumerate(table):
             ys[j, : len(a)], ws[j, : len(a)] = zip(*a)
-        at = np.fromiter(map(code.__getitem__, self.drawn), np.intp, self.n)
         ws = ws[at].ravel()
         groups = _generations(ys[at].ravel(), len(out) + 1)[:-1]  # each colour's addends, in drawing order
         sums = [np.cumsum(np.concatenate((lead[y : y + 1], ws[g])))[-1] for y, g in enumerate(groups)]
@@ -248,7 +260,7 @@ def batch_direct_trace(m0: AtomicMeasure, kernel, n: int, s: RngStream) -> UrnTr
     colours[initial] = np.array(colours0)[np.minimum(at, len(cum) - 1)]
     for idx in _generations(parent_depths(par[None])[0])[1:]:  # root-down, one generation at a time
         colours[idx] = kernel.step(colours[par[idx]], second[idx])
-    return UrnTrace(m0=m0, kernel=kernel, drawn=colours.tolist())
+    return UrnTrace(m0=m0, kernel=kernel, drawn=colours.tolist(), colours=colours)
 
 
 def mvpp_via_rrt(m0: AtomicMeasure, kernel: ReplacementKernel, n: int, s: RngStream) -> LabelledTree:
@@ -519,11 +531,39 @@ def batch_rrt_depths(n, reps, s) -> np.ndarray:
     return depths
 
 
-def _distinct(keys) -> np.ndarray:
-    """The sorted distinct values of non-negative int keys; on 20,000 keys
-    this is ~20x faster than np.unique's hash path."""
-    keys = np.sort(keys, axis=None)
-    return keys[np.diff(keys, prepend=-1) != 0]
+SEEN_RATIO = 8  # the sampler's run of recent keys joins its main run at an eighth of its size
+
+
+def _merge_runs(*runs) -> tuple:
+    """(keys, slots) of sorted runs of distinct keys, each with its slots, as
+    one sorted run: a stable argsort merges the runs."""
+    keys, slots = (np.concatenate(x) for x in zip(*runs))
+    order = np.argsort(keys, kind="stable")
+    return keys[order], slots[order]
+
+
+def _block_depths(par, bounds) -> np.ndarray:
+    """Depths in a forest of slots laid out in blocks [bounds[j], bounds[j+1])
+    whose parent par[i] is i itself (a chain start, depth 0), a slot in the
+    next block (a new link) or one in its own block or before (a met link).
+    Each new link goes up one block, so a slot's depth is its block's distance
+    to its top -- its first ancestor-or-self not on a new link -- plus the
+    top's depth; only the met links are walked, by pointer doubling."""
+    size = np.diff(bounds)
+    blk = np.repeat(np.arange(size.size), size)
+    top = np.arange(par.size)
+    for lo, hi in zip(bounds[-3::-1], bounds[-2:0:-1]):  # the blocks with a next one, last first
+        p = par[lo:hi]
+        top[lo:hi] = np.where(p >= hi, top[p], top[lo:hi])
+    met = np.flatnonzero((par != np.arange(par.size)) & (par < np.repeat(bounds[1:], size)))
+    up = top[par[met]]
+    idx = np.full(par.size, met.size)  # a met top's place in met; any other slot maps to the root met.size
+    idx[met] = np.arange(met.size)
+    # depth(met top) = 1 + depth(its parent) = 1 + blk(up) - blk(parent) + depth(up)
+    step = np.append(1 + blk[up] - blk[par[met]], 0)
+    at_top = blk.copy()
+    at_top[met] += parent_depths(np.append(idx[up], met.size)[None], step[None])[0, :-1]
+    return at_top[top] - blk
 
 
 def sample_tree_nodes(n, nodes, increment, s, m0=None, dtype=float) -> np.ndarray:
@@ -538,18 +578,37 @@ def sample_tree_nodes(n, nodes, increment, s, m0=None, dtype=float) -> np.ndarra
     its increment, then a fresh m0 draw in place of the increment where the
     parent is the root.  Parents not yet seen open the next round, so chains
     that meet share everything above.  Labels are summed root-down, own plus
-    the parent's label, as in _attach_path_sums."""
+    the parent's label, as in _attach_path_sums.
+
+    Every key has a slot, its place in round order: picked roots, the other
+    picked keys, then each round's new parents, each part in key order.  A
+    round's parents take their slots through the inverse of its distinct-
+    parent sort: new ones the next slots, met ones theirs, looked up in the
+    keys seen so far (with one node an urn, no chain meets another).  These
+    are kept as two sorted runs with their slots, the second merged into the
+    first once it reaches 1/SEEN_RATIO of it.
+
+    Raises ValueError, before any draw, unless nodes is a 2-d array of nodes
+    in 0..n and urns * (n + 1) keys fit in int64."""
     _check_n(n)
     nodes = np.asarray(nodes, dtype=np.int64)
+    if nodes.ndim != 2:
+        raise ValueError(f"nodes must be a 2-d (urns, k) array, not {nodes.ndim}-d")
     urns = nodes.shape[0]
     if urns * (n + 1) > np.iinfo(np.int64).max:
         raise ValueError(f"{urns} urns of {n + 1} nodes overflow the int64 node keys")
+    if nodes.size and (nodes.min() < 0 or nodes.max() > n):
+        raise ValueError(f"nodes must lie in 0..{n}")
     m0_draw = _m0_sampler_np(m0)
-    want = nodes + (n + 1) * np.arange(urns)[:, None]  # (urn, node) keys
-    seen = _distinct(want)
-    live = seen[seen % (n + 1) != 0]
-    roots = seen[seen % (n + 1) == 0]
-    rounds = [(roots, roots, m0_draw(s, roots.size) if roots.size else np.empty(0))]  # a root is its own parent
+    keys, where = np.unique((nodes + (n + 1) * np.arange(urns)[:, None]).ravel(), return_inverse=True)
+    start = keys % (n + 1) == 0  # the picked roots
+    slot = np.empty(keys.size, dtype=np.intp)
+    slot[np.argsort(~start, kind="stable")] = np.arange(keys.size)
+    roots = int(start.sum())
+    owns, pars = [m0_draw(s, roots) if roots else np.empty(0)], [np.arange(roots)]  # a root is its own parent
+    bounds = [0, keys.size]  # slot blocks: the picked keys, then each round's new parents
+    seen = [(keys, slot), (keys[:0], slot[:0])] if nodes.shape[1] > 1 else []  # one chain an urn meets none
+    live = keys[~start]
     while live.size:
         node = live % (n + 1)
         par = s.integers(0, node, live.size)
@@ -559,19 +618,33 @@ def sample_tree_nodes(n, nodes, increment, s, m0=None, dtype=float) -> np.ndarra
         if at_root.any():
             own[at_root] = m0_draw(s, int(at_root.sum()))
         par += live - node  # the parent's key
-        rounds.append((live, np.where(at_root, live, par), own))  # a root child, like a root, is its own parent
-        live = _distinct(par[~at_root])
-        at = np.minimum(np.searchsorted(seen, live), seen.size - 1)
-        live = live[seen[at] != live]  # chains that meet share what is above
-        seen = np.sort(np.concatenate([seen, live]), kind="stable")  # a merge of two sorted runs
-    key, par, own = (np.concatenate(x) for x in zip(*rounds))
-    order = np.argsort(key)
-    key, own = key[order], own[order].astype(dtype, copy=False)
-    par = np.searchsorted(key, par[order])  # below its child's place, as a parent's key is below its child's
-    label = own.copy()  # chain starts keep their own draw
-    for at in _generations(parent_depths(par[None])[0])[1:]:  # root-down, one depth at a time
+        up, rank = np.unique(par[~at_root], return_inverse=True)
+        up_slot = np.full(up.size, -1)
+        for k, sl in seen:  # chains that meet share what is above
+            if k.size:
+                at = np.minimum(np.searchsorted(k, up), k.size - 1)
+                hit = k[at] == up
+                up_slot[hit] = sl[at[hit]]
+        new = up_slot < 0
+        live = up[new]
+        fresh = np.arange(bounds[-1], bounds[-1] + live.size)
+        up_slot[new] = fresh
+        par_slot = np.arange(bounds[-1] - node.size, bounds[-1])  # the live keys' own: a root child starts a chain
+        par_slot[~at_root] = up_slot[rank]
+        owns.append(own)
+        pars.append(par_slot)
+        bounds.append(bounds[-1] + live.size)
+        if not seen:
+            continue
+        if (seen[1][0].size + live.size) * SEEN_RATIO > seen[0][0].size:
+            seen = [_merge_runs(*seen, (live, fresh)), (keys[:0], slot[:0])]
+        else:
+            seen[1] = _merge_runs(seen[1], (live, fresh))
+    par = np.concatenate(pars)
+    label = np.concatenate(owns).astype(dtype, copy=False)  # chain starts keep their own draw
+    for at in _generations(_block_depths(par, bounds))[1:]:  # root-down, one depth at a time
         label[at] += label[par[at]]
-    return label[np.searchsorted(key, want)]
+    return label[slot[where]].reshape(nodes.shape)
 
 
 def draw_walk_pairs(urns, size, pairs, increment, s, read) -> np.ndarray:
@@ -788,7 +861,7 @@ def verify_main_theorem(
         if plan == "ergodic":
             trace = batch_direct_trace(m0, kernel, n, s)
             urn = trace.materialize()
-            samples.append(np.asarray(trace.drawn, dtype=float))
+            samples.append(trace.colours.astype(float))
             measures.append(urn)
             if isinstance(kernel, MMInfQueueKernel):
                 pmf = {int(c): w / urn.total_mass for c, w in urn.atoms()}

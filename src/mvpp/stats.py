@@ -205,37 +205,39 @@ def ks_statistic(sample, law, weights=None) -> float:
     vals = np.asarray(sample, dtype=float)
     if vals.size == 0:
         raise ValueError("empty sample")
-    if np.isnan(vals).any():
-        raise ValueError("sample holds NaN")
     n = vals.size
-    if weights is None:
-        vals, cum = np.sort(vals), np.arange(1, n + 1) / n  # == cumsum(ones) / n
+    order = None if weights is None else np.argsort(vals, kind="stable")
+    vals = np.sort(vals) if order is None else vals[order]
+    if np.isnan(vals[-1]):  # sorting puts NaN last
+        raise ValueError("sample holds NaN")
+    if order is None:
+        below = lambda i: i / n  # the empirical CDF below sorted place i
     else:
         wts = np.asarray(weights, dtype=float)
         if wts.shape != vals.shape or not (wts > 0).all():
             raise ValueError("weights must be positive, one per sample point")
         total = wts.sum()  # before the reorder, whose sum differs in the last bits
-        order = np.argsort(vals, kind="stable")
-        vals, cum = vals[order], np.cumsum(wts[order]) / total
-    # collapse ties so each distinct value carries one CDF jump
-    first = np.flatnonzero(np.concatenate(([True], vals[1:] != vals[:-1])))
-    upper = cum[np.append(first[1:] - 1, n - 1)]
-    lower = np.concatenate(([0.0], upper[:-1]))
-    vals = vals[first]
+        below = np.concatenate(([0.0], np.cumsum(wts[order]) / total)).__getitem__
+    tie = vals[1:] == vals[:-1]
+    place = None  # each distinct value's first sorted place, then n, where ties exist
+    if tie.any():  # collapse ties so each distinct value carries one CDF jump
+        place = np.flatnonzero(np.concatenate(([True], ~tie, [True])))
+        vals = vals[place[:-1]]
 
-    def gaps(idx):
-        ref = np.asarray(law.cdf(vals[idx]), dtype=float)
-        return ref, np.maximum(ref - lower[idx], upper[idx] - ref)
+    def gaps(idx):  # at distinct points idx: law.cdf, the empirical CDF's two steps and the larger gap
+        lo, hi = (idx, idx + 1) if place is None else (place[idx], place[idx + 1])
+        ref, lower, upper = np.asarray(law.cdf(vals[idx]), dtype=float), below(lo), below(hi)
+        return ref, lower, upper, np.maximum(ref - lower, upper - ref)
 
     ends = np.append(np.arange(0, vals.size - 1, _KS_BLOCK), vals.size - 1)
-    ref, end_gaps = gaps(ends)
+    ref, lower, upper, end_gaps = gaps(ends)
     best = end_gaps.max()
-    bound = np.maximum(ref[1:] - lower[ends[:-1]], upper[ends[1:]] - ref[:-1])
+    bound = np.maximum(ref[1:] - lower[:-1], upper[1:] - ref[:-1])
     hot = np.repeat(bound >= best - _KS_SLACK, _KS_BLOCK)[: vals.size - 1]
     hot[::_KS_BLOCK] = False  # block starts are end points
     inner = np.flatnonzero(hot)
     if inner.size:
-        best = max(best, gaps(inner)[1].max())
+        best = max(best, gaps(inner)[3].max())
     return float(best)
 
 

@@ -44,6 +44,7 @@ from mvpp.process import (
     mvpp_kdiscrete,
     mvpp_via_bst,
     mvpp_via_rrt,
+    _generations,
     _m0_sampler_np,
     sample_colour,
     sample_pair,
@@ -54,6 +55,7 @@ from mvpp.process import (
 from mvpp.randomness import RngStream, derive_stream
 from mvpp.trees import parent_depths, rrt_parents
 from mvpp.verify import _ComplexNormalIncrement, _coupling_samples, _forest_sizes, _lattice_dtype, _tv_threshold
+from mvpp.verify import M0_POINT
 
 M0_HALF = AtomicMeasure([(0, 0.5), (1, 0.5)])
 KERN2 = DColourKernel([[0.5, 0.5], [0.25, 0.75]])
@@ -447,6 +449,86 @@ def test_chain_sampler_makes_the_reference_draws(n, urns, k, m0):
     assert got.shape == (urns, k) and got.dtype == np.float64
     assert np.array_equal(got, ref)
     assert np.array_equal(s.uniforms(4), ref_s.uniforms(4))  # the stream ends where the reference's does
+
+
+def _sample_tree_nodes_sorted(n, nodes, increment, s, m0=None, dtype=float):
+    """sample_tree_nodes by keys, not slots: every key drawn for is argsorted
+    at the end, and each parent and each picked node is found by a binary
+    search among them.  The same draws in the same order."""
+
+    def distinct(keys):
+        keys = np.sort(keys, axis=None)
+        return keys[np.diff(keys, prepend=-1) != 0]
+
+    nodes = np.asarray(nodes, dtype=np.int64)
+    urns = nodes.shape[0]
+    m0_draw = _m0_sampler_np(m0)
+    want = nodes + (n + 1) * np.arange(urns)[:, None]
+    seen = distinct(want)
+    live = seen[seen % (n + 1) != 0]
+    roots = seen[seen % (n + 1) == 0]
+    rounds = [(roots, roots, m0_draw(s, roots.size) if roots.size else np.empty(0))]
+    while live.size:
+        node = live % (n + 1)
+        par = s.integers(0, node, live.size)
+        own = np.empty(live.size, dtype=dtype)
+        own[...] = increment.draw_many(s, live.size)
+        at_root = par == 0
+        if at_root.any():
+            own[at_root] = m0_draw(s, int(at_root.sum()))
+        par += live - node
+        rounds.append((live, np.where(at_root, live, par), own))
+        live = distinct(par[~at_root])
+        at = np.minimum(np.searchsorted(seen, live), seen.size - 1)
+        live = live[seen[at] != live]
+        seen = np.sort(np.concatenate([seen, live]), kind="stable")
+    key, par, own = (np.concatenate(x) for x in zip(*rounds))
+    order = np.argsort(key)
+    key, own = key[order], own[order].astype(dtype, copy=False)
+    par = np.searchsorted(key, par[order])
+    label = own.copy()
+    for at in _generations(parent_depths(par[None])[0])[1:]:
+        label[at] += label[par[at]]
+    return label[np.searchsorted(key, want)]
+
+
+@pytest.mark.parametrize(
+    "n, urns, k, inc, m0, dtype",
+    [
+        (10**5, 16, 1250, NormalIncrement(0.0, 1.0), M0_POINT, float),  # the walk route's shape
+        (1000, 10_000, 1, RademacherIncrement(), None, np.int16),  # the recursive-tree coupling leg's
+        (10**12, 1, 20_000, ConstantIncrement(1), AtomicMeasure([(1, 1.0)]), np.int64),  # one tree's depths
+    ],
+    ids=["walk-route", "coupling-leg", "one-tree-1e12"],
+)
+def test_chain_sampler_equals_the_key_sorted_form(n, urns, k, inc, m0, dtype):
+    # the slot bookkeeping gives the same bits and leaves the stream where
+    # sorting every key and searching among them does
+    s, ref_s = derive_stream(36, urns), derive_stream(36, urns)
+    nodes = s.integers(0, n + 1, (urns, k))
+    assert np.array_equal(nodes, ref_s.integers(0, n + 1, (urns, k)))
+    got = sample_tree_nodes(n, nodes, inc, s, m0=m0, dtype=dtype)
+    ref = _sample_tree_nodes_sorted(n, nodes, inc, ref_s, m0=m0, dtype=dtype)
+    assert got.dtype == ref.dtype == dtype and got.shape == (urns, k)
+    assert np.array_equal(got.view(np.uint8), ref.view(np.uint8))
+    assert np.array_equal(s.uniforms(4), ref_s.uniforms(4))
+
+
+@pytest.mark.parametrize(
+    "nodes, match",
+    [
+        ([3, 4], "2-d"),
+        ([[[3, 4]]], "2-d"),
+        ([[3, 11], [1, 2]], r"0\.\.10"),  # node 11 of urn 0 would be urn 1's root
+        ([[3, 4], [-1, 2]], r"0\.\.10"),
+    ],
+    ids=["1-d", "3-d", "beyond-n", "negative"],
+)
+def test_chain_sampler_rejects_bad_nodes_before_any_draw(nodes, match):
+    s, ref_s = derive_stream(35, 301), derive_stream(35, 301)
+    with pytest.raises(ValueError, match=match):
+        sample_tree_nodes(10, nodes, NormalIncrement(0.0, 1.0), s)
+    assert np.array_equal(s.uniforms(4), ref_s.uniforms(4))
 
 
 @pytest.mark.parametrize("dtype", [np.int16, complex])
@@ -1156,6 +1238,21 @@ def test_materialize_equals_the_pair_by_pair_merge(trace):
         return
     bits = lambda m: [(type(c), c, w.hex()) for c, w in m._atoms.items()] + [m.total_mass.hex()]
     assert bits(trace.materialize()) == bits(ref)
+
+
+@given(_materialize_cases().filter(lambda t: all(type(c) is int for c in t.drawn)))
+@settings(max_examples=100, deadline=None)
+def test_materialize_reads_the_colour_array_as_the_list(trace):
+    # an int64 colour array alongside drawn gives the list's bits, keys and key types
+    arrayed = UrnTrace(trace.m0, trace.kernel, trace.drawn, colours=np.array(trace.drawn, dtype=np.int64))
+    try:
+        ref = trace.materialize()
+    except ValueError:
+        with pytest.raises(ValueError, match="non-atomic"):
+            arrayed.materialize()
+        return
+    bits = lambda m: [(type(c), c, w.hex()) for c, w in m._atoms.items()] + [m.total_mass.hex()]
+    assert bits(arrayed.materialize()) == bits(ref)
 
 
 def test_palette_and_queue_routes_draw_no_uniform_one_at_a_time(monkeypatch):

@@ -146,6 +146,63 @@ def test_ks_finds_a_sup_inside_a_block():
     assert stats.ks_statistic(x, stats.Uniform01()) == pytest.approx(0.8 / n, rel=1e-9)
 
 
+def _ks_statistic_arrays(sample, law, weights=None):
+    # reference: ks_statistic with the whole cum, upper and lower arrays
+    # built, for unweighted samples too
+    vals = np.asarray(sample, dtype=float)
+    if vals.size == 0:
+        raise ValueError("empty sample")
+    if np.isnan(vals).any():
+        raise ValueError("sample holds NaN")
+    n = vals.size
+    if weights is None:
+        vals, cum = np.sort(vals), np.arange(1, n + 1) / n
+    else:
+        wts = np.asarray(weights, dtype=float)
+        if wts.shape != vals.shape or not (wts > 0).all():
+            raise ValueError("weights must be positive, one per sample point")
+        total = wts.sum()
+        order = np.argsort(vals, kind="stable")
+        vals, cum = vals[order], np.cumsum(wts[order]) / total
+    first = np.flatnonzero(np.concatenate(([True], vals[1:] != vals[:-1])))
+    upper = cum[np.append(first[1:] - 1, n - 1)]
+    lower = np.concatenate(([0.0], upper[:-1]))
+    vals = vals[first]
+
+    def gaps(idx):
+        ref = np.asarray(law.cdf(vals[idx]), dtype=float)
+        return ref, np.maximum(ref - lower[idx], upper[idx] - ref)
+
+    ends = np.append(np.arange(0, vals.size - 1, stats._KS_BLOCK), vals.size - 1)
+    ref, end_gaps = gaps(ends)
+    best = end_gaps.max()
+    bound = np.maximum(ref[1:] - lower[ends[:-1]], upper[ends[1:]] - ref[:-1])
+    hot = np.repeat(bound >= best - stats._KS_SLACK, stats._KS_BLOCK)[: vals.size - 1]
+    hot[:: stats._KS_BLOCK] = False
+    inner = np.flatnonzero(hot)
+    if inner.size:
+        best = max(best, gaps(inner)[1].max())
+    return float(best)
+
+
+@given(
+    st.integers(1, 3000),
+    st.sampled_from([None, 0, 1, 2]),
+    st.booleans(),
+    st.sampled_from([stats.STD_NORMAL, stats.Uniform01(), stats.Poisson(3.0)]),
+    st.integers(0, 2**32),
+)
+@settings(max_examples=150, deadline=None)
+def test_ks_statistic_equals_the_array_form(n, decimals, weighted, law, seed):
+    # sizes across block edges, with ties (rounded draws) or none, weighted or not
+    s = derive_stream(80, seed)
+    x = 3.0 * s.uniforms(n) - 0.5 if law is not stats.STD_NORMAL else s.standard_normals(n)
+    if decimals is not None:
+        x = np.round(x, decimals)
+    weights = s.uniforms(n) + 0.01 if weighted else None
+    assert stats.ks_statistic(x, law, weights=weights) == _ks_statistic_arrays(x, law, weights=weights)
+
+
 def test_ks_errors():
     with pytest.raises(ValueError):
         stats.ks_statistic([], stats.STD_NORMAL)
