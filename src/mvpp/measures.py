@@ -130,20 +130,19 @@ def theta_rescale(samples, r: Rescaling, kind: str = REAL) -> list:
 def z_n(n: int, x: complex) -> complex:
     """prod_{j=1..n} ((j-1)/j + x/j), in log space.
 
-    Accurate for Re(x) > 0 (every factor then lies in the right half plane,
-    so principal logs accumulate without branch jumps).  A factor that is
-    exactly zero makes the whole product exactly zero.
-    """
+    A real x sums real logs of |factor| and takes the sign (-1)^(negative
+    factors).  A complex x sums principal logs, accurate for Re(x) > 0 (every
+    factor then lies in the right half plane, so no branch jumps).  A factor
+    that is exactly zero makes the whole product exactly zero."""
     if n < 0:
         raise ValueError("n must be >= 0")
-    if n == 0:
-        return 1.0 + 0.0j
-    x = complex(x)
     j = np.arange(1, n + 1, dtype=float)
     factors = (j - 1.0 + x) / j
-    if np.any(factors == 0):
+    if not factors.all():
         return 0.0 + 0.0j
-    return complex(np.exp(np.sum(np.log(factors))))
+    if np.iscomplexobj(factors):
+        return complex(np.exp(np.sum(np.log(factors))))
+    return complex((-1.0) ** np.count_nonzero(factors < 0) * np.exp(np.sum(np.log(np.abs(factors)))))
 
 
 def empirical_f_n(labels, theta, m) -> complex:

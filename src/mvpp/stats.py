@@ -183,6 +183,14 @@ _KS_BLOCK = 64
 _KS_SLACK = 1e-9
 
 
+def _one_d(sample, name: str) -> np.ndarray:
+    """sample as a 1-d float array; any other shape raises ValueError."""
+    vals = np.asarray(sample, dtype=float)
+    if vals.ndim != 1:
+        raise ValueError(f"{name} must be 1-d, got shape {vals.shape}")
+    return vals
+
+
 def ks_statistic(sample, law, weights=None) -> float:
     """Sup distance between the weighted empirical CDF and law.cdf.
 
@@ -202,7 +210,7 @@ def ks_statistic(sample, law, weights=None) -> float:
     bit for bit, provided law.cdf works point by point and is non-decreasing
     up to _KS_SLACK.
     """
-    vals = np.asarray(sample, dtype=float)
+    vals = _one_d(sample, "sample")
     if vals.size == 0:
         raise ValueError("empty sample")
     n = vals.size
@@ -243,8 +251,8 @@ def ks_statistic(sample, law, weights=None) -> float:
 
 def ks_two_sample(a, b) -> float:
     """Unweighted two-sample KS statistic."""
-    a = np.sort(np.asarray(a, dtype=float))
-    b = np.sort(np.asarray(b, dtype=float))
+    a = np.sort(_one_d(a, "sample a"))
+    b = np.sort(_one_d(b, "sample b"))
     if a.size == 0 or b.size == 0:
         raise ValueError("empty sample")
     if np.isnan(a[-1]) or np.isnan(b[-1]):  # np.sort puts NaN last
@@ -366,7 +374,7 @@ def hill_tail_exponent(samples, k: int) -> float:
     a sample holding NaN or +-inf raises ValueError."""
     if k < 1:
         raise ValueError(f"k must be >= 1, not {k}")
-    x = np.sort(np.abs(np.asarray(samples, dtype=float)))[::-1]
+    x = np.sort(np.abs(_one_d(samples, "samples")))[::-1]
     if x.size and not np.isfinite(x[0]):  # np.sort puts NaN, then inf, last: first here
         raise ValueError("sample holds NaN or inf")
     if k + 1 > x.size:

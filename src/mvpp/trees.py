@@ -9,8 +9,8 @@ rank, words are rebuilt on demand from parent pointers, and growth steps are
 O(1).
 
 Batches of recursive trees and of their rotation images (the free-slot
-binary trees) also come as (reps, n+1) parent arrays, with depths and
-LCA depths computed by whole-array steps.
+binary trees) also come as (reps, n+1) parent arrays, with depths by
+whole-array pointer doubling and LCA depths by climbs over the unmet pairs.
 """
 
 from __future__ import annotations
@@ -61,8 +61,8 @@ class GrowingTree:
         return len(self.parent)
 
     def _check(self, u: int):
-        if not (0 <= u < self.n_nodes):
-            raise ValueError(f"node id {u} not in tree of size {self.n_nodes}")
+        if not (0 <= u < len(self.parent)):
+            raise ValueError(f"node id {u} not in tree of size {len(self.parent)}")
 
     def add_child(self, parent: int, slot: int | None = None) -> int:
         self._check(parent)
@@ -181,8 +181,7 @@ def left_depth(t: GrowingTree, u: int) -> int:
     t._check(u)
     count = 0
     while u != 0:
-        if t.slot[u] == 0:
-            count += 1
+        count += t.slot[u] == 0
         u = t.parent[u]
     return count
 
@@ -191,13 +190,13 @@ def lca(t: GrowingTree, u: int, v: int) -> int:
     """Deepest common ancestor: longest common prefix of the two words."""
     t._check(u)
     t._check(v)
-    while t.depth[u] > t.depth[v]:
-        u = t.parent[u]
-    while t.depth[v] > t.depth[u]:
-        v = t.parent[v]
+    parent, depth = t.parent, t.depth
+    while depth[u] > depth[v]:
+        u = parent[u]
+    while depth[v] > depth[u]:
+        v = parent[v]
     while u != v:
-        u = t.parent[u]
-        v = t.parent[v]
+        u, v = parent[u], parent[v]
     return u
 
 
@@ -517,18 +516,27 @@ def parent_depths(par: np.ndarray, steps=1) -> np.ndarray:
     return dep.reshape(reps, m)
 
 
-def lca_depths(par: np.ndarray, dep: np.ndarray, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+def lca_depths(par: np.ndarray, dep: np.ndarray, u, v) -> np.ndarray:
     """Depth of the deepest common ancestor of nodes u[i] and v[i] of tree i,
     given parent arrays and their depths: each round steps the deeper node of
-    every unmet pair up, or both at equal depths."""
-    rows = np.arange(par.shape[0])
-    while (live := u != v).any():
-        du, dv = dep[rows, u], dep[rows, v]
-        u, v = (
-            np.where(live & (du >= dv), par[rows, u], u),
-            np.where(live & (dv >= du), par[rows, v], v),
-        )
-    return dep[rows, u]
+    every unmet pair up, or both at equal depths, on flat ids row * m + node."""
+    reps, m = par.shape
+    u, v = np.asarray(u), np.asarray(v)
+    for name, w in (("u", u), ("v", v)):
+        if w.shape != (reps,):
+            raise ValueError(f"{name} must be 1-d with one node per tree ({reps}), got shape {w.shape}")
+        if w.size and not (0 <= w.min() and w.max() < m):
+            raise ValueError(f"{name} holds a node outside 0..{m - 1}")
+    flat_par, flat_dep, base = par.ravel(), dep.ravel(), m * np.arange(reps)
+    u, v = u + base, v + base
+    live = np.flatnonzero(u != v)
+    while live.size:
+        a, b, up = u[live], v[live], base[live]
+        da, db = flat_dep[a], flat_dep[b]
+        a, b = np.where(da >= db, flat_par[a] + up, a), np.where(db >= da, flat_par[b] + up, b)
+        u[live], v[live] = a, b
+        live = live[a != b]
+    return flat_dep[u]
 
 
 # ---------------------------------------------------------------------------

@@ -82,8 +82,7 @@ def _result(name, statistic, threshold, passed, **extra):
 def check_rotation_bijection(root_seed: int) -> dict:
     """Exhaustive rotation checks on all planar trees with <= 8 nodes:
     round trip, depth transport, and ancestor-free LCA transport."""
-    violations = 0
-    trees = 0
+    violations = trees = 0
     for n in range(2, 9):
         for shape in planar_shapes(n):
             t = build_planar(shape)
@@ -91,16 +90,16 @@ def check_rotation_bijection(root_seed: int) -> dict:
             back, _ = rotation_inverse(b)
             if back.shape_key() != t.shape_key():
                 violations += 1
-            for u in range(1, t.n_nodes):
-                if t.depth[u] != left_depth(b, mp[u]) + 1:
+            ld, depth = [left_depth(b, w) for w in range(b.n_nodes)], t.depth
+            for u in range(1, n):
+                if depth[u] != ld[mp[u]] + 1:
                     violations += 1
-            for u in range(1, t.n_nodes):
-                for v in range(1, t.n_nodes):
+                for v in range(u + 1, n):
                     a = lca(t, u, v)
                     if a == u or a == v:
                         continue  # transport identity needs non-nested pairs
-                    if t.depth[a] != left_depth(b, lca(b, mp[u], mp[v])):
-                        violations += 1
+                    if depth[a] != ld[lca(b, mp[u], mp[v])]:
+                        violations += 2  # both sides are symmetric in u, v: one per ordered pair
             trees += 1
     return _result("rotation_bijection_depth_transport", violations, 0, violations == 0, trees=trees)
 

@@ -182,6 +182,52 @@ def test_zn_rejects_negative_n():
         z_n(-1, 1.0)
 
 
+def _z_n_complex(n, x):
+    """z_n's body before real x took real logs: every x, real or not, went
+    through one complex division and one principal log per factor."""
+    if n == 0:
+        return 1.0 + 0.0j
+    x = complex(x)
+    j = np.arange(1, n + 1, dtype=float)
+    factors = (j - 1.0 + x) / j
+    if np.any(factors == 0):
+        return 0.0 + 0.0j
+    return complex(np.exp(np.sum(np.log(factors))))
+
+
+@pytest.mark.parametrize("n", [1, 2, 10, 1000, 1_000_000])
+def test_zn_real_logs_match_the_complex_logs(n):
+    # the negative x have negative factors, so the product changes sign
+    for x in (0.5, 1.0, 1.5, 2.0, 7.25, -0.5, -2.5):
+        got, ref = z_n(n, x), _z_n_complex(n, x)
+        assert got.imag == 0.0
+        if x == 1.0:
+            # Z_n(1) = 1: every real factor is exactly 1, while the complex
+            # division rounds, by 1.6e-11 in all at n = 1e6
+            assert got == 1.0 and abs(ref - 1.0) <= 1e-10
+        else:
+            assert abs(got - ref) <= 1e-12 * abs(ref), (n, x, got, ref)
+            assert math.copysign(1.0, got.real) == math.copysign(1.0, ref.real)
+
+
+def test_zn_real_logs_carry_the_sign():
+    assert z_n(1, -0.5) == -0.5
+    assert z_n(2, -0.5) == pytest.approx(-0.125, abs=1e-16)
+    assert z_n(3, -2.5) == pytest.approx(-2.5 * -1.5 * -0.5 / 6, abs=1e-15)
+    assert z_n(10, 0) == 0.0
+
+
+@pytest.mark.parametrize("n", [0, 1, 10, 1000, 100_000])
+def test_zn_complex_x_keeps_its_bits(n):
+    xs = [0.7 + 0.2j, 2.0 + 0.0j, 1 + 0j, -0.5 + 1e-3j, np.complex128(1.5 - 0.25j)]
+    xs += [cmath.exp(-1j * (m * th)) for m in (1, 3) for th in (0.1, 0.5, 1.0)]
+    xs += [complex(np.cos(th)) + 1.0 for th in (0.0, 0.3, 1.0)]
+    for x in xs:
+        got, ref = z_n(n, x), _z_n_complex(n, x)
+        assert type(got) is complex
+        assert (got.real, got.imag) == (ref.real, ref.imag), (n, x)
+
+
 # ---------------------------------------------------------------------------
 # empirical transform and martingale
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 import csv
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -216,6 +217,22 @@ def test_ks_errors():
         stats.ks_statistic([0.0, math.nan, 1.0], stats.STD_NORMAL)
     # infinities stay allowed: the CDF is 0 or 1 there
     assert stats.ks_statistic([-math.inf, math.inf], stats.STD_NORMAL) == 0.5
+
+
+@pytest.mark.parametrize("bad", [np.zeros((2, 3)), 0.5], ids=["2-d", "0-d"])
+@pytest.mark.parametrize(
+    "call,name",
+    [
+        (lambda x: stats.ks_statistic(x, stats.STD_NORMAL), "sample"),
+        (lambda x: stats.ks_two_sample(x, [1.0, 2.0]), "sample a"),
+        (lambda x: stats.ks_two_sample([1.0, 2.0], x), "sample b"),
+        (lambda x: stats.hill_tail_exponent(x, 1), "samples"),
+    ],
+    ids=["ks_statistic", "ks_two_sample_a", "ks_two_sample_b", "hill_tail_exponent"],
+)
+def test_samples_that_are_not_1d_raise_a_value_error_naming_them(call, name, bad):
+    with pytest.raises(ValueError, match=f"^{name} must be 1-d, got shape {re.escape(str(np.shape(bad)))}$"):
+        call(bad)
 
 
 @pytest.mark.parametrize("ties", [False, True])

@@ -4,7 +4,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from mvpp import oracle, stats
+from mvpp import oracle, stats, verify
 from mvpp.randomness import derive_stream
 from mvpp.trees import (
     GrowingTree,
@@ -344,6 +344,94 @@ def test_rotation_parents_equal_the_rotation_image():
         inner = (u > 0) & (v > 0)
         got = lca_depths(bpar[rows[inner]], bdep[rows[inner]], u[inner], v[inner]) - 1
         assert got.tolist() == [b.depth[lca(b, mp[a], mp[c])] for a, c in zip(u[inner], v[inner])]
+
+
+def _lca_depths_2d(par, dep, u, v):
+    """lca_depths' body before flat ids: each round indexes every pair's row
+    and node, met or not."""
+    rows = np.arange(par.shape[0])
+    while (live := u != v).any():
+        du, dv = dep[rows, u], dep[rows, v]
+        u, v = (
+            np.where(live & (du >= dv), par[rows, u], u),
+            np.where(live & (dv >= du), par[rows, v], v),
+        )
+    return dep[rows, u]
+
+
+@pytest.mark.parametrize("n,reps", [(1, 40), (6, 20_000), (60, 3_000), (3_000, 20)])
+def test_lca_depths_equal_the_2d_form(n, reps):
+    # recursive trees and their rotation images, every node 0..n a candidate
+    # (so met pairs and root pairs occur); the inputs are left as they were
+    par = rrt_parents(n, reps, derive_stream(14, n))
+    for p in (par, rotation_parents(par)):
+        dep = parent_depths(p)
+        s = derive_stream(15, n)
+        u, v = s.integers(0, n + 1, reps), s.integers(0, n + 1, reps)
+        u0, v0 = u.copy(), v.copy()
+        got, ref = lca_depths(p, dep, u, v), _lca_depths_2d(p, dep, u, v)
+        assert got.dtype == ref.dtype and np.array_equal(got, ref)
+        assert np.array_equal(u, u0) and np.array_equal(v, v0)
+
+
+def test_lca_depths_rejects_pairs_it_cannot_place():
+    par = rrt_parents(4, 3, derive_stream(1, 1))
+    dep = parent_depths(par)
+    good = np.array([1, 1, 1])
+    for bad, match in (
+        ([-1, 0, 0], "outside 0..4"),  # once read as the row's last node
+        ([0, 0, 5], "outside 0..4"),
+        ([0, 0], "one node per tree"),
+        ([0, 0, 0, 0], "one node per tree"),
+        ([[0, 0, 0]], "1-d"),
+        (0, "1-d"),
+    ):
+        with pytest.raises(ValueError, match=match):
+            lca_depths(par, dep, bad, good)
+        with pytest.raises(ValueError, match=match):
+            lca_depths(par, dep, good, bad)
+
+
+def _rotation_violations_ordered(rot):
+    """check_rotation_bijection's count before one left-depth table per tree:
+    left_depth walked at every use and every ordered pair scored."""
+    violations = 0
+    for n in range(2, 9):
+        for shape in planar_shapes(n):
+            t = build_planar(shape)
+            b, mp = rot(t)
+            back, _ = rotation_inverse(b)
+            if back.shape_key() != t.shape_key():
+                violations += 1
+            for u in range(1, t.n_nodes):
+                if t.depth[u] != left_depth(b, mp[u]) + 1:
+                    violations += 1
+            for u in range(1, t.n_nodes):
+                for v in range(1, t.n_nodes):
+                    a = lca(t, u, v)
+                    if a == u or a == v:
+                        continue
+                    if t.depth[a] != left_depth(b, lca(b, mp[u], mp[v])):
+                        violations += 1
+    return violations
+
+
+def _rotation_with_slots_swapped(t):
+    """A wrong rotation: first children on 1-slots, next siblings on 0-slots."""
+    b, mp = rotation(t)
+    b.slot = [1 - s if s >= 0 else s for s in b.slot]
+    return b, mp
+
+
+@pytest.mark.parametrize("rot", [rotation, _rotation_with_slots_swapped], ids=["rotation", "slots_swapped"])
+def test_rotation_check_counts_as_the_ordered_pair_loop(monkeypatch, rot):
+    monkeypatch.setattr(verify, "rotation", rot)
+    got = verify.check_rotation_bijection(1)
+    assert got["trees"] == 625
+    assert got["statistic"] == _rotation_violations_ordered(rot)
+    assert got["pass"] is (rot is rotation)
+    if rot is not rotation:
+        assert got["statistic"] > 0  # so the rewritten loop cannot pass vacuously
 
 
 def _rotation_parents_stable(par):
