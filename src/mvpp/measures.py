@@ -130,17 +130,22 @@ def theta_rescale(samples, r: Rescaling, kind: str = REAL) -> list:
 def z_n(n: int, x: complex) -> complex:
     """prod_{j=1..n} ((j-1)/j + x/j), in log space.
 
-    A real x sums real logs of |factor| and takes the sign (-1)^(negative
-    factors).  A complex x sums principal logs, accurate for Re(x) > 0 (every
-    factor then lies in the right half plane, so no branch jumps).  A factor
-    that is exactly zero makes the whole product exactly zero."""
+    A real x, or a complex x with zero imaginary part, sums real logs of
+    |factor| and takes the sign (-1)^(negative factors).  Any other x divides
+    its real and imaginary parts by j apart, so each factor's real part is the
+    real path's, and sums principal logs, accurate for Re(x) > 0 (every factor
+    then lies in the right half plane, so no branch jumps).  A factor that is
+    exactly zero makes the whole product exactly zero."""
     if n < 0:
         raise ValueError("n must be >= 0")
+    x = complex(x)
     j = np.arange(1, n + 1, dtype=float)
-    factors = (j - 1.0 + x) / j
+    factors = (j - 1.0 + x.real) / j
+    if x.imag:
+        factors = factors + 1j * (x.imag / j)
     if not factors.all():
         return 0.0 + 0.0j
-    if np.iscomplexobj(factors):
+    if x.imag:
         return complex(np.exp(np.sum(np.log(factors))))
     return complex((-1.0) ** np.count_nonzero(factors < 0) * np.exp(np.sum(np.log(np.abs(factors)))))
 

@@ -681,6 +681,33 @@ def _lattice_dtype(n: int):
 # at colour 0 (the initial packet among them).  A packet's label is the sum of
 # the signs along its ancestor chain, read by genealogy_labels.  The
 # recursive-tree leg needs no genealogy: sample_tree_nodes draws the chain.
+# Each step k writes row k+1 from draws in this order:
+#   direct, k = 0:  nothing (packet 1 is always fresh);
+#   direct, k >= 1: the fresh urns' places (_bernoulli_places, uniforms), then
+#                   integers(1, k+1) parents in the lattice dtype, then signs;
+#   binary tree:    integers(0, k+1) parents in the lattice dtype, then signs.
+
+
+def _bernoulli_places(p, size, s) -> np.ndarray:
+    """Ascending int64 places in 0..size-1 of the successes of `size` i.i.d.
+    Bernoulli(p) trials, 0 < p <= 1.  The gaps between successes are
+    geometric, floor(log1p(-U) / log1p(-p)) by inversion of s.uniforms (capped
+    at size, which changes no place below it).  They are drawn in batches of
+    m + 3 sqrt(m) + 1, m the successes expected among the trials not yet
+    covered, until a place reaches size - 1 or beyond.  Draws nothing when
+    size is 0 or p is 1."""
+    if p == 1:
+        return np.arange(size, dtype=np.int64)
+    scale = math.log1p(-p)
+    places, top = [np.zeros(0, dtype=np.int64)], -1
+    while top < size - 1:
+        m = (size - 1 - top) * p
+        gaps = np.minimum(np.log1p(-s.uniforms(int(m + 3.0 * math.sqrt(m)) + 1)) / scale, size)
+        at = top + np.cumsum(gaps.astype(np.int64) + 1)
+        places.append(at)
+        top = at[-1]
+    places = np.concatenate(places)
+    return places[: np.searchsorted(places, size)]
 
 
 def batch_direct_walk_genealogy(n, reps, s) -> np.ndarray:
@@ -689,10 +716,11 @@ def batch_direct_walk_genealogy(n, reps, s) -> np.ndarray:
     probability 1/(1+k), else one step off a uniform past draw."""
     _check_n(n)
     gen = np.zeros((n + 1, reps), dtype=_lattice_dtype(n))
-    for k in range(n):
-        from_m0 = s.uniforms(reps) < 1.0 / (1.0 + k)
-        if k > 0:  # integers(1, k + 1) takes the draws of integers(0, k) and adds 1
-            gen[k + 1] = np.where(from_m0, 0, s.integers(1, k + 1, reps) * s.signs(reps))
+    for k in range(1, n):
+        fresh = _bernoulli_places(1.0 / (1.0 + k), reps, s)
+        row = gen[k + 1]
+        np.multiply(s.integers(1, k + 1, reps, dtype=gen.dtype), s.signs(reps), out=row)
+        row[fresh] = 0
     return gen
 
 
@@ -704,7 +732,7 @@ def batch_bst_walk_genealogy(n, reps, s) -> np.ndarray:
     _check_n(n)
     gen = np.zeros((n + 1, reps), dtype=_lattice_dtype(n))
     for k in range(n):
-        gen[k + 1] = s.integers(0, k + 1, reps) * s.signs(reps)
+        np.multiply(s.integers(0, k + 1, reps, dtype=gen.dtype), s.signs(reps), out=gen[k + 1])
     return gen
 
 

@@ -56,9 +56,14 @@ class RngStream:
         out -= 1
         return out
 
-    def integers(self, low: int, high: int, size=None):
-        """Uniform integers in [low, high). Scalar when size is None."""
-        out = self._gen.integers(low, high, size=size)
+    def integers(self, low: int, high: int, size=None, dtype=np.int64):
+        """Uniform integers in [low, high) of `dtype` by numpy's Lemire
+        method; a scalar when size is None.  A range that fits in 32 bits is
+        drawn off 32-bit half-words of the raw 64-bit words, in every dtype:
+        one value a half-word, or two for int16.  A word's unused half stays
+        buffered in the generator for the next such draw; signs() and
+        uniforms() read whole words and bypass that buffer."""
+        out = self._gen.integers(low, high, size=size, dtype=dtype)
         return int(out) if size is None else out
 
     # -- named families ---------------------------------------------------

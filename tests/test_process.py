@@ -28,6 +28,7 @@ from mvpp.process import (
     TV_GATE,
     WINDOW_RATIO,
     _attach_path_sums,
+    _bernoulli_places,
     batch_bmc_walk_labels,
     batch_bst_walk_genealogy,
     batch_direct_trace,
@@ -60,6 +61,17 @@ from mvpp.verify import M0_POINT
 M0_HALF = AtomicMeasure([(0, 0.5), (1, 0.5)])
 KERN2 = DColourKernel([[0.5, 0.5], [0.25, 0.75]])
 DELTA0 = AtomicMeasure([(0.0, 1.0)])
+
+
+def _flat_state(state):
+    return {k: _flat_state(v) if isinstance(v, dict) else np.asarray(v).tolist() for k, v in state.items()}
+
+
+def _assert_same_state(s, ref_s):
+    """Both streams are at the same place: the whole Philox state, with the
+    32-bit half-word that integers() keeps buffered (has_uint32, uinteger),
+    which uniforms() skips and so cannot tell apart."""
+    assert _flat_state(s._gen.bit_generator.state) == _flat_state(ref_s._gen.bit_generator.state)
 
 
 def counts_of(colours):
@@ -448,7 +460,7 @@ def test_chain_sampler_makes_the_reference_draws(n, urns, k, m0):
     ref = _chain_walk_reference(n, ref_nodes, inc, ref_s, m0=m0)
     assert got.shape == (urns, k) and got.dtype == np.float64
     assert np.array_equal(got, ref)
-    assert np.array_equal(s.uniforms(4), ref_s.uniforms(4))  # the stream ends where the reference's does
+    _assert_same_state(s, ref_s)  # the stream ends where the reference's does
 
 
 def _sample_tree_nodes_sorted(n, nodes, increment, s, m0=None, dtype=float):
@@ -511,7 +523,7 @@ def test_chain_sampler_equals_the_key_sorted_form(n, urns, k, inc, m0, dtype):
     ref = _sample_tree_nodes_sorted(n, nodes, inc, ref_s, m0=m0, dtype=dtype)
     assert got.dtype == ref.dtype == dtype and got.shape == (urns, k)
     assert np.array_equal(got.view(np.uint8), ref.view(np.uint8))
-    assert np.array_equal(s.uniforms(4), ref_s.uniforms(4))
+    _assert_same_state(s, ref_s)
 
 
 @pytest.mark.parametrize(
@@ -528,7 +540,7 @@ def test_chain_sampler_rejects_bad_nodes_before_any_draw(nodes, match):
     s, ref_s = derive_stream(35, 301), derive_stream(35, 301)
     with pytest.raises(ValueError, match=match):
         sample_tree_nodes(10, nodes, NormalIncrement(0.0, 1.0), s)
-    assert np.array_equal(s.uniforms(4), ref_s.uniforms(4))
+    _assert_same_state(s, ref_s)
 
 
 @pytest.mark.parametrize("dtype", [np.int16, complex])
@@ -587,7 +599,7 @@ def test_chain_sampler_rejects_keys_beyond_int64():
         with pytest.raises(ValueError, match="overflow the int64 node keys"):
             sample_tree_nodes(n, np.zeros((urns, 0), dtype=np.int64), inc, s)
     assert sample_tree_nodes(2**63 - 2, np.zeros((1, 0), dtype=np.int64), inc, s).shape == (1, 0)
-    assert np.array_equal(s.uniforms(4), ref_s.uniforms(4))
+    _assert_same_state(s, ref_s)
 
 
 # ---------------------------------------------------------------------------
@@ -629,28 +641,31 @@ def test_batch_kary_shift_depth_mean():
 
 
 def _direct_colour_loop(n, reps, increment, s):
-    """Row-major direct leg: (reps, n) drawn colours, colour k in column k."""
+    """Row-major direct leg: (reps, n) drawn colours, colour k in column k.
+    Step 0 draws nothing (colour 0 is fresh); step k >= 1 draws the fresh
+    urns' places, then a uniform past colour in the lattice dtype, then the
+    step."""
     colours = np.zeros((reps, n), dtype=float)
     rows = np.arange(reps)
-    for k in range(n):
-        from_m0 = s.uniforms(reps) < 1.0 / (1.0 + k)
-        if k == 0:
-            continue
-        idx = s.integers(0, k, reps)
+    for k in range(1, n):
+        fresh = _bernoulli_places(1.0 / (1.0 + k), reps, s)
+        idx = s.integers(0, k, reps, dtype=_lattice_dtype(n))
         new = colours[rows, idx] + increment.draw_many(s, reps)
-        new[from_m0] = 0.0
+        new[fresh] = 0.0
         colours[:, k] = new
     return colours
 
 
 def _bst_leaf_loop(n, reps, increment, s):
-    """Row-major binary leg: (reps, n+1) leaf colours and initial-packet flags."""
+    """Row-major binary leg: (reps, n+1) leaf colours and initial-packet flags;
+    step k draws a uniform leaf of the k+1 present in the lattice dtype, then
+    the step."""
     colours = np.zeros((reps, n + 1), dtype=float)
     flags = np.zeros((reps, n + 1), dtype=bool)
     flags[:, 0] = True
     rows = np.arange(reps)
     for k in range(n):
-        idx = s.integers(0, k + 1, reps)
+        idx = s.integers(0, k + 1, reps, dtype=_lattice_dtype(n))
         new = colours[rows, idx] + increment.draw_many(s, reps)
         new[flags[rows, idx]] = 0.0
         colours[:, k + 1] = new
@@ -692,12 +707,12 @@ def test_packet_major_legs_equal_the_row_major_loops(n, reps):
     assert lab.dtype == direct.dtype
     assert np.array_equal(lab[0], np.zeros(reps))  # the initial packet
     assert np.array_equal(lab[1:].T, ref)
-    assert np.array_equal(s.uniforms(4), ref_s.uniforms(4))  # the same draws consumed
+    _assert_same_state(s, ref_s)  # the same draws consumed
     bst = batch_bst_walk_genealogy(n, reps, s)
     ref, _ = _bst_leaf_loop(n, reps, inc, ref_s)
     assert bst.shape == (n + 1, reps) and bst.dtype == _lattice_dtype(n)
     assert np.array_equal(_every_label(bst).T, ref)
-    assert np.array_equal(s.uniforms(4), ref_s.uniforms(4))
+    _assert_same_state(s, ref_s)
 
 
 def test_exact_colour_samples_of_packet_major_legs_equal_the_flagged_form():
@@ -719,7 +734,7 @@ def test_exact_colour_samples_of_packet_major_legs_equal_the_flagged_form():
         ref[flags[rows, ref_idx]] = 0.0
         samples = batch_exact_colour_samples(n + 1, reps, partial(genealogy_labels, gen), inc, s)
         assert samples.dtype == np.float64 and np.array_equal(samples, ref)
-        assert np.array_equal(s.uniforms(4), ref_s.uniforms(4))
+        _assert_same_state(s, ref_s)
 
 
 @pytest.mark.parametrize("dtype", [np.int16, np.int32])
@@ -734,7 +749,56 @@ def test_integer_legs_equal_the_float_legs(leg, n, reps, dtype):
     ref = leg(n, reps, inc, ref_s)
     assert got.dtype == dtype and ref.dtype == np.float64
     assert np.array_equal(got, ref)
-    assert np.array_equal(s.uniforms(4), ref_s.uniforms(4))  # the same draws consumed
+    _assert_same_state(s, ref_s)  # the same draws consumed
+
+
+def test_same_state_sees_the_buffered_half_word():
+    # one int16 draw against three: uniforms() reads the next whole word on
+    # both streams alike, but one has half a word left buffered
+    s, ref_s = derive_stream(37, 3), derive_stream(37, 3)
+    s.integers(0, 5, 1, dtype=np.int16)
+    ref_s.integers(0, 5, 3, dtype=np.int16)
+    with pytest.raises(AssertionError):
+        _assert_same_state(s, ref_s)
+    assert np.array_equal(s.uniforms(4), ref_s.uniforms(4))
+
+
+@pytest.mark.parametrize("p, size", [(0.5, 40), (0.1, 100), (0.001, 3000)])
+def test_bernoulli_places_count_is_binomial(p, size):
+    s = derive_stream(37, size)
+    counts = Counter(_bernoulli_places(p, size, s).size for _ in range(3000))
+    pmf = {0: (1 - p) ** size}
+    for c in range(size):  # Binomial(size, p) term by term
+        pmf[c + 1] = pmf[c] * (size - c) / (c + 1) * p / (1 - p)
+    assert stats.chi_square_pvalue(counts, pmf) > 0.001
+
+
+def test_bernoulli_places_rise_strictly_and_lie_in_range():
+    s = derive_stream(37, 1)
+    assert np.array_equal(_bernoulli_places(1.0, 7, s), np.arange(7))  # p = 1: every place
+    for p in (0.9, 0.5, 0.1, 0.01, 1e-4):
+        for size in (1, 2, 17, 1000):
+            at = _bernoulli_places(p, size, s)
+            assert at.dtype == np.int64
+            assert np.all(np.diff(at) > 0) and (at.size == 0 or (at[0] >= 0 and at[-1] < size))
+
+
+def test_bernoulli_places_of_no_trials_draw_nothing():
+    s, ref_s = derive_stream(37, 2), derive_stream(37, 2)
+    s.integers(0, 5, 3, dtype=np.int16)  # leaves a buffered half-word
+    ref_s.integers(0, 5, 3, dtype=np.int16)
+    assert _bernoulli_places(0.5, 0, s).size == 0
+    _assert_same_state(s, ref_s)
+
+
+@pytest.mark.parametrize("n", [0, 1, 16_384])
+@pytest.mark.parametrize("reps", [0, 3])
+@pytest.mark.parametrize("grow", [batch_direct_walk_genealogy, batch_bst_walk_genealogy])
+def test_genealogy_legs_keep_shape_and_dtype(grow, n, reps):
+    gen = grow(n, reps, derive_stream(37, n + reps))
+    assert gen.shape == (n + 1, reps) and gen.dtype == _lattice_dtype(n)
+    assert not gen[:2].any()  # packet 0, and packet 1 off packet 0 or fresh
+    assert np.all(np.abs(gen) <= np.arange(n + 1)[:, None])  # a parent comes first
 
 
 def test_lattice_dtype_holds_the_labels_and_their_table_index():
@@ -781,7 +845,7 @@ def test_batch_builders_reject_a_negative_n(build):
 def test_batch_builders_at_zero_reps_are_empty_and_draw_nothing(build, shape):
     s, ref_s = derive_stream(34, 2), derive_stream(34, 2)
     assert build(s).shape == shape
-    assert np.array_equal(s.uniforms(4), ref_s.uniforms(4))
+    _assert_same_state(s, ref_s)
 
 
 def _kary_split_loop(n, reps, kappa, s):
@@ -808,7 +872,7 @@ def test_kary_event_tree_equals_the_split_by_split_loop(kappa, n, reps):
     ref = _kary_split_loop(n, reps, kappa, ref_s)
     assert lab.dtype == ref.dtype
     assert np.array_equal(lab, ref)
-    assert np.array_equal(s.uniforms(4), ref_s.uniforms(4))  # the same draws consumed
+    _assert_same_state(s, ref_s)  # the same draws consumed
 
 
 def _kary_replica_loop(n, reps, offsets, s):
@@ -857,7 +921,7 @@ def test_kary_blocks_equal_the_replica_loop(n, reps, offsets):
     lab = batch_kary_leaf_labels(n, reps, offsets, s)
     ref = _kary_replica_loop(n, reps, offsets, ref_s)
     assert lab.dtype == ref.dtype and np.array_equal(lab, ref)
-    assert np.array_equal(s.uniforms(4), ref_s.uniforms(4))
+    _assert_same_state(s, ref_s)
 
 
 def test_batch_kary_labels_peak_memory_near_output():
@@ -1317,7 +1381,7 @@ def test_verify_main_theorem_rejects_fewer_than_one_urn(urns):
     for kernel, m0 in ((walk_kernel_rademacher(), DELTA0), (MMInfQueueKernel(1.0, 1.0), DELTA0)):
         with pytest.raises(ValueError, match="urns must be >= 1"):
             verify_main_theorem(kernel, m0, [10], 100, s, urns=urns)
-    assert np.array_equal(s.uniforms(4), ref_s.uniforms(4))
+    _assert_same_state(s, ref_s)
 
 
 @pytest.mark.parametrize("replicas", [0, -5])
@@ -1328,7 +1392,7 @@ def test_verify_main_theorem_rejects_fewer_than_one_replica(replicas):
     for kernel, m0 in kernels + ((MMInfQueueKernel(1.0, 1.0), DELTA0),):
         with pytest.raises(ValueError, match="replicas must be >= 1"):
             verify_main_theorem(kernel, m0, [10], replicas, s)
-    assert np.array_equal(s.uniforms(4), ref_s.uniforms(4))
+    _assert_same_state(s, ref_s)
 
 
 @pytest.mark.parametrize("replicas, scored", [(600, 1184), (10, 32), (640, 1280)])

@@ -182,3 +182,23 @@ def test_shuffled_is_permutation():
     items = list(range(8))
     out = s.shuffled(items)
     assert sorted(out) == items and items == list(range(8))
+
+
+def test_int16_integers_lie_in_range_and_are_uniform():
+    s = derive_stream(7, 9)
+    draws = s.integers(3, 53, 100_000, dtype=np.int16)
+    assert draws.dtype == np.int16
+    assert draws.min() >= 3 and draws.max() < 53
+    counts = {i: int(c) for i, c in enumerate(np.bincount(draws - 3, minlength=50))}
+    p = stats.chi_square_pvalue(counts, {i: 0.02 for i in range(50)})
+    assert p > 0.001, p
+
+
+def test_default_integers_are_numpys_int64_draws():
+    s = derive_stream(7, 10)
+    ref = np.random.Generator(np.random.Philox(key=np.array([7, 10], dtype=np.uint64)))
+    got, want = s.integers(0, 1000), ref.integers(0, 1000)
+    assert type(got) is int and got == want
+    got, want = s.integers(5, 10**12, 1000), ref.integers(5, 10**12, 1000)
+    assert got.dtype == np.int64 and np.array_equal(got, want)
+    assert ref.bit_generator.state["state"]["counter"].tolist() == s._gen.bit_generator.state["state"]["counter"].tolist()
