@@ -171,8 +171,7 @@ def mvpp_direct(m0: AtomicMeasure, kernel: ReplacementKernel, n: int, s: RngStre
     """
     if m0.total_mass <= 0:
         raise ValueError("initial measure must have positive mass")
-    if n < 0:
-        raise ValueError("n must be >= 0")
+    _check_n(n)
     nor0 = normalize(m0)
     trace = UrnTrace(m0=m0, kernel=kernel, drawn=[])
     m = m0.total_mass
@@ -239,8 +238,7 @@ def batch_direct_trace(m0: AtomicMeasure, kernel, n: int, s: RngStream) -> UrnTr
     generation from the parent indices int(u*(m+k) - m)."""
     if m0.total_mass <= 0:
         raise ValueError("initial measure must have positive mass")
-    if n < 0:
-        raise ValueError("n must be >= 0")
+    _check_n(n)
     for c, _ in m0.atoms():
         kernel._check(c)
     m = m0.total_mass
@@ -514,13 +512,14 @@ def batch_rrt_walk_labels(n, reps, increment, s, m0=None, dtype=float) -> np.nda
 
 def batch_bmc_walk_labels(n, reps, increment, s, dtype=float) -> np.ndarray:
     """Labels of the pure branching walk on the recursive tree: the root
-    carries 0 and every child is its parent's label plus an increment.
-    This is the tree-indexed walk behind the Fourier-martingale machinery;
-    it differs from the urn coupling only at the root's children."""
+    carries 0 and every child is its parent's label plus an increment; the
+    walk behind the Fourier martingale, unlike the urn coupling at the root's
+    children.  A (reps, n+1) view of node-major rows grown by _lattice_steps."""
     _check_n(n)
-    labels = np.zeros((reps, n + 1), dtype=dtype)
-    _attach_path_sums(labels, s, increment)
-    return labels
+    labels, col = np.zeros((n + 1, reps), dtype=dtype), np.arange(reps)
+    for k, parents, steps in _lattice_steps(n, reps, increment.draw_many, s):  # gathers on flat ids parent*reps + col
+        np.add(np.take(labels, np.multiply(parents, reps, dtype=np.intp) + col), steps, out=labels[k], casting="unsafe")
+    return labels.T
 
 
 def batch_rrt_depths(n, reps, s) -> np.ndarray:
@@ -669,23 +668,35 @@ def batch_walk_pairs(labels, pairs, increment, s) -> np.ndarray:
 
 def _lattice_dtype(n: int):
     """Integer dtype of n-step +-1 walk labels, their table index lab + n in
-    [0, 2n] and a genealogy's packets 0..n: int16 up to n = 16,383 halves the
-    bytes every gather reads against int32."""
+    [0, 2n], and the parents and packets 0..n of the node-major legs: int16 up
+    to n = 16,383 halves the bytes a gather reads and draws two parents a half-word."""
     return np.int16 if 2 * n <= np.iinfo(np.int16).max else np.int32
 
 
-# The direct and binary-tree coupling legs below keep the genealogy of a +-1
-# walk urn from a unit point mass at 0, not its labels: a packet-major
-# (n+1, reps) array whose entry for packet e of urn r is parent packet times
-# step, the +-1 step folded into the sign, or 0 for a packet that starts fresh
-# at colour 0 (the initial packet among them).  A packet's label is the sum of
+def _lattice_steps(n, reps, draw, s):
+    """(k, parents, steps) for k = 1..n: node k of `reps` uniform-attachment trees
+    draws its parents on 0..k-1 in the lattice dtype, then its steps draw(s, reps)."""
+    dtype = _lattice_dtype(n)
+    for k in range(1, n + 1):
+        yield k, s.integers(0, k, reps, dtype=dtype), draw(s, reps)
+
+
+# The node-major legs write row k of an (n+1, reps) array at each step of
+# _lattice_steps (row 0 stays 0): batch_bmc_walk_labels the parents' labels
+# plus the steps, the binary-tree coupling leg parents times +-1 steps.
+# The direct and binary-tree coupling legs keep the genealogy of a +-1 walk
+# urn from a unit point mass at 0, not its labels: a packet-major (n+1, reps)
+# array whose entry for packet e of urn r is parent packet times step, the
+# +-1 step folded into the sign, or 0 for a packet that starts fresh at
+# colour 0 (the initial packet among them).  A packet's label is the sum of
 # the signs along its ancestor chain, read by genealogy_labels.  The
 # recursive-tree leg needs no genealogy: sample_tree_nodes draws the chain.
-# Each step k writes row k+1 from draws in this order:
-#   direct, k = 0:  nothing (packet 1 is always fresh);
-#   direct, k >= 1: the fresh urns' places (_bernoulli_places, uniforms), then
-#                   integers(1, k+1) parents in the lattice dtype, then signs;
-#   binary tree:    integers(0, k+1) parents in the lattice dtype, then signs.
+# Row k comes from draws in this order:
+#   direct, k = 1:  nothing (packet 1 is always fresh);
+#   direct, k >= 2: the fresh urns' places (_bernoulli_places, uniforms), then
+#                   integers(1, k) parents in the lattice dtype, then signs;
+#   binary tree and branching walk: _lattice_steps, integers(0, k) parents in
+#                   the lattice dtype, then the steps (signs for +-1).
 
 
 def _bernoulli_places(p, size, s) -> np.ndarray:
@@ -726,13 +737,13 @@ def batch_direct_walk_genealogy(n, reps, s) -> np.ndarray:
 
 def batch_bst_walk_genealogy(n, reps, s) -> np.ndarray:
     """Genealogy of the leaf packets of `reps` binary-tree urns, in leaf
-    creation order: packet 0 is the initial packet and packet k+1 one step off
-    a uniform leaf of the k+1 present.  Coin flips are omitted: they permute
+    creation order: packet 0 is the initial packet and packet k one step off
+    a uniform leaf of the k present.  Coin flips are omitted: they permute
     leaf positions without changing the packet multiset."""
     _check_n(n)
     gen = np.zeros((n + 1, reps), dtype=_lattice_dtype(n))
-    for k in range(n):
-        np.multiply(s.integers(0, k + 1, reps, dtype=gen.dtype), s.signs(reps), out=gen[k + 1])
+    for k, parents, steps in _lattice_steps(n, reps, RngStream.signs, s):
+        np.multiply(parents, steps, out=gen[k])
     return gen
 
 

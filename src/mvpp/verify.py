@@ -64,14 +64,7 @@ M0_POINT = AtomicMeasure([(0, 1.0)])
 
 
 def _result(name, statistic, threshold, passed, **extra):
-    out = {
-        "test_name": name,
-        "statistic": statistic,
-        "threshold": threshold,
-        "pass": bool(passed),
-    }
-    out.update(extra)
-    return out
+    return {"test_name": name, "statistic": statistic, "threshold": threshold, "pass": bool(passed), **extra}
 
 
 # ---------------------------------------------------------------------------
@@ -274,7 +267,8 @@ def check_zn_identities(root_seed: int) -> dict:
 
 def _bmc_rows(n: int, replicas: int, chunk: int, s, row_stat) -> np.ndarray:
     """row_stat of the integer labels of `replicas` Rademacher branching walks,
-    grown `chunk` at a time to bound memory."""
+    grown `chunk` at a time (a draw order) to bound memory, each a (chunk, n+1)
+    view of node-major memory: row_stat reduces over nodes in a column block."""
     out, dtype = [], _lattice_dtype(n)
     for lo in range(0, replicas, chunk):
         out.append(row_stat(batch_bmc_walk_labels(n, min(chunk, replicas - lo), RademacherIncrement(), s, dtype=dtype)))
@@ -284,11 +278,11 @@ def _bmc_rows(n: int, replicas: int, chunk: int, s, row_stat) -> np.ndarray:
 def _exp_row_stat(cs, n: int, stat):
     """lab -> stat(exp(cs[0] * lab), ...) on n-node Rademacher walk labels,
     250 rows at a time: each exp is read from a table over [-n, n] built by
-    np.exp of the same expression, through one intp index of lab + n per block
-    (numpy gathers faster from intp than from narrower ints).  Blocks bound the
-    complex gathers; a stat that reduces each row on its own along axis 1, as
-    sum and mean do, gives the same values in any block."""
-    tables = [np.exp(c * np.arange(-n, n + 1, dtype=float)) for c in cs]
+    np.exp of the same expression (float64 where it is real), through one intp
+    index of lab + n per block (numpy gathers faster from intp than from narrower
+    ints).  Blocks bound the gathers; a stat that reduces each row on its own
+    along axis 1, as sum and mean do, gives the same values in any block."""
+    tables = [np.exp((c.real if c.imag == 0 else c) * np.arange(-n, n + 1, dtype=float)) for c in cs]
 
     def rows(lab):
         out = []
@@ -304,19 +298,17 @@ def check_tn_martingale_mean(root_seed: int) -> dict:
     """Monte Carlo mean of T_n(theta) within 3 standard errors of 1."""
     replicas = 10_000
     phi = lambda t: complex(np.cos(t))
-    entries = []
-    ok = True
+    entries, ok = [], True
     for i, n in enumerate((10, 100, 1000)):
         theta = 0.3 / math.sqrt(math.log(n))
         rows = _exp_row_stat([1j * theta], n, lambda e: e.mean(axis=1))
-        f = _bmc_rows(n, replicas, 2000, derive_stream(root_seed, 501 + i), rows)
+        f = _bmc_rows(n, replicas, 5000, derive_stream(root_seed, 501 + i), rows)
         t_vals = f / expected_f_n(n, theta, 0.0, phi)
         se_r = float(t_vals.real.std(ddof=1)) / math.sqrt(replicas)
         se_i = float(t_vals.imag.std(ddof=1)) / math.sqrt(replicas)
         dev_r = abs(float(t_vals.real.mean()) - 1.0)
         dev_i = abs(float(t_vals.imag.mean()))
-        good = dev_r <= 3 * se_r and dev_i <= 3 * se_i
-        ok = ok and good
+        ok = ok and dev_r <= 3 * se_r and dev_i <= 3 * se_i
         entries.append({"n": n, "re_dev": dev_r, "re_3se": 3 * se_r, "im_dev": dev_i, "im_3se": 3 * se_i})
     return _result("tn_martingale_mean", entries, "3 standard errors", ok, replicas=replicas)
 
@@ -327,12 +319,10 @@ def check_pbar_recursion(root_seed: int) -> dict:
     z1, z2 = 0.2j, -0.2j
     pb = pbar_recursion(n, z1, z2, lambda z: np.cos(z)).real
     rows = _exp_row_stat([1j * z1, 1j * z2], n, lambda e1, e2: (e1.sum(axis=1) * e2.sum(axis=1)).real)
-    vals = _bmc_rows(n, replicas, 10_000, derive_stream(root_seed, 510), rows)
+    vals = _bmc_rows(n, replicas, 25_000, derive_stream(root_seed, 510), rows)
     se = float(vals.std(ddof=1)) / math.sqrt(replicas)
     dev = abs(pb - float(vals.mean()))
-    return _result(
-        "pbar_recursion_vs_mc", {"dev": dev, "3se": 3 * se}, "3 standard errors", dev <= 3 * se, n=n
-    )
+    return _result("pbar_recursion_vs_mc", {"dev": dev, "3se": 3 * se}, "3 standard errors", dev <= 3 * se, n=n)
 
 
 # ---------------------------------------------------------------------------

@@ -991,6 +991,53 @@ def test_batch_bmc_differs_from_coupling_at_root_children():
     assert set(np.unique(coup[:, 1])) == {0.0}
 
 
+def _bmc_walk_loop(n, reps, increment, s):
+    """(reps, n+1) branching-walk labels, one walk at a time in Python floats:
+    node k draws every walk's parent on 0..k-1 in the lattice dtype, then
+    every walk's step, and walk r's node k is its parent's label plus step."""
+    labels = [[0.0] * (n + 1) for _ in range(reps)]
+    for k in range(1, n + 1):
+        parents = s.integers(0, k, reps, dtype=_lattice_dtype(n)).tolist()
+        steps = increment.draw_many(s, reps).tolist()
+        for walk, parent, step in zip(labels, parents, steps):
+            walk[k] = walk[parent] + step
+    return np.array(labels, dtype=float).reshape(reps, n + 1)
+
+
+@pytest.mark.parametrize("n, reps", [(0, 3), (1, 4), (60, 7)])
+@pytest.mark.parametrize("inc, dtype", [(RademacherIncrement(), np.int16), (NormalIncrement(0.5, 2.0), float)])
+def test_batch_bmc_makes_the_reference_draws(n, reps, inc, dtype):
+    s, ref_s = derive_stream(38, n), derive_stream(38, n)
+    got = batch_bmc_walk_labels(n, reps, inc, s, dtype=dtype)
+    ref = _bmc_walk_loop(n, reps, inc, ref_s)
+    assert got.dtype == dtype and np.array_equal(got, ref)
+    _assert_same_state(s, ref_s)
+
+
+def test_batch_bmc_second_moments_are_mean_depths():
+    # a +-1 walk's label at node k has E[L_k^2] = E[depth] = H_k in a
+    # recursive tree; 99 nodes, each within 4.5 standard errors (a
+    # Bonferroni level near 7e-4 under a normal null)
+    n, reps = 100, 100_000
+    s = derive_stream(38, 100)
+    blocks = [batch_bmc_walk_labels(n, 25_000, RademacherIncrement(), s, dtype=np.int16) for _ in range(4)]
+    sq = np.concatenate(blocks)[:, 2:].astype(float) ** 2
+    harmonic = np.cumsum(1.0 / np.arange(1, n + 1))[1:]  # H_2..H_n
+    z = (sq.mean(axis=0) - harmonic) / (sq.std(axis=0, ddof=1) / math.sqrt(reps))
+    assert np.abs(z).max() <= 4.5
+
+
+@pytest.mark.parametrize("n", [0, 1, 16_384])
+@pytest.mark.parametrize("reps", [0, 3])
+def test_batch_bmc_keeps_shape_and_dtype(n, reps):
+    dtype = _lattice_dtype(n)  # int32 past n = 16,383
+    lab = batch_bmc_walk_labels(n, reps, RademacherIncrement(), derive_stream(38, n + reps), dtype=dtype)
+    assert lab.shape == (reps, n + 1) and lab.dtype == dtype
+    assert lab.T.flags.c_contiguous  # a view of node-major memory
+    assert not lab[:, 0].any() and np.all(np.abs(lab[:, 1:2]) == 1)
+    assert np.all(np.abs(lab) <= np.arange(n + 1))  # a node's depth is at most its number
+
+
 # ---------------------------------------------------------------------------
 # windowed uniform-attachment engine
 # ---------------------------------------------------------------------------
