@@ -265,8 +265,7 @@ def mvpp_via_rrt(m0: AtomicMeasure, kernel: ReplacementKernel, n: int, s: RngStr
     """Urn coupled to a labelled recursive tree (unit initial mass)."""
     if abs(m0.total_mass - 1.0) > 1e-12:
         raise ValueError("tree coupling needs an initial measure of mass 1")
-    if n < 0:
-        raise ValueError("n must be >= 0")
+    _check_n(n)
     nor0 = normalize(m0)
     t = GrowingTree(PLANAR)
     labels = [sample_atom(nor0, s)]
@@ -289,8 +288,7 @@ def mvpp_via_bst(m0: AtomicMeasure, kernel: ReplacementKernel, n: int, s: RngStr
     """
     if abs(m0.total_mass - 1.0) > 1e-12:
         raise ValueError("tree coupling needs an initial measure of mass 1")
-    if n < 0:
-        raise ValueError("n must be >= 0")
+    _check_n(n)
     nor0 = normalize(m0)
     t = GrowingTree(KARY, 2)
     labels: list = [None]
@@ -324,8 +322,7 @@ def mvpp_forest(m0: AtomicMeasure, kernel: ReplacementKernel, n: int, s: RngStre
     m = m0.total_mass
     if m <= 0:
         raise ValueError("initial measure must have positive mass")
-    if n < 0:
-        raise ValueError("n must be >= 0")
+    _check_n(n)
     nor0 = normalize(m0)
     k_full = int(math.floor(m + 1e-12))
     frac = m - k_full
@@ -373,8 +370,7 @@ def mvpp_kdiscrete(m0: AtomicMeasure, kernel: KDiscreteKernel, n: int, s: RngStr
     """
     if not isinstance(kernel, KDiscreteKernel):
         raise ValueError("mvpp_kdiscrete needs a kappa-discrete kernel")
-    if n < 0:
-        raise ValueError("n must be >= 0")
+    _check_n(n)
     t = GrowingTree(KARY, kernel.kappa)
     labels = [_one_ball(m0, kernel.kappa)]
     for _ in range(n):
@@ -541,30 +537,6 @@ def _merge_runs(*runs) -> tuple:
     return keys[order], slots[order]
 
 
-def _block_depths(par, bounds) -> np.ndarray:
-    """Depths in a forest of slots laid out in blocks [bounds[j], bounds[j+1])
-    whose parent par[i] is i itself (a chain start, depth 0), a slot in the
-    next block (a new link) or one in its own block or before (a met link).
-    Each new link goes up one block, so a slot's depth is its block's distance
-    to its top -- its first ancestor-or-self not on a new link -- plus the
-    top's depth; only the met links are walked, by pointer doubling."""
-    size = np.diff(bounds)
-    blk = np.repeat(np.arange(size.size), size)
-    top = np.arange(par.size)
-    for lo, hi in zip(bounds[-3::-1], bounds[-2:0:-1]):  # the blocks with a next one, last first
-        p = par[lo:hi]
-        top[lo:hi] = np.where(p >= hi, top[p], top[lo:hi])
-    met = np.flatnonzero((par != np.arange(par.size)) & (par < np.repeat(bounds[1:], size)))
-    up = top[par[met]]
-    idx = np.full(par.size, met.size)  # a met top's place in met; any other slot maps to the root met.size
-    idx[met] = np.arange(met.size)
-    # depth(met top) = 1 + depth(its parent) = 1 + blk(up) - blk(parent) + depth(up)
-    step = np.append(1 + blk[up] - blk[par[met]], 0)
-    at_top = blk.copy()
-    at_top[met] += parent_depths(np.append(idx[up], met.size)[None], step[None])[0, :-1]
-    return at_top[top] - blk
-
-
 def sample_tree_nodes(n, nodes, increment, s, m0=None, dtype=float) -> np.ndarray:
     """(urns, k) labels of nodes[r] in urn r's walk-labelled recursive tree on
     0..n, in the joint law of batch_rrt_walk_labels(n, urns, increment, s, m0,
@@ -577,7 +549,9 @@ def sample_tree_nodes(n, nodes, increment, s, m0=None, dtype=float) -> np.ndarra
     its increment, then a fresh m0 draw in place of the increment where the
     parent is the root.  Parents not yet seen open the next round, so chains
     that meet share everything above.  Labels are summed root-down, own plus
-    the parent's label, as in _attach_path_sums.
+    the parent's label as in _attach_path_sums, one depth at a time; the
+    depths come from one pointer-doubling pass over the slots' parents, where
+    a chain start is its own parent and so at depth 0.
 
     Every key has a slot, its place in round order: picked roots, the other
     picked keys, then each round's new parents, each part in key order.  A
@@ -605,7 +579,7 @@ def sample_tree_nodes(n, nodes, increment, s, m0=None, dtype=float) -> np.ndarra
     slot[np.argsort(~start, kind="stable")] = np.arange(keys.size)
     roots = int(start.sum())
     owns, pars = [m0_draw(s, roots) if roots else np.empty(0)], [np.arange(roots)]  # a root is its own parent
-    bounds = [0, keys.size]  # slot blocks: the picked keys, then each round's new parents
+    used = keys.size  # slots taken: the picked keys, then each round's new parents
     seen = [(keys, slot), (keys[:0], slot[:0])] if nodes.shape[1] > 1 else []  # one chain an urn meets none
     live = keys[~start]
     while live.size:
@@ -626,13 +600,13 @@ def sample_tree_nodes(n, nodes, increment, s, m0=None, dtype=float) -> np.ndarra
                 up_slot[hit] = sl[at[hit]]
         new = up_slot < 0
         live = up[new]
-        fresh = np.arange(bounds[-1], bounds[-1] + live.size)
+        fresh = np.arange(used, used + live.size)
         up_slot[new] = fresh
-        par_slot = np.arange(bounds[-1] - node.size, bounds[-1])  # the live keys' own: a root child starts a chain
+        par_slot = np.arange(used - node.size, used)  # the live keys' own: a root child starts a chain
         par_slot[~at_root] = up_slot[rank]
         owns.append(own)
         pars.append(par_slot)
-        bounds.append(bounds[-1] + live.size)
+        used += live.size
         if not seen:
             continue
         if (seen[1][0].size + live.size) * SEEN_RATIO > seen[0][0].size:
@@ -641,7 +615,7 @@ def sample_tree_nodes(n, nodes, increment, s, m0=None, dtype=float) -> np.ndarra
             seen[1] = _merge_runs(seen[1], (live, fresh))
     par = np.concatenate(pars)
     label = np.concatenate(owns).astype(dtype, copy=False)  # chain starts keep their own draw
-    for at in _generations(_block_depths(par, bounds))[1:]:  # root-down, one depth at a time
+    for at in _generations(parent_depths(par[None])[0])[1:]:  # root-down, one depth at a time
         label[at] += label[par[at]]
     return label[slot[where]].reshape(nodes.shape)
 
@@ -867,15 +841,19 @@ def verify_main_theorem(
     pooled a's then b's, or the scored urn's drawn colours) and `measures` the
     scored urn's measure (None for pooled pairs).
 
-    Raises ValueError for urns or replicas below 1, a grid point n = 1 on a
-    rescaled route (t = 0), a stable index outside (0, 2), a walk or stable
-    kernel with an initial measure of mass other than 1, and a kappa-discrete
-    kernel with one other than a single ball.
+    Raises ValueError, before any draw, for urns or replicas below 1, a grid
+    point that is not an integer >= 1, n = 1 on a rescaled route (t = 0), a
+    stable index outside (0, 2), a walk or stable kernel with an initial
+    measure of mass other than 1, and a kappa-discrete kernel with one other
+    than a single ball.
     """
     if urns < 1:
         raise ValueError("urns must be >= 1")
     if replicas < 1:
         raise ValueError("replicas must be >= 1")
+    for n in n_grid:
+        if not isinstance(n, (int, np.integer)) or n < 1:
+            raise ValueError(f"n_grid point n={n} is not an integer >= 1")
     walk = isinstance(kernel, RandomWalkKernel)
     if walk and abs(m0.total_mass - 1.0) > 1e-12:
         raise ValueError(f"the walk route grows recursive trees, so m0 needs mass 1, not {m0.total_mass:g}")

@@ -226,15 +226,13 @@ def ks_statistic(sample, law, weights=None) -> float:
             raise ValueError("weights must be positive, one per sample point")
         total = wts.sum()  # before the reorder, whose sum differs in the last bits
         below = np.concatenate(([0.0], np.cumsum(wts[order]) / total)).__getitem__
-    tie = vals[1:] == vals[:-1]
-    place = None  # each distinct value's first sorted place, then n, where ties exist
-    if tie.any():  # collapse ties so each distinct value carries one CDF jump
-        place = np.flatnonzero(np.concatenate(([True], ~tie, [True])))
-        vals = vals[place[:-1]]
+    # collapse ties so each distinct value carries one CDF jump: its first sorted place, then n
+    place = np.flatnonzero(np.concatenate(([True], vals[1:] != vals[:-1], [True])))
+    vals = vals[place[:-1]]
 
     def gaps(idx):  # at distinct points idx: law.cdf, the empirical CDF's two steps and the larger gap
-        lo, hi = (idx, idx + 1) if place is None else (place[idx], place[idx + 1])
-        ref, lower, upper = np.asarray(law.cdf(vals[idx]), dtype=float), below(lo), below(hi)
+        ref = np.asarray(law.cdf(vals[idx]), dtype=float)
+        lower, upper = below(place[idx]), below(place[idx + 1])
         return ref, lower, upper, np.maximum(ref - lower, upper - ref)
 
     ends = np.append(np.arange(0, vals.size - 1, _KS_BLOCK), vals.size - 1)

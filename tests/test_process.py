@@ -510,8 +510,9 @@ def _sample_tree_nodes_sorted(n, nodes, increment, s, m0=None, dtype=float):
         (10**5, 16, 1250, NormalIncrement(0.0, 1.0), M0_POINT, float),  # the walk route's shape
         (1000, 10_000, 1, RademacherIncrement(), None, np.int16),  # the recursive-tree coupling leg's
         (10**12, 1, 20_000, ConstantIncrement(1), AtomicMeasure([(1, 1.0)]), np.int64),  # one tree's depths
+        (3000, 4, 2000, NormalIncrement(0.0, 1.0), M0_POINT, float),  # most chains meet earlier ones
     ],
-    ids=["walk-route", "coupling-leg", "one-tree-1e12"],
+    ids=["walk-route", "coupling-leg", "one-tree-1e12", "meeting-chains"],
 )
 def test_chain_sampler_equals_the_key_sorted_form(n, urns, k, inc, m0, dtype):
     # the slot bookkeeping gives the same bits and leaves the stream where
@@ -1420,6 +1421,24 @@ def test_verify_main_theorem_rejects_a_zero_scale():
     queue = MMInfQueueKernel(1.0, 1.0)
     rep = verify_main_theorem(queue, AtomicMeasure([(0, 1.0)]), [1, 10], 1, s)
     assert [e["n"] for e in rep["results"]] == [1, 10]
+
+
+@pytest.mark.parametrize("point", [0, -3, 2.5, 3.0, np.float64(10.0)])
+def test_verify_main_theorem_rejects_a_grid_point_not_an_integer_of_at_least_one(point):
+    # n = 0 once scored an empty urn (queue) or a nan l1 (palette), and the
+    # walk and kappa routes raised a bare math domain error
+    s, ref_s = derive_stream(30, 34), derive_stream(30, 34)
+    routes = (
+        (walk_kernel_rademacher(), DELTA0),
+        (walk_kernel_stable(1.5), DELTA0),
+        (KDiscreteKernel((1, 1)), AtomicMeasure([(0, 0.5)])),
+        (MMInfQueueKernel(1.0, 1.0), AtomicMeasure([(0, 1.0)])),
+        (KERN2, AtomicMeasure([(0, 1.0)])),
+    )
+    for kernel, m0 in routes:
+        with pytest.raises(ValueError, match=f"n_grid point n={point} is not an integer >= 1"):
+            verify_main_theorem(kernel, m0, [10, point], 100, s)
+    _assert_same_state(s, ref_s)  # rejected before the first grid point drew
 
 
 @pytest.mark.parametrize("urns", [0, -1])
