@@ -265,38 +265,29 @@ def run_verify(suite, out_dir=None, seed: int = 1) -> int:
     return 0 if report["all_pass"] else 1
 
 
-ORACLE_NAMES = (
-    "urn-identity",
-    "rrt-joint-depths",
-    "bst-joint-depths",
-    "kary-subtree",
-    "kary-closed-form",
-    "coupling",
-)
+ORACLES = {  # name -> its exact law at (n, kappa)
+    "urn-identity": lambda n, kappa: oracle.exact_urn_law(
+        AtomicMeasure([(0, 1.0), (1, 1.0)]), DColourKernel([[1.0, 0.0], [0.0, 1.0]]), n
+    ),
+    "rrt-joint-depths": lambda n, kappa: oracle.exact_rrt_joint_depths(n),
+    "bst-joint-depths": lambda n, kappa: oracle.exact_bst_joint_depths(n)[0],
+    "kary-subtree": oracle.exact_kary_subtree_law,
+    "kary-closed-form": oracle.closed_form_kary,
+    "coupling": lambda n, kappa: oracle.exact_coupling_law(
+        AtomicMeasure([(0, 0.5), (1, 0.5)]), DColourKernel([[0.5, 0.5], [0.25, 0.75]]), n
+    )["direct"],
+}
 
 
 def run_oracle(name, n, kappa, out_path) -> int:
     if name.startswith("kary-") and kappa < 2:  # a split must leave at least two leaves
         print(f"error: oracle {name!r} needs --kappa >= 2, got {kappa}", file=sys.stderr)
         return 2
+    if name not in ORACLES:
+        print(f"unknown oracle {name!r}; choose from {tuple(ORACLES)}", file=sys.stderr)
+        return 2
     try:
-        if name == "urn-identity":
-            kern = DColourKernel([[1.0, 0.0], [0.0, 1.0]])
-            law = oracle.exact_urn_law(AtomicMeasure([(0, 1.0), (1, 1.0)]), kern, n)
-        elif name == "rrt-joint-depths":
-            law = oracle.exact_rrt_joint_depths(n)
-        elif name == "bst-joint-depths":
-            law = oracle.exact_bst_joint_depths(n)[0]
-        elif name == "kary-subtree":
-            law = oracle.exact_kary_subtree_law(n, kappa)
-        elif name == "kary-closed-form":
-            law = oracle.closed_form_kary(n, kappa)
-        elif name == "coupling":
-            m0 = AtomicMeasure([(0, 0.5), (1, 0.5)])
-            law = oracle.exact_coupling_law(m0, DColourKernel([[0.5, 0.5], [0.25, 0.75]]), n)["direct"]
-        else:
-            print(f"unknown oracle {name!r}; choose from {ORACLE_NAMES}", file=sys.stderr)
-            return 2
+        law = ORACLES[name](n, kappa)
     except ValueError as e:  # a BudgetError too; nothing is written
         print(f"error: oracle {name!r} at --n {n}: {e}", file=sys.stderr)
         return 2
@@ -344,7 +335,7 @@ def main(argv=None) -> int:
     p_ver.add_argument("--seed", type=int, default=1)
 
     p_or = sub.add_parser("oracle", help="dump an exact small-n law as CSV")
-    p_or.add_argument("--name", required=True, choices=ORACLE_NAMES)
+    p_or.add_argument("--name", required=True, choices=ORACLES)
     p_or.add_argument("--n", type=int, default=2)
     p_or.add_argument("--kappa", type=int, default=2)
     p_or.add_argument("--out", default=None)

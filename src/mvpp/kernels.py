@@ -270,9 +270,13 @@ def validate_declared_moments(k: RandomWalkKernel, s: RngStream, n: int = 1_000_
     return {"n": n, "emp_mean": emp_mean, "emp_var": emp_var}
 
 
-def leading_eigenpair(R, tol: float = 1e-12, max_iter: int = 100_000) -> tuple:
-    """Perron eigenvalue and left eigenvector of an irreducible non-negative
-    matrix, by power iteration on the transpose; v1 has unit L1 norm."""
+EIGEN_TOL, EIGEN_MAX_ITER = 1e-12, 100_000  # leading_eigenpair's convergence test and iteration budget
+
+
+def leading_eigenpair(R) -> tuple:
+    """Perron eigenvalue and left eigenvector (unit L1 norm) of an irreducible
+    non-negative R, by power iteration on the transpose of R + cI, c the
+    largest row sum: it is primitive (a positive diagonal), so periodic R converge."""
     R = np.asarray(R, dtype=float)
     if R.ndim != 2 or R.shape[0] != R.shape[1]:
         raise ValueError("R must be square")
@@ -284,18 +288,17 @@ def leading_eigenpair(R, tol: float = 1e-12, max_iter: int = 100_000) -> tuple:
     closure = np.linalg.matrix_power(reach.astype(int), max(d - 1, 1)) > 0
     if not closure.all():
         raise ValueError("R is reducible")
-    # deliberately asymmetric start so periodic inputs oscillate instead of
-    # landing on a symmetric fixed point
+    c = float(R.sum(axis=1).max())
+    shifted = R + c * np.eye(d)
     x = np.arange(1.0, d + 1.0)
     x /= x.sum()
-    lam = 1.0
-    for _ in range(max_iter):
-        y = R.T @ x
+    for _ in range(EIGEN_MAX_ITER):
+        y = shifted.T @ x
         lam = float(np.sum(np.abs(y)))
         if lam == 0:
             raise ValueError("R annihilates the positive cone")
         y /= lam
-        if float(np.max(np.abs(y - x))) < tol:
-            return lam, y
+        if float(np.max(np.abs(y - x))) < EIGEN_TOL:
+            return lam - c, y
         x = y
-    raise ValueError("power iteration did not converge (periodic matrix?)")
+    raise ValueError("power iteration did not converge")

@@ -806,49 +806,35 @@ def batch_exact_colour_samples(p, reps, read, increment, s) -> np.ndarray:
 
 HILL_BAND = 0.4  # criterion 11: a stable run passes when |hill - alpha| <= HILL_BAND
 KS_GATE, TV_GATE = 0.05, 0.05  # the walk routes' KS; the queue's TV and the palette's l1
+URNS = 16  # independent urns the rescaled routes pool their pairs from
 
 
-def verify_main_theorem(
-    kernel: ReplacementKernel,
-    m0: AtomicMeasure,
-    n_grid,
-    replicas: int,
-    s: RngStream,
-    urns: int = 16,
-) -> dict:
+def verify_main_theorem(kernel: ReplacementKernel, m0: AtomicMeasure, n_grid, replicas: int, s: RngStream) -> dict:
     """Rescaled-limit check: the urn at each n of n_grid against the limit
     its kernel fixes.
 
-    The kernel fixes the route, named in the report's `plan`:
+    One dispatch reads the kernel, raises on bad input, and picks the route,
+    named in the report's `plan`, and the route function each grid point
+    calls for its (samples, measure, fields):
 
-    | kernel | t | rescaled sample | scored by |
-    |---|---|---|---|
-    | walk, mean m, variance v | log n | (x - m t) / sqrt(t) | KS to Normal(0, v + m^2), KS_GATE |
-    | kappa-discrete, offsets' m, v | beta log n | (x - m t) / sqrt(t) | the same |
-    | alpha-stable walk | log n | x / t^(1/alpha) | Hill exponent within HILL_BAND of alpha |
-    | M/M/infinity queue | -- | none | TV to MMInfJumpChain(lam, mu), TV_GATE |
-    | finite palette | -- | none | l1 to the Perron limit, TV_GATE |
+    | kernel | plan, route | t | rescaled sample | scored by |
+    |---|---|---|---|---|
+    | walk, mean m, variance v | brw, _rescaled_point | log n | (x - m t) / sqrt(t) | KS to Normal(0, v + m^2), KS_GATE |
+    | kappa-discrete, offsets' m, v | brw, _rescaled_point | beta log n | (x - m t) / sqrt(t) | the same |
+    | alpha-stable walk | stable, _rescaled_point | log n | x / t^(1/alpha) | Hill exponent within HILL_BAND of alpha |
+    | M/M/infinity queue | ergodic, _ergodic_point | -- | none | TV to MMInfJumpChain(lam, mu), TV_GATE |
+    | finite palette | ergodic, _ergodic_point | -- | none | l1 to the Perron limit, TV_GATE |
 
-    beta = kappa/(kappa-1).  The walk routes (plans `brw` and `stable`) draw
-    pairs from `urns` independent urns, each pair's two nodes read off their
-    ancestor chains by sample_tree_nodes with no tree grown (the kappa route
-    grows its `urns` urns' leaves), max(replicas // urns, 1) pairs an urn, and
-    report their pair correlation under cos.  Their entries' `scored` counts
-    the values scored, 2 * urns * max(replicas // urns, 1): twice `replicas`
-    only when `urns` divides it.  The Hill exponent uses k = max(len/40, 10).
-    The queue and the palette (plan `ergodic`) grow one urn by the direct
-    scheme.  Per grid point, `samples` holds the values that were scored (the
-    pooled a's then b's, or the scored urn's drawn colours) and `measures` the
-    scored urn's measure (None for pooled pairs).
+    beta = kappa/(kappa-1).  Per grid point, `samples` holds the values that
+    were scored (the pooled a's then b's, or the scored urn's drawn colours)
+    and `measures` the scored urn's measure (None for pooled pairs).
 
-    Raises ValueError, before any draw, for urns or replicas below 1, a grid
-    point that is not an integer >= 1, n = 1 on a rescaled route (t = 0), a
-    stable index outside (0, 2), a walk or stable kernel with an initial
-    measure of mass other than 1, and a kappa-discrete kernel with one other
-    than a single ball.
+    Raises ValueError, before any draw, for replicas below 1, a grid point
+    that is not an integer >= 1, n = 1 on a rescaled route (t = 0), a stable
+    index outside (0, 2), a walk or stable kernel with an initial measure of
+    mass other than 1, a kappa-discrete kernel with one other than a single
+    ball, and a palette with no Perron limit (a reducible one).
     """
-    if urns < 1:
-        raise ValueError("urns must be >= 1")
     if replicas < 1:
         raise ValueError("replicas must be >= 1")
     for n in n_grid:
@@ -858,61 +844,27 @@ def verify_main_theorem(
     if walk and abs(m0.total_mass - 1.0) > 1e-12:
         raise ValueError(f"the walk route grows recursive trees, so m0 needs mass 1, not {m0.total_mass:g}")
     if isinstance(kernel, (MMInfQueueKernel, DColourKernel)):
-        plan = "ergodic"
+        plan, route = "ergodic", _ergodic_point
+        if isinstance(kernel, DColourKernel):
+            leading_eigenpair(kernel.rows)  # raises for a reducible palette
     elif walk and isinstance(kernel.increment, StableIncrement):
-        plan, alpha = "stable", kernel.increment.alpha
+        plan, route, alpha = "stable", _rescaled_point, kernel.increment.alpha
         if not 0 < alpha < 2:
             raise ValueError(f"the stable route scores a tail exponent, so alpha must be in (0, 2), not {alpha:g}")
     elif walk or isinstance(kernel, KDiscreteKernel):
-        plan = "brw"
+        plan, route = "brw", _rescaled_point
         if not walk:
-            x0 = _one_ball(m0, kernel.kappa)
+            _one_ball(m0, kernel.kappa)
     else:
         raise ValueError(f"no verification route for kernel {type(kernel).__name__}")
     if plan != "ergodic" and 1 in n_grid:
         raise ValueError(f"n_grid point n=1 has t = log n = 0, which the {plan} route cannot rescale by")
     results, samples, measures = [], [], []
     for n in n_grid:
-        entry = {"n": int(n), "ks": None, "tv": None, "decorrelation": None}
-        results.append(entry)
-        if plan == "ergodic":
-            trace = batch_direct_trace(m0, kernel, n, s)
-            urn = trace.materialize()
-            samples.append(trace.colours.astype(float))
-            measures.append(urn)
-            if isinstance(kernel, MMInfQueueKernel):
-                pmf = {int(c): w / urn.total_mass for c, w in urn.atoms()}
-                law = stats.MMInfJumpChain(kernel.lam, kernel.mu).pmf_dict(max(pmf) + 10)
-                entry["tv"] = stats.total_variation(pmf, law)
-                entry["pass"] = entry["tv"] <= TV_GATE
-            else:
-                lam, v1 = leading_eigenpair(kernel.rows)
-                comp = np.array([urn.weight(j) for j in range(kernel.d)]) / n
-                entry["l1"] = float(np.abs(comp - lam * v1).sum())
-                entry["pass"] = entry["l1"] <= TV_GATE
-            continue
-        t = math.log(n)
-        if walk:
-            read = lambda idx: sample_tree_nodes(n, idx, kernel.increment, s, m0=m0)
-            values = draw_walk_pairs(urns, n + 1, replicas, kernel.increment, s, read)
-        else:
-            t *= 1.0 + 1.0 / (kernel.kappa - 1)
-            labels = batch_kary_leaf_labels(n, urns, kernel.offsets, s)
-            values = batch_walk_pairs(labels, replicas, kernel, s) + x0
-        if plan == "stable":
-            values = values / t ** (1.0 / alpha)
-            entry["hill"] = stats.hill_tail_exponent(values, max(len(values) // 40, 10))
-            entry["pass"] = abs(entry["hill"] - alpha) <= HILL_BAND
-        else:
-            values = (values - kernel.mean * t) / math.sqrt(t)
-            entry["ks"] = stats.ks_statistic(values, stats.Normal(0.0, kernel.cov + kernel.mean**2))
-            entry["pass"] = entry["ks"] <= KS_GATE
-        entry["scored"] = len(values)
+        values, urn, fields = route(kernel, m0, n, replicas, s)
+        results.append({"n": int(n), "ks": None, "tv": None, "decorrelation": None, **fields})
         samples.append(values)
-        measures.append(None)
-        phi_a, phi_b = np.cos(np.split(values, 2))
-        if np.std(phi_a) > 0 and np.std(phi_b) > 0:
-            entry["decorrelation"] = float(np.corrcoef(phi_a, phi_b)[0, 1])
+        measures.append(urn)
     return {
         "plan": plan,
         "replicas": int(replicas),
@@ -921,3 +873,50 @@ def verify_main_theorem(
         "samples": samples,
         "measures": measures,
     }
+
+
+def _ergodic_point(kernel, m0, n, replicas, s) -> tuple:
+    """The queue or the palette at n: one urn grown by the direct scheme
+    (replicas is not read), scored by TV or by l1."""
+    trace = batch_direct_trace(m0, kernel, n, s)
+    urn = trace.materialize()
+    if isinstance(kernel, MMInfQueueKernel):
+        pmf = {int(c): w / urn.total_mass for c, w in urn.atoms()}
+        law = stats.MMInfJumpChain(kernel.lam, kernel.mu).pmf_dict(max(pmf) + 10)
+        name, value = "tv", stats.total_variation(pmf, law)
+    else:
+        lam, v1 = leading_eigenpair(kernel.rows)
+        comp = np.array([urn.weight(j) for j in range(kernel.d)]) / n
+        name, value = "l1", float(np.abs(comp - lam * v1).sum())
+    return trace.colours.astype(float), urn, {name: value, "pass": value <= TV_GATE}
+
+
+def _rescaled_point(kernel, m0, n, replicas, s) -> tuple:
+    """The walk, stable or kappa route at n: max(replicas // URNS, 1) pairs
+    from each of URNS urns, both nodes of a pair read off their ancestor
+    chains by sample_tree_nodes (the kappa route grows its urns' leaves and
+    adds m0's ball), rescaled by t, scored, and their correlation under cos
+    reported.  `scored` counts 2 * URNS * max(replicas // URNS, 1) values:
+    twice `replicas` only when URNS divides it."""
+    walk = isinstance(kernel, RandomWalkKernel)
+    t = math.log(n)
+    if walk:
+        read = lambda idx: sample_tree_nodes(n, idx, kernel.increment, s, m0=m0)
+        values = draw_walk_pairs(URNS, n + 1, replicas, kernel.increment, s, read)
+    else:
+        t *= 1.0 + 1.0 / (kernel.kappa - 1)
+        labels = batch_kary_leaf_labels(n, URNS, kernel.offsets, s)
+        values = batch_walk_pairs(labels, replicas, kernel, s) + _one_ball(m0, kernel.kappa)
+    if walk and isinstance(kernel.increment, StableIncrement):
+        values = values / t ** (1.0 / kernel.increment.alpha)
+        fields = {"hill": stats.hill_tail_exponent(values, max(len(values) // 40, 10))}
+        fields["pass"] = abs(fields["hill"] - kernel.increment.alpha) <= HILL_BAND
+    else:
+        values = (values - kernel.mean * t) / math.sqrt(t)
+        fields = {"ks": stats.ks_statistic(values, stats.Normal(0.0, kernel.cov + kernel.mean**2))}
+        fields["pass"] = fields["ks"] <= KS_GATE
+    fields["scored"] = len(values)
+    phi_a, phi_b = np.cos(np.split(values, 2))
+    if np.std(phi_a) > 0 and np.std(phi_b) > 0:
+        fields["decorrelation"] = float(np.corrcoef(phi_a, phi_b)[0, 1])
+    return values, None, fields

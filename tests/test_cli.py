@@ -168,6 +168,21 @@ def test_simulate_dcolour_ergodic_scores_the_perron_limit(tmp_path):
         assert float(np.abs(comp - lam * v1).sum()) == entry["l1"]
 
 
+def test_simulate_scores_a_periodic_palette(tmp_path):
+    # irreducible with period 2: the Perron limit (1/2, 1/2) exists, though
+    # power iteration on R itself oscillates and once made simulate exit 2
+    path = variant_config(tmp_path, "variant = dcolour\nrows = 0 1; 1 0")
+    out = tmp_path / "run"
+    assert cli.run_simulate(path, out) == 0
+    report = json.loads((out / "demo_report.json").read_text())
+    parsed = cli.load_config(path)
+    for entry in report["results"]:
+        drawn = [int(v) for v in read_samples(out / f"demo_n{entry['n']}_samples.csv")]
+        mat = UrnTrace(parsed["m0"], parsed["kernel"], drawn).materialize()
+        comp = np.array([mat.weight(0), mat.weight(1)]) / entry["n"]
+        assert entry["l1"] == float(np.abs(comp - 0.5).sum())
+
+
 def test_simulate_missing_kernel_section_exits_2(tmp_path, capsys):
     cfg = write_config(tmp_path, drop_section="kernel")
     code = cli.run_simulate(cfg, tmp_path / "out")

@@ -254,9 +254,15 @@ def test_leading_eigenpair_reducible_rejected():
         leading_eigenpair([[1.0, 0.0], [0.0, 1.0]])
 
 
-def test_leading_eigenpair_periodic_rejected():
-    with pytest.raises(ValueError, match="converge"):
-        leading_eigenpair([[0.0, 1.0], [1.0, 0.0]], max_iter=5000)
+def test_leading_eigenpair_periodic_matrix():
+    # period 2: power iteration on R itself oscillates, on R + cI it converges
+    for R, v1 in (
+        ([[0.0, 1.0], [1.0, 0.0]], (1 / 2, 1 / 2)),
+        ([[0.0, 0.5, 0.5], [1.0, 0.0, 0.0], [1.0, 0.0, 0.0]], (1 / 2, 1 / 4, 1 / 4)),
+    ):
+        lam, v = leading_eigenpair(R)
+        assert lam == pytest.approx(1.0, abs=1e-10)
+        assert v == pytest.approx(v1, abs=1e-10)
 
 
 def test_rademacher_draw_many_is_the_packed_signs():

@@ -1,3 +1,5 @@
+import hashlib
+import json
 import math
 import tracemalloc
 from collections import Counter
@@ -1201,14 +1203,14 @@ def test_walk_route_scores_normal_of_variance_plus_squared_drift():
     # the urn's rescaled limit is Normal(0, v + m^2): the variance v of one
     # step plus m^2 from the Normal(0, 1)-distributed rescaled depth
     for kernel, var in ((walk_kernel_constant(1.0), 1.0), (walk_kernel_normal(1.0, 1.0), 2.0)):
-        rep = verify_main_theorem(kernel, DELTA0, [2000], 800, derive_stream(30, 25), urns=8)
+        rep = verify_main_theorem(kernel, DELTA0, [2000], 800, derive_stream(30, 25))
         assert rep["plan"] == "brw"
         assert rep["results"][0]["ks"] == stats.ks_statistic(rep["samples"][0], stats.Normal(0.0, var))
 
 
 def test_verify_main_theorem_walk_smoke():
     s = derive_stream(30, 26)
-    rep = verify_main_theorem(walk_kernel_rademacher(), DELTA0, [2000], 800, s, urns=8)
+    rep = verify_main_theorem(walk_kernel_rademacher(), DELTA0, [2000], 800, s)
     entry = rep["results"][0]
     assert entry["n"] == 2000
     assert entry["ks"] is not None and entry["ks"] < 0.2
@@ -1441,12 +1443,12 @@ def test_verify_main_theorem_rejects_a_grid_point_not_an_integer_of_at_least_one
     _assert_same_state(s, ref_s)  # rejected before the first grid point drew
 
 
-@pytest.mark.parametrize("urns", [0, -1])
-def test_verify_main_theorem_rejects_fewer_than_one_urn(urns):
+def test_verify_main_theorem_rejects_a_palette_with_no_perron_limit():
+    # the identity is the classical Polya urn, whose composition has a random
+    # limit; it raised only after batch_direct_trace had drawn 2n uniforms
     s, ref_s = derive_stream(30, 31), derive_stream(30, 31)
-    for kernel, m0 in ((walk_kernel_rademacher(), DELTA0), (MMInfQueueKernel(1.0, 1.0), DELTA0)):
-        with pytest.raises(ValueError, match="urns must be >= 1"):
-            verify_main_theorem(kernel, m0, [10], 100, s, urns=urns)
+    with pytest.raises(ValueError, match="R is reducible"):
+        verify_main_theorem(DColourKernel([[1.0, 0.0], [0.0, 1.0]]), M0_HALF, [10], 100, s)
     _assert_same_state(s, ref_s)
 
 
@@ -1480,3 +1482,32 @@ def test_verify_main_theorem_walk_routes_need_unit_mass(mass):
     for kernel in (walk_kernel_rademacher(), walk_kernel_stable(1.5)):
         with pytest.raises(ValueError, match="mass 1"):
             verify_main_theorem(kernel, m0, [10], 100, s)
+
+
+# each route's output at seed 7, 300 replicas and n_grid [50, 400]: the
+# first 16 hex digits of the sha256 of its plan, results (json, sort_keys),
+# each scored sample's bytes and each scored urn's atoms
+ROUTE_PINS = {
+    "rademacher": (walk_kernel_rademacher(), DELTA0, "8e1bea27858249cd"),
+    "normal": (walk_kernel_normal(0.5, 2.0), M0_HALF, "b431c7297ab6025b"),
+    "stable": (walk_kernel_stable(1.3), DELTA0, "d6eb9d5b28b87e4f"),
+    "palette2": (DColourKernel([[0.6, 0.4], [0.3, 0.7]]), AtomicMeasure([(0, 1.0)]), "9518634f625c1823"),
+    "palette3": (
+        DColourKernel([[0.2, 0.5, 0.3], [0.4, 0.4, 0.2], [0.1, 0.3, 0.6]]),
+        AtomicMeasure([(0, 0.5), (2, 1.5)]),
+        "f7cb47c4d7b4a0f5",
+    ),
+    "queue": (MMInfQueueKernel(2.0, 1.0), AtomicMeasure([(0, 1.0)]), "d9ae4fbbb0a85cd0"),
+    "kary": (KDiscreteKernel((-1, 0, 1)), AtomicMeasure([(0, 1 / 3)]), "156d7e787b23ea3f"),
+}
+
+
+@pytest.mark.parametrize("route", list(ROUTE_PINS))
+def test_verify_main_theorem_route_output_is_pinned(route):
+    kernel, m0, pin = ROUTE_PINS[route]
+    rep = verify_main_theorem(kernel, m0, [50, 400], 300, derive_stream(7, 0))
+    h = hashlib.sha256((rep["plan"] + json.dumps(rep["results"], sort_keys=True)).encode())
+    for values, urn in zip(rep["samples"], rep["measures"]):
+        h.update(np.ascontiguousarray(values).tobytes())
+        h.update(repr(None if urn is None else urn.atoms()).encode())
+    assert h.hexdigest()[:16] == pin
