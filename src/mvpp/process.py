@@ -185,43 +185,6 @@ def mvpp_direct(m0: AtomicMeasure, kernel: ReplacementKernel, n: int, s: RngStre
     return trace
 
 
-def _direct_pick_positions(m: float, n: int, s: RngStream) -> tuple:
-    """(u, picks): the uniforms a direct run of n steps from a one-atom m0 of
-    mass m draws, and the positions of its n pick uniforms in them.  A step
-    takes its pick u and, unless u*(m+k) < m sends it to the initial packet,
-    one more uniform.
-
-    Parsed in windows that start at a pick of known step index k: a pick t
-    places further on has index in [k + ceil(t/2), k + t], and since
-    u*(m+k) < m is monotone in k, the window is sure up to its first place
-    where the two ends disagree.  Every draw is no longer than the steps
-    left (plus a pending second uniform), so the stream is never over-drawn."""
-    u = np.empty(2 * n)
-    is_pick = np.zeros(2 * n, dtype=bool)
-    have = pos = k = 0
-    window = 64
-    while True:
-        if pos >= have:  # each step left takes one uniform or more
-            more = pos + n - k - have
-            u[have:have + more] = s.uniforms(more)
-            have += more
-        if k == n:
-            return u[:have], np.flatnonzero(is_pick[:have])
-        b = u[pos:pos + window][: have - pos]
-        t = np.arange(b.size)
-        initial = b * (m + (k + t)) < m  # as a pick at the latest index it can have
-        sure = initial == (b * (m + (k + (t + 1) // 2)) < m)  # and at the earliest
-        j = b.size if sure.all() else int(sure.argmin())  # >= 1: place 0 is sure
-        # a place after an initial pick is a pick; after a second-case pick, not
-        restart = np.concatenate(([True], initial[: j - 1]))
-        at_pick = (t[:j] - np.maximum.accumulate(np.where(restart, t[:j], 0))) % 2 == 0
-        is_pick[pos:pos + j] = at_pick
-        k += int(at_pick.sum())
-        last = j - 1 if at_pick[-1] else j - 2
-        pos += last + (1 if initial[last] else 2)
-        window = 2 * window if j == b.size else max(64, 2 * j)
-
-
 def _generations(keys, size=0) -> list:
     """Ascending index arrays of the places of each value 0, 1, ... (at least
     `size` of them) of small non-negative int keys, such as node depths: one
@@ -231,11 +194,12 @@ def _generations(keys, size=0) -> list:
 
 
 def batch_direct_trace(m0: AtomicMeasure, kernel, n: int, s: RngStream) -> UrnTrace:
-    """mvpp_direct for a kernel that takes one uniform per step through a
-    vectorised `step(x, u)` (finite palettes and the queue): the same draws in
-    the same order, the same trace.  Every m0 colour passes the kernel's
-    check before the first draw.  Colours are filled generation by
-    generation from the parent indices int(u*(m+k) - m)."""
+    """mvpp_direct for a kernel with a vectorised `step(x, u)` (palettes and
+    the queue), read from one (n, 2) block of uniforms: per step its pick,
+    then its colour's uniform.  With several m0 atoms mvpp_direct draws the
+    same two, so trace and stream state are its own bit for bit; with one it
+    skips an initial step's colour uniform, which the block holds unread, so
+    the two agree in law.  m0's colours pass the kernel's check first."""
     if m0.total_mass <= 0:
         raise ValueError("initial measure must have positive mass")
     _check_n(n)
@@ -243,21 +207,16 @@ def batch_direct_trace(m0: AtomicMeasure, kernel, n: int, s: RngStream) -> UrnTr
         kernel._check(c)
     m = m0.total_mass
     colours0, weights0 = zip(*normalize(m0).atoms())
-    if len(colours0) == 1:
-        u, picks = _direct_pick_positions(m, n, s)
-    else:  # a pick and one more uniform at every step
-        u = s.uniforms(2 * n)
-        picks = np.arange(0, 2 * n, 2)
-    x = u[picks] * (m + np.arange(n))
+    u = s.uniforms(2 * n).reshape(n, 2)
+    x = u[:, 0] * (m + np.arange(n))
     initial = x < m
-    second = u[np.minimum(picks + 1, u.size - 1)]  # each step's second uniform, unread where it takes none
     par = np.where(initial, np.arange(n), (x - m).astype(np.intp))  # initial draws are roots
     colours = np.empty(n, dtype=np.int64)
-    cum = np.cumsum(weights0)  # sample_atom on the normalized m0; one atom needs no uniform
-    at = np.searchsorted(cum, second[initial] * cum[-1], side="right")
+    cum = np.cumsum(weights0)  # sample_atom on the normalized m0
+    at = np.searchsorted(cum, u[initial, 1] * cum[-1], side="right")
     colours[initial] = np.array(colours0)[np.minimum(at, len(cum) - 1)]
     for idx in _generations(parent_depths(par[None])[0])[1:]:  # root-down, one generation at a time
-        colours[idx] = kernel.step(colours[par[idx]], second[idx])
+        colours[idx] = kernel.step(colours[par[idx]], u[idx, 1])
     return UrnTrace(m0=m0, kernel=kernel, drawn=colours.tolist(), colours=colours)
 
 
@@ -829,14 +788,17 @@ def verify_main_theorem(kernel: ReplacementKernel, m0: AtomicMeasure, n_grid, re
     were scored (the pooled a's then b's, or the scored urn's drawn colours)
     and `measures` the scored urn's measure (None for pooled pairs).
 
-    Raises ValueError, before any draw, for replicas below 1, a grid point
-    that is not an integer >= 1, n = 1 on a rescaled route (t = 0), a stable
-    index outside (0, 2), a walk or stable kernel with an initial measure of
-    mass other than 1, a kappa-discrete kernel with one other than a single
-    ball, and a palette with no Perron limit (a reducible one).
+    Raises ValueError, before any draw, for replicas below 1, an empty
+    n_grid, a grid point that is not an integer >= 1, n = 1 on a rescaled
+    route (t = 0), a stable index outside (0, 2), a walk or stable kernel
+    with an initial measure of mass other than 1, a kappa-discrete kernel
+    with one other than a single ball, and a palette with no Perron limit
+    (a reducible one).
     """
     if replicas < 1:
         raise ValueError("replicas must be >= 1")
+    if len(n_grid) == 0:
+        raise ValueError("n_grid is empty, so there is nothing to score")
     for n in n_grid:
         if not isinstance(n, (int, np.integer)) or n < 1:
             raise ValueError(f"n_grid point n={n} is not an integer >= 1")
@@ -877,7 +839,8 @@ def verify_main_theorem(kernel: ReplacementKernel, m0: AtomicMeasure, n_grid, re
 
 def _ergodic_point(kernel, m0, n, replicas, s) -> tuple:
     """The queue or the palette at n: one urn grown by the direct scheme
-    (replicas is not read), scored by TV or by l1."""
+    (replicas is not read), scored by TV or by l1, each over the urn's
+    composition divided by its total mass n + m0.total_mass."""
     trace = batch_direct_trace(m0, kernel, n, s)
     urn = trace.materialize()
     if isinstance(kernel, MMInfQueueKernel):
@@ -886,7 +849,7 @@ def _ergodic_point(kernel, m0, n, replicas, s) -> tuple:
         name, value = "tv", stats.total_variation(pmf, law)
     else:
         lam, v1 = leading_eigenpair(kernel.rows)
-        comp = np.array([urn.weight(j) for j in range(kernel.d)]) / n
+        comp = np.array([urn.weight(j) for j in range(kernel.d)]) / urn.total_mass
         name, value = "l1", float(np.abs(comp - lam * v1).sum())
     return trace.colours.astype(float), urn, {name: value, "pass": value <= TV_GATE}
 

@@ -25,7 +25,7 @@ from mvpp.randomness import derive_stream
 ROOT_SEED = 1
 
 # sha256 of `mvpp verify --suite all --seed 1`'s verify_all.json
-VERIFY_ALL_SHA256 = "f9274956f12d1fc16c43129b07542bb2ee3be6bfaa3b886f64093ec86aeb3251"
+VERIFY_ALL_SHA256 = "26c900089b9210e8776b4535bae2a32f2bde3815dd8774de7b3f393fcb4b3bdb"
 
 
 @pytest.fixture(scope="module")
@@ -285,13 +285,13 @@ CHECK_DIGESTS = {
     "bst_lca_pmf_vs_oracle": "652af7b5c334a6d6",
     "coupling_exact_law_n3": "02727901526705af",
     "coupling_two_sample_ks": "d32760388420f4d2",
-    "dcolour_perron_limit": "e89db34447812af2",
+    "dcolour_perron_limit": "7fa3932d3715cacb",
     "forest_fractional_liminf": "fe1f0f7c4e75807a",
     "forest_mass2_uniform": "b46fcfd6268600eb",
     "kary_subtree_closed_form": "df5f80f27b346853",
     "kdiscrete_kappa3_depth": "0fa7b19f03d8ad8d",
     "kdiscrete_leaf_counts": "8a69f84a2ff61bbe",
-    "mminf_poisson_tv": "1c76fe01391c47c0",
+    "mminf_poisson_tv": "1dcce0238a250ce6",
     "pbar_recursion_vs_mc": "c769c9502bd905e1",
     "rotation_bijection_depth_transport": "dd6603cf3b1edbe0",
     "rrt_depth_clt": "01a27867ac606859",

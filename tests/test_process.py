@@ -24,7 +24,7 @@ from mvpp.kernels import (
     walk_kernel_rademacher,
     walk_kernel_stable,
 )
-from mvpp.measures import AtomicMeasure
+from mvpp.measures import AtomicMeasure, normalize, sample_atom
 from mvpp.process import (
     KS_GATE,
     TV_GATE,
@@ -178,6 +178,8 @@ def test_bst_coupling_one_m0_packet_always():
         flags = [rep.m0_flags[u] for u in rep.tree.leaf_list]
         assert sum(flags) == 1
         assert len(flags) == n + 1
+        assert rep.n == n
+        assert rep.represented_measure().total_mass == pytest.approx(rep.total_mass, abs=1e-9)
 
 
 def test_bst_one_step_sides_equiprobable():
@@ -274,6 +276,7 @@ def test_kdiscrete_leaf_counts_and_mass():
     s = derive_stream(30, 12)
     for n in (0, 1, 5):
         rep = mvpp_kdiscrete(AtomicMeasure([(0, 1 / 3)]), kern, n, s)
+        assert rep.n == n
         assert len(rep.tree.leaf_list) == 1 + 2 * n
         assert rep.total_mass == pytest.approx((1 + 2 * n) / 3)
         mat = rep.represented_measure()
@@ -1228,10 +1231,6 @@ class _FixedUniform:
         return self.u
 
 
-def _stream_state(s):
-    return repr(s._gen.bit_generator.state)
-
-
 def _palette_reference(rows, x, u):
     """The palette draw as a running sum over row x."""
     acc = 0.0
@@ -1282,12 +1281,28 @@ def _materialize_pairs(trace):
     return AtomicMeasure(pairs)
 
 
-def _assert_same_trace(m0, kernel, n, seed):
+def _direct_block_layout(m0, kernel, n, s):
+    """mvpp_direct whose initial branch always draws its colour uniform, even
+    for a one-atom m0: two uniforms a step, the layout batch_direct_trace reads."""
+    nor0 = normalize(m0)
+    trace = UrnTrace(m0=m0, kernel=kernel, drawn=[])
+    m = m0.total_mass
+    for k in range(n):
+        u = s.next_uniform() * (m + k)
+        if u < m:
+            c = sample_atom(nor0, _FixedUniform(s.next_uniform()))
+        else:
+            c = kernel.sample(trace.drawn[int(u - m)], s)
+        trace.drawn.append(c)
+    return trace
+
+
+def _assert_same_trace(m0, kernel, n, seed, reference):
     s_loop, s_batch = derive_stream(seed, 0), derive_stream(seed, 0)
-    loop = mvpp_direct(m0, kernel, n, s_loop)
+    loop = reference(m0, kernel, n, s_loop)
     batch = batch_direct_trace(m0, kernel, n, s_batch)
     assert batch.drawn == loop.drawn and all(type(c) is int for c in batch.drawn)
-    assert _stream_state(s_batch) == _stream_state(s_loop)
+    _assert_same_state(s_batch, s_loop)
     a, b, ref = loop.materialize(), batch.materialize(), _materialize_pairs(loop)
     assert b.atoms() == a.atoms() and b.total_mass == a.total_mass and batch.total_mass == loop.total_mass
     assert list(a._atoms.items()) == list(ref._atoms.items()) and a.total_mass == ref.total_mass
@@ -1296,8 +1311,11 @@ def _assert_same_trace(m0, kernel, n, seed):
 @given(_direct_cases())
 @settings(max_examples=80, deadline=None)
 def test_batch_direct_trace_is_mvpp_direct_bit_for_bit(case):
+    # with one m0 atom mvpp_direct skips an initial step's colour uniform, so
+    # only several-atom traces are its own bit for bit
     kernel, m0, n, seed, u_drawn = case
-    _assert_same_trace(m0, kernel, n, seed)
+    if len(m0.atoms()) >= 2:
+        _assert_same_trace(m0, kernel, n, seed, mvpp_direct)
     # one vectorised law: step is sample, and the running-sum draw, at both ends of [0, 1) and inside
     for u in (0.0, np.nextafter(1.0, 0.0), u_drawn):
         for x in range(kernel.d if isinstance(kernel, DColourKernel) else 6):
@@ -1309,10 +1327,39 @@ def test_batch_direct_trace_is_mvpp_direct_bit_for_bit(case):
                 assert got == (x + 1 if x == 0 or u < kernel.lam / (kernel.lam + x * kernel.mu) else x - 1)
 
 
+@given(_direct_cases())
+@settings(max_examples=80, deadline=None)
+def test_batch_direct_trace_is_the_block_layout_bit_for_bit(case):
+    kernel, m0, n, seed, _ = case
+    _assert_same_trace(m0, kernel, n, seed, _direct_block_layout)
+
+
+LARGE_N_KERNELS = [DColourKernel([[0.6, 0.4], [0.3, 0.7]]), MMInfQueueKernel(2.0, 1.0)]
+
+
 @pytest.mark.parametrize("mass", [1.0, 1000.0])
-@pytest.mark.parametrize("kernel", [DColourKernel([[0.6, 0.4], [0.3, 0.7]]), MMInfQueueKernel(2.0, 1.0)])
+@pytest.mark.parametrize("kernel", LARGE_N_KERNELS)
 def test_batch_direct_trace_is_mvpp_direct_at_large_n(kernel, mass):
-    _assert_same_trace(AtomicMeasure([(0, mass)]), kernel, 100_000, 13)
+    _assert_same_trace(AtomicMeasure([(0, mass / 4), (1, 3 * mass / 4)]), kernel, 100_000, 13, mvpp_direct)
+
+
+@pytest.mark.parametrize("mass", [1.0, 1000.0])
+@pytest.mark.parametrize("kernel", LARGE_N_KERNELS)
+def test_batch_direct_trace_is_the_block_layout_at_large_n(kernel, mass):
+    _assert_same_trace(AtomicMeasure([(0, mass)]), kernel, 100_000, 13, _direct_block_layout)
+
+
+def test_batch_direct_trace_one_atom_law_matches_enumeration():
+    # one m0 atom, where the batch reads a colour uniform that mvpp_direct
+    # does not draw: its draw-count law at n = 3 is still the urn's
+    kernel, n, reps = DColourKernel([[0.2, 0.5, 0.3], [0.4, 0.4, 0.2], [0.1, 0.3, 0.6]]), 3, 20_000
+    m0 = AtomicMeasure([(1, 1.5)])
+    ref = oracle.exact_urn_law(m0, kernel, n).probs
+    s = derive_stream(30, 35)
+    traces = (batch_direct_trace(m0, kernel, n, s).colours for _ in range(reps))
+    counts = Counter(tuple(np.bincount(c, minlength=3).tolist()) for c in traces)
+    tv = stats.total_variation(stats.counts_to_pmf(dict(counts)), ref)
+    assert tv <= _tv_threshold(ref, reps)
 
 
 @st.composite
@@ -1425,22 +1472,43 @@ def test_verify_main_theorem_rejects_a_zero_scale():
     assert [e["n"] for e in rep["results"]] == [1, 10]
 
 
+# one kernel and m0 for each route of verify_main_theorem
+ROUTE_CASES = (
+    (walk_kernel_rademacher(), DELTA0),
+    (walk_kernel_stable(1.5), DELTA0),
+    (KDiscreteKernel((1, 1)), AtomicMeasure([(0, 0.5)])),
+    (MMInfQueueKernel(1.0, 1.0), AtomicMeasure([(0, 1.0)])),
+    (KERN2, AtomicMeasure([(0, 1.0)])),
+)
+
+
 @pytest.mark.parametrize("point", [0, -3, 2.5, 3.0, np.float64(10.0)])
 def test_verify_main_theorem_rejects_a_grid_point_not_an_integer_of_at_least_one(point):
     # n = 0 once scored an empty urn (queue) or a nan l1 (palette), and the
     # walk and kappa routes raised a bare math domain error
     s, ref_s = derive_stream(30, 34), derive_stream(30, 34)
-    routes = (
-        (walk_kernel_rademacher(), DELTA0),
-        (walk_kernel_stable(1.5), DELTA0),
-        (KDiscreteKernel((1, 1)), AtomicMeasure([(0, 0.5)])),
-        (MMInfQueueKernel(1.0, 1.0), AtomicMeasure([(0, 1.0)])),
-        (KERN2, AtomicMeasure([(0, 1.0)])),
-    )
-    for kernel, m0 in routes:
+    for kernel, m0 in ROUTE_CASES:
         with pytest.raises(ValueError, match=f"n_grid point n={point} is not an integer >= 1"):
             verify_main_theorem(kernel, m0, [10, point], 100, s)
     _assert_same_state(s, ref_s)  # rejected before the first grid point drew
+
+
+def test_verify_main_theorem_rejects_an_empty_grid():
+    # an empty grid returned {"results": [], "pass": True}, a pass on nothing
+    s, ref_s = derive_stream(30, 36), derive_stream(30, 36)
+    for kernel, m0 in ROUTE_CASES:
+        with pytest.raises(ValueError, match="n_grid is empty"):
+            verify_main_theorem(kernel, m0, [], 100, s)
+    _assert_same_state(s, ref_s)
+
+
+def test_palette_l1_is_taken_over_the_total_mass():
+    # every row is the Perron vector (1/2, 1/2) and so is m0, so the urn is
+    # in proportion at every n; over n, not n + 2, the l1 read 2/n
+    kernel, m0 = DColourKernel([[0.5, 0.5], [0.5, 0.5]]), AtomicMeasure([(0, 1.0), (1, 1.0)])
+    rep = verify_main_theorem(kernel, m0, [1, 10, 1000], 1, derive_stream(30, 37))
+    assert [e["n"] for e in rep["results"]] == [1, 10, 1000]
+    assert all(e["l1"] <= 1e-10 for e in rep["results"])
 
 
 def test_verify_main_theorem_rejects_a_palette_with_no_perron_limit():
@@ -1491,13 +1559,13 @@ ROUTE_PINS = {
     "rademacher": (walk_kernel_rademacher(), DELTA0, "8e1bea27858249cd"),
     "normal": (walk_kernel_normal(0.5, 2.0), M0_HALF, "b431c7297ab6025b"),
     "stable": (walk_kernel_stable(1.3), DELTA0, "d6eb9d5b28b87e4f"),
-    "palette2": (DColourKernel([[0.6, 0.4], [0.3, 0.7]]), AtomicMeasure([(0, 1.0)]), "9518634f625c1823"),
+    "palette2": (DColourKernel([[0.6, 0.4], [0.3, 0.7]]), AtomicMeasure([(0, 1.0)]), "c4846b876d0e7400"),
     "palette3": (
         DColourKernel([[0.2, 0.5, 0.3], [0.4, 0.4, 0.2], [0.1, 0.3, 0.6]]),
         AtomicMeasure([(0, 0.5), (2, 1.5)]),
-        "f7cb47c4d7b4a0f5",
+        "d5e5025e8d3522d2",
     ),
-    "queue": (MMInfQueueKernel(2.0, 1.0), AtomicMeasure([(0, 1.0)]), "d9ae4fbbb0a85cd0"),
+    "queue": (MMInfQueueKernel(2.0, 1.0), AtomicMeasure([(0, 1.0)]), "c3a0cf26d3a3082f"),
     "kary": (KDiscreteKernel((-1, 0, 1)), AtomicMeasure([(0, 1 / 3)]), "156d7e787b23ea3f"),
 }
 
