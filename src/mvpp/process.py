@@ -36,7 +36,7 @@ from .kernels import (
 )
 from .measures import AtomicMeasure, normalize, sample_atom
 from .randomness import RngStream
-from .trees import KARY, PLANAR, GrowingTree, parent_depths
+from .trees import KARY, PLANAR, GrowingTree, parent_depths, row_blocks
 from . import stats
 
 
@@ -408,7 +408,6 @@ def _m0_sampler_np(m0: AtomicMeasure | None):
 
 
 WINDOW_RATIO = 1.1  # node windows of uniform-attachment growth grow by this factor
-KARY_BLOCK = 2**16  # kappa-ary splits per event-tree block
 
 
 def _attach_path_sums(out, s, increment, root_children=None) -> None:
@@ -713,8 +712,8 @@ def batch_kary_leaf_labels(n, reps, offsets, s) -> np.ndarray:
     0).  A slot ends at its last split's value, else at its creator's minus
     offsets[0] plus its own offset.  For offsets (1,)*kappa labels are depths,
     bit for bit the step-by-step recursion's.  Replicas go in blocks of
-    about KARY_BLOCK splits, each block through one row-wise argsort of distinct keys
-    and one pointer-doubling pass; the blocks bound the working arrays."""
+    about trees.ROW_BLOCK splits (trees.row_blocks), each block through one
+    row-wise argsort of distinct keys and one pointer-doubling pass."""
     _check_n(n)
     k1 = len(offsets) - 1
     offs = np.array(offsets, dtype=np.int64)
@@ -722,9 +721,8 @@ def batch_kary_leaf_labels(n, reps, offsets, s) -> np.ndarray:
     wide = n * int(np.abs(offs).max()) >= 2**31  # labels that int32 would wrap
     labels = np.empty((reps, 1 + n * k1), dtype=np.int64 if wide else np.int32)
     labels[:, 0] = 0
-    block = max(KARY_BLOCK // max(n, 1), 1)
-    for lo in range(0, reps, block):
-        p = pos[lo : lo + block]
+    for rows in row_blocks(reps, n):
+        p = pos[rows]
         # distinct keys position*n + time: each slot's splits adjacent, in time order
         node = np.argsort(p.astype(np.int64) * n + np.arange(n), axis=1)
         slot = np.take_along_axis(p, node, axis=1)
@@ -739,7 +737,7 @@ def batch_kary_leaf_labels(n, reps, offsets, s) -> np.ndarray:
         step.reshape(-1)[at] = np.where(first & (slot > 0), offs[(slot - 1) % k1 + 1], offs[0])
         val = parent_depths(par, step)
         del par, step  # before the gathers below
-        out = labels[lo : lo + block]
+        out = labels[rows]
         out[:, 1:] = (val[:, 1:, None] + (offs[1:] - offs[0])).reshape(len(p), -1)
         out.reshape(-1)[(slot + out.shape[1] * row)[last]] = val.reshape(-1)[at[last]]
     return labels

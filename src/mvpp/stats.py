@@ -364,6 +364,8 @@ def total_variation(pmf_a: dict, pmf_b: dict) -> float:
 
 def counts_to_pmf(counts: dict) -> dict:
     n = sum(counts.values())
+    if not n:
+        raise ValueError("counts sum to zero")
     return {k: v / n for k, v in counts.items()}
 
 

@@ -9,8 +9,9 @@ rank, words are rebuilt on demand from parent pointers, and growth steps are
 O(1).
 
 Batches of recursive trees and of their rotation images (the free-slot
-binary trees) also come as (reps, n+1) parent arrays, with depths by
-whole-array pointer doubling and LCA depths by climbs over the unmet pairs.
+binary trees) also come as (reps, n+1) parent arrays, in row blocks of about
+ROW_BLOCK entries: whole-array depths by pointer doubling, and the depths and
+LCA depths of query nodes by climbs.
 """
 
 from __future__ import annotations
@@ -472,6 +473,20 @@ def profile(t: GrowingTree) -> AtomicMeasure:
 # batched parent arrays
 # ---------------------------------------------------------------------------
 
+ROW_BLOCK = 2**16  # entries per row block of a wide batch; the blocks bound the working arrays
+
+
+def row_blocks(reps: int, width: int):
+    """Slices of ROW_BLOCK // width rows (at least one) that cover rows 0..reps."""
+    step = max(ROW_BLOCK // max(width, 1), 1)
+    return (slice(lo, lo + step) for lo in range(0, reps, step))
+
+
+def _parent_shape(par) -> tuple:
+    if (dt := np.asarray(par).dtype).kind not in "iu" or np.ndim(par) != 2:
+        raise ValueError(f"parent arrays must be 2-d (reps, m) integers, got {dt} of shape {np.shape(par)}")
+    return np.shape(par)
+
 
 def rrt_parents(n: int, reps: int, s: RngStream) -> np.ndarray:
     """(reps, n+1) parent arrays of independent recursive trees after n growth
@@ -481,25 +496,26 @@ def rrt_parents(n: int, reps: int, s: RngStream) -> np.ndarray:
     if n < 0:
         raise ValueError("n must be >= 0")
     par = np.zeros((reps, n + 1), dtype=np.intp)
-    par[:, 1:] = s.uniforms(reps * n).reshape(reps, n) * np.arange(1, n + 1)
+    np.multiply(s.uniforms(reps * n).reshape(reps, n), np.arange(1, n + 1), out=par[:, 1:], casting="unsafe")
     return par
 
 
 def rotation_parents(par: np.ndarray) -> np.ndarray:
     """Parent arrays of the rotation images of the recursive trees `par`, over
-    the same node ids.  Node c >= 1 hangs below its previous sibling in birth
-    order (the 1-slot) or, as a first child, below its planar parent (the
-    0-slot).  Node 1, the root's first child, is the binary root; node 0 stays
-    above it as a virtual root, so every binary depth and LCA depth is one less
-    than in the returned array."""
-    m = par.shape[1] - 1
-    order = np.argsort(par[:, 1:] * m + np.arange(m), axis=1)  # distinct keys: siblings adjacent, in birth order
-    at = (order + 1 + (m + 1) * np.arange(len(par))[:, None]).ravel()  # their flat places in par
-    key = par.ravel()[at]
-    first = np.diff(key, prepend=-1) != 0
-    first[:: max(m, 1)] = True  # each row's first
+    the same node ids, a row block at a time.  Node c >= 1 hangs below its
+    previous sibling in birth order (the 1-slot) or, as a first child, below its
+    planar parent (the 0-slot).  Node 1, the root's first child, is the binary
+    root; node 0 stays above it as a virtual root, so every binary depth and LCA
+    depth is one less than in the returned array."""
+    m = _parent_shape(par)[1] - 1
     out = np.zeros(par.shape, dtype=par.dtype)
-    out.ravel()[at] = np.where(first, key, np.roll(order.ravel() + 1, 1))
+    for rows in row_blocks(*par.shape):
+        order = np.argsort(par[rows, 1:] * m + np.arange(m), axis=1)  # distinct keys: siblings adjacent, in birth order
+        at = (order + 1 + (m + 1) * np.arange(len(order))[:, None]).ravel()  # their flat places in the block
+        key = par[rows].ravel()[at]
+        first = np.diff(key, prepend=-1) != 0
+        first[:: max(m, 1)] = True  # each row's first
+        out[rows].reshape(-1)[at] = np.where(first, key, np.roll(order.ravel() + 1, 1))
     return out
 
 
@@ -507,7 +523,7 @@ def parent_depths(par: np.ndarray, steps=1) -> np.ndarray:
     """Path sums of each node's step (1 by default: depths) along (reps, m)
     parent arrays whose roots are their own parents and add nothing, by
     pointer doubling: each round doubles every node's jump."""
-    reps, m = par.shape
+    reps, m = _parent_shape(par)
     jump = (par + m * np.arange(reps)[:, None]).ravel()  # flat ids
     dep = (jump != np.arange(jump.size)) * np.broadcast_to(steps, par.shape).ravel()  # sum over each jump
     while not np.array_equal(nxt := jump[jump], jump):
@@ -516,27 +532,33 @@ def parent_depths(par: np.ndarray, steps=1) -> np.ndarray:
     return dep.reshape(reps, m)
 
 
-def lca_depths(par: np.ndarray, dep: np.ndarray, u, v) -> np.ndarray:
-    """Depth of the deepest common ancestor of nodes u[i] and v[i] of tree i,
-    given parent arrays and their depths: each round steps the deeper node of
-    every unmet pair up, or both at equal depths, on flat ids row * m + node."""
-    reps, m = par.shape
+def lca_depths(par: np.ndarray, u, v) -> np.ndarray:
+    """Depths of the deepest common ancestors of nodes u[i] and v[i] (or u[i, j]
+    and v[i, j]) of tree i of `par`, whose roots are their own parents; u == v
+    gives depths.  Per row block, on flat ids row * m + node, both nodes of each
+    pair climb to the root for their depths, then each round steps the deeper
+    node of every unmet pair up, or both at equal depths."""
+    reps, m = _parent_shape(par)
     u, v = np.asarray(u), np.asarray(v)
     for name, w in (("u", u), ("v", v)):
-        if w.shape != (reps,):
-            raise ValueError(f"{name} must be 1-d with one node per tree ({reps}), got shape {w.shape}")
+        if w.ndim > 2 or w.shape[:1] != (reps,) or w.shape != u.shape or w.dtype.kind not in "iu":
+            want = f"1-d with one node per tree ({reps},) or 2-d ({reps}, k) like u, of integers"
+            raise ValueError(f"{name} must be {want}, got {w.dtype} of shape {w.shape}")
         if w.size and not (0 <= w.min() and w.max() < m):
             raise ValueError(f"{name} holds a node outside 0..{m - 1}")
-    flat_par, flat_dep, base = par.ravel(), dep.ravel(), m * np.arange(reps)
-    u, v = u + base, v + base
-    live = np.flatnonzero(u != v)
-    while live.size:
-        a, b, up = u[live], v[live], base[live]
-        da, db = flat_dep[a], flat_dep[b]
-        a, b = np.where(da >= db, flat_par[a] + up, a), np.where(db >= da, flat_par[b] + up, b)
-        u[live], v[live] = a, b
-        live = live[a != b]
-    return flat_dep[u]
+    k = u.shape[1] if u.ndim == 2 else 1
+    uv, out = np.array([u, v], dtype=np.intp).reshape(2, reps, k), np.empty((reps, k), dtype=np.int64)
+    for rows in row_blocks(reps, m):
+        flat, up = par[rows].ravel(), m * np.arange(len(out[rows]))[:, None]
+        x = ab = uv[:, rows] + up  # (2, rows, k) flat ids of the pairs' two nodes
+        dep = np.zeros(ab.shape, dtype=np.int64)
+        while (go := (nxt := flat[x] + up) != x).any():
+            dep, x = dep + go, nxt
+        while (live := ab[0] != ab[1]).any():
+            step = live & (dep >= dep[::-1])  # the deeper node of each unmet pair, or both
+            ab, dep = np.where(step, flat[ab] + up, ab), dep - step
+        out[rows] = dep[0]
+    return out.reshape(u.shape)
 
 
 # ---------------------------------------------------------------------------

@@ -52,7 +52,6 @@ from .trees import (
     lca,
     lca_depths,
     left_depth,
-    parent_depths,
     planar_shapes,
     rotation,
     rotation_inverse,
@@ -141,12 +140,14 @@ def check_rrt_depth_clt(root_seed: int) -> dict:
 
 
 def check_bst_depth_clt(root_seed: int) -> dict:
+    """Depths of 1,000 uniform nodes of each of ten free-slot binary trees,
+    climbed to the root by lca_depths with u == v: no whole-tree depth pass."""
     n = 100_000
     pool = []
     for i in range(10):  # one tree at a time bounds the peak memory
         s = derive_stream(root_seed, 310 + i)
-        dep = parent_depths(rotation_parents(rrt_parents(n, 1, s)))[0]
-        pool.append(dep[s.integers(1, n + 1, 1000)] - 1)  # less the virtual root
+        bpar, idx = rotation_parents(rrt_parents(n, 1, s)), s.integers(1, n + 1, 1000)
+        pool.append(lca_depths(bpar, idx[None], idx[None])[0] - 1)  # less the virtual root
     return _depth_clt("bst_depth_clt", np.concatenate(pool), 2 * math.log(n))
 
 
@@ -155,13 +156,13 @@ def _tv_threshold(pmf: dict, replicas: int) -> float:
 
 
 def _lca_pmf(name: str, ref: dict, n: int, par, lo: int, s) -> dict:
-    """Simulated LCA-depth pmf of two uniform nodes among columns lo.. of each
-    parent array in `par`, against the exhaustive small-n law `ref`; lo = 1
-    skips a rotation image's virtual root, which adds 1 to every depth."""
+    """Simulated LCA-depth pmf (lca_depths, by climbs) of two uniform nodes among
+    columns lo.. of each parent array in `par`, against the exhaustive small-n law
+    `ref`; lo = 1 skips a rotation image's virtual root, which adds 1 to every depth."""
     reps, n1 = par.shape
     u = s.integers(lo, n1, reps)
     v = s.integers(lo, n1, reps)
-    d, cnt = np.unique(lca_depths(par, parent_depths(par), u, v) - lo, return_counts=True)
+    d, cnt = np.unique(lca_depths(par, u, v) - lo, return_counts=True)
     tv = stats.total_variation(stats.counts_to_pmf(dict(zip(d.tolist(), cnt.tolist()))), ref)
     thr = _tv_threshold(ref, reps)
     return _result(name, round(tv, 5), round(thr, 5), tv <= thr, n=n)

@@ -305,6 +305,13 @@ def test_total_variation_trivials():
     assert stats.total_variation({0: 1.0}, {1: 1.0}) == 1.0
 
 
+@pytest.mark.parametrize("counts", [{}, {1: 0}, {0: 0, 3: 0}])
+def test_counts_to_pmf_rejects_counts_that_sum_to_zero(counts):
+    with pytest.raises(ValueError, match="counts sum to zero"):
+        stats.counts_to_pmf(counts)
+    assert stats.counts_to_pmf({**counts, 2: 4}) == {**counts, 2: 1.0}
+
+
 @given(st.lists(st.floats(0.01, 1.0), min_size=2, max_size=6), st.randoms())
 @settings(max_examples=30, deadline=None)
 def test_total_variation_symmetry_and_triangle(ws, rng):

@@ -1,10 +1,14 @@
+import hashlib
+import json
 import math
+import tracemalloc
 from collections import Counter
 
 import numpy as np
 import pytest
 
-from mvpp import oracle, stats, verify
+from mvpp import oracle, stats, trees, verify
+from mvpp.process import batch_kary_leaf_labels
 from mvpp.randomness import derive_stream
 from mvpp.trees import (
     GrowingTree,
@@ -339,10 +343,10 @@ def test_rotation_parents_equal_the_rotation_image():
         assert (bdep[0, 1:] - 1).tolist() == [b.depth[mp[c]] for c in range(1, n + 1)]
         u, v = (x.ravel() for x in np.meshgrid(np.arange(n + 1), np.arange(n + 1)))
         rows = np.zeros(u.size, dtype=int)
-        got = lca_depths(par[rows], parent_depths(par)[rows], u, v)
+        got = lca_depths(par[rows], u, v)
         assert got.tolist() == [t.depth[lca(t, a, c)] for a, c in zip(u, v)]
         inner = (u > 0) & (v > 0)
-        got = lca_depths(bpar[rows[inner]], bdep[rows[inner]], u[inner], v[inner]) - 1
+        got = lca_depths(bpar[rows[inner]], u[inner], v[inner]) - 1
         assert got.tolist() == [b.depth[lca(b, mp[a], mp[c])] for a, c in zip(u[inner], v[inner])]
 
 
@@ -365,18 +369,89 @@ def test_lca_depths_equal_the_2d_form(n, reps):
     # (so met pairs and root pairs occur); the inputs are left as they were
     par = rrt_parents(n, reps, derive_stream(14, n))
     for p in (par, rotation_parents(par)):
-        dep = parent_depths(p)
         s = derive_stream(15, n)
         u, v = s.integers(0, n + 1, reps), s.integers(0, n + 1, reps)
-        u0, v0 = u.copy(), v.copy()
-        got, ref = lca_depths(p, dep, u, v), _lca_depths_2d(p, dep, u, v)
+        p0, u0, v0 = p.copy(), u.copy(), v.copy()
+        got, ref = lca_depths(p, u, v), _lca_depths_2d(p, parent_depths(p), u, v)
         assert got.dtype == ref.dtype and np.array_equal(got, ref)
-        assert np.array_equal(u, u0) and np.array_equal(v, v0)
+        assert np.array_equal(p, p0) and np.array_equal(u, u0) and np.array_equal(v, v0)
+
+
+@pytest.mark.parametrize("n,reps,k", [(1, 40, 3), (6, 20_000, 4), (60, 3_000, 5), (3_000, 20, 50)])
+def test_lca_depths_take_k_pairs_per_tree(n, reps, k):
+    # (reps, k) pairs equal k one-column calls, and u == v gives the depths
+    # of parent_depths' whole-array pass; the inputs are left as they were
+    par = rrt_parents(n, reps, derive_stream(14, n))
+    for p in (par, rotation_parents(par)):
+        s = derive_stream(16, n)
+        u, v = s.integers(0, n + 1, (reps, k)), s.integers(0, n + 1, (reps, k))
+        p0, u0, v0 = p.copy(), u.copy(), v.copy()
+        got = lca_depths(p, u, v)
+        cols = np.stack([lca_depths(p, u[:, j], v[:, j]) for j in range(k)], axis=1)
+        assert got.shape == (reps, k) and got.dtype == cols.dtype and np.array_equal(got, cols)
+        assert np.array_equal(lca_depths(p, u, u), np.take_along_axis(parent_depths(p), u, axis=1))
+        assert np.array_equal(p, p0) and np.array_equal(u, u0) and np.array_equal(v, v0)
+
+
+@pytest.mark.parametrize("reps,n,block", [(0, 6, 21), (1, 6, 21), (7, 6, 21), (9, 6, 7), (3, 3_000, 500), (5, 40, 1)])
+def test_row_blocks_change_nothing(monkeypatch, reps, n, block):
+    # a few rows a block (or one row longer than a block) against one block
+    # for the whole batch: rotation images, LCA depths and kappa-ary labels
+    par = rrt_parents(n, reps, derive_stream(17, n))
+    s = derive_stream(18, n)
+    u, v = s.integers(0, n + 1, (reps, 3)), s.integers(0, n + 1, (reps, 3))
+
+    def outputs():
+        kary = batch_kary_leaf_labels(n, reps, (1, -1, 2), derive_stream(19, n))
+        return rotation_parents(par), lca_depths(par, u, v), lca_depths(rotation_parents(par), u[:, 0], v[:, 0]), kary
+
+    monkeypatch.setattr(trees, "ROW_BLOCK", 2**40)
+    ref = outputs()
+    monkeypatch.setattr(trees, "ROW_BLOCK", block)
+    assert len(list(trees.row_blocks(reps, n + 1))) == -(-reps // max(block // (n + 1), 1))
+    got = outputs()
+    for a, b in zip(got, ref):
+        assert a.dtype == b.dtype and a.shape == b.shape and np.array_equal(a, b)
+
+
+def test_lca_depths_peak_memory_near_output():
+    # rotation images and LCA depths of 100,000 seven-node trees a row block at
+    # a time: whole-batch flat ids and depth arrays read 30.2 MB here
+    s = derive_stream(14, 1)
+    par = rrt_parents(6, 100_000, s)
+    u, v = s.integers(1, 7, 100_000), s.integers(1, 7, 100_000)
+    tracemalloc.start()
+    try:
+        bpar = rotation_parents(par)
+        got = lca_depths(bpar, u, v)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < bpar.nbytes + got.nbytes + 8 * 2**20
+
+
+# the first 16 hex digits of each tree check's sha256(json.dumps(check,
+# indent=2, sort_keys=True)) at seeds 2 and 77, as recorded before the checks
+# read their depths by climbs in row blocks
+TREE_CHECK_DIGESTS = {
+    (2, "check_rrt_lca_pmf"): "7532d39d31a1369d",
+    (2, "check_bst_lca_pmf"): "5dc202b3547d03bd",
+    (2, "check_bst_depth_clt"): "f711f8bff9680192",
+    (77, "check_rrt_lca_pmf"): "a01a4cb557c4657a",
+    (77, "check_bst_lca_pmf"): "586dae0f3bb3e924",
+    (77, "check_bst_depth_clt"): "c1b96e84b150b462",
+}
+
+
+@pytest.mark.parametrize("seed,check", sorted(TREE_CHECK_DIGESTS))
+def test_tree_check_digests_at_seeds_2_and_77(seed, check):
+    got = getattr(verify, check)(seed)
+    digest = hashlib.sha256(json.dumps(got, indent=2, sort_keys=True).encode()).hexdigest()[:16]
+    assert digest == TREE_CHECK_DIGESTS[seed, check]
 
 
 def test_lca_depths_rejects_pairs_it_cannot_place():
     par = rrt_parents(4, 3, derive_stream(1, 1))
-    dep = parent_depths(par)
     good = np.array([1, 1, 1])
     for bad, match in (
         ([-1, 0, 0], "outside 0..4"),  # once read as the row's last node
@@ -385,11 +460,21 @@ def test_lca_depths_rejects_pairs_it_cannot_place():
         ([0, 0, 0, 0], "one node per tree"),
         ([[0, 0, 0]], "1-d"),
         (0, "1-d"),
+        (np.zeros((3, 1, 1), dtype=int), r"got int64 of shape \(3, 1, 1\)"),
+        ([0.0, 1.0, 2.0], "of integers, got float64"),  # once numpy's IndexError
+        (np.zeros((3, 2), dtype=int), "like u"),  # names v when u is the 2-d one
     ):
         with pytest.raises(ValueError, match=match):
-            lca_depths(par, dep, bad, good)
+            lca_depths(par, bad, good)
         with pytest.raises(ValueError, match=match):
-            lca_depths(par, dep, good, bad)
+            lca_depths(par, good, bad)
+    # parent arrays that are not 2-d integers: once an IndexError ("tuple
+    # index out of range") from rotation_parents, an unpacking ValueError
+    # from parent_depths and numpy's IndexError from lca_depths
+    for bad, match in ((par[0], r"2-d \(reps, m\) integers, got int64 of shape \(5,\)"), (par * 1.0, "got float64")):
+        for call in (rotation_parents, parent_depths, lambda p: lca_depths(p, good, good)):
+            with pytest.raises(ValueError, match=match):
+                call(bad)
 
 
 def _rotation_violations_ordered(rot):
